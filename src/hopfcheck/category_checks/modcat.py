@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ..cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, SQRT2, ZERO
+from ..cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, SQRT2, ZERO,
+                          is_unitary, mat_mul)
 
 Matrix = list[list[Cyc]]
 
@@ -45,11 +46,6 @@ def _transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)]
 
 
-def _mul2(x: Matrix, y: Matrix) -> Matrix:
-    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)]
-            for i in range(2)]
-
-
 def _inv2(m: Matrix) -> Matrix:
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     di = det.inv()
@@ -57,20 +53,10 @@ def _inv2(m: Matrix) -> Matrix:
             [-m[1][0] * di, m[0][0] * di]]
 
 
-def _unitary(m: Matrix) -> bool:
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            acc = sum((m[i][k] * m[j][k].conj() for k in range(n)), ZERO)
-            if acc != (ONE if i == j else ZERO):
-                return False
-    return True
-
-
 def hook_equation(column: list[Cyc], psi: Matrix) -> bool:
     """sqrt2 C psi^T == 1 with C the column reshaped to 2x2."""
     c = [[column[0], column[1]], [column[2], column[3]]]
-    prod = _mul2(c, _transpose(psi))
+    prod = mat_mul(c, _transpose(psi))
     return [[SQRT2 * v for v in row] for row in prod] == _ID2
 
 
@@ -127,7 +113,7 @@ def module_report(source: str = "repaired") -> ModuleReport:
     hooks = {}
     for ci, g in enumerate(GROUP_LABELS):
         hooks[g] = hook_equation([m[r][ci] for r in range(4)], PSI[g])
-    return ModuleReport(source, _unitary(m), hooks, group_equation(PSI))
+    return ModuleReport(source, is_unitary(m), hooks, group_equation(PSI))
 
 
 def column_phase_search() -> dict:
@@ -173,7 +159,7 @@ def global_phase_family() -> dict:
                 for g, w in zip(GROUP_LABELS, phases)}
         cols = [forced_column(psis[g]) for g in GROUP_LABELS]
         m = [[cols[ci][r] for ci in range(4)] for r in range(4)]
-        ok = (_unitary(m)
+        ok = (is_unitary(m)
               and all(hook_equation(cols[ci], psis[g])
                       for ci, g in enumerate(GROUP_LABELS))
               and group_equation(psis))
@@ -192,7 +178,7 @@ def worked_example() -> dict:
     rep = repaired_psi_rho()
     col = [rep[r][2] for r in range(4)]
     c = [[col[0], col[1]], [col[2], col[3]]]
-    comp = _mul2(c, _transpose(PSI["b"]))
+    comp = mat_mul(c, _transpose(PSI["b"]))
     scaled = [[SQRT2 * v for v in row] for row in comp]
     return {
         "input": "basis vector tagged (b, b rho)",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from ..cyclotomic import Cyc, HALF, ONE, ZERO
+from ..cyclotomic import Cyc, HALF, ONE, ZERO, is_unitary, mat_mul
 
 RHO = 4
 GROUP = (0, 1, 2, 3)
@@ -132,12 +132,6 @@ def assoc(xs: list[int], ys: list[int], zs: list[int], tau: Cyc,
     return m
 
 
-def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    inner = len(y)
-    return [[sum((x[i][k] * y[k][j] for k in range(inner)), ZERO)
-             for j in range(len(y[0]))] for i in range(len(x))]
-
-
 def tensor_mor_id(f: Matrix, a: list[int], b: list[int],
                   zs: list[int]) -> Matrix:
     """f (x) identity, as a matrix from a (x) zs to b (x) zs."""
@@ -193,14 +187,14 @@ def _pentagon_at(w: int, x: int, y: int, z: int, tau: Cyc,
     s = fuse(w, x)
     mid = fuse(x, y)
     l = fuse(y, z)
-    one_step = _mat_mul(assoc([w], [x], l, tau, literal_middle),
+    one_step = mat_mul(assoc([w], [x], l, tau, literal_middle),
                         assoc(s, [y], [z], tau, literal_middle))
     f1 = tensor_mor_id(assoc([w], [x], [y], tau, literal_middle),
                        tensor_obj(s, [y]), tensor_obj([w], mid), [z])
     f2 = assoc([w], mid, [z], tau, literal_middle)
     f3 = id_tensor_mor([w], assoc([x], [y], [z], tau, literal_middle),
                        tensor_obj(mid, [z]), tensor_obj([x], l))
-    return one_step == _mat_mul(f3, _mat_mul(f2, f1))
+    return one_step == mat_mul(f3, mat_mul(f2, f1))
 
 
 @dataclass
@@ -239,14 +233,8 @@ def associator_unitarity(tau: Cyc) -> tuple[bool, tuple | None]:
     for x in SIMPLES:
         for y in SIMPLES:
             for z in SIMPLES:
-                m = assoc_simple(x, y, z, tau)
-                n = len(m)
-                for i in range(n):
-                    for j in range(n):
-                        acc = sum((m[i][k] * m[j][k].conj()
-                                   for k in range(n)), ZERO)
-                        if acc != (ONE if i == j else ZERO):
-                            return False, (x, y, z)
+                if not is_unitary(assoc_simple(x, y, z, tau)):
+                    return False, (x, y, z)
     return True, None
 
 

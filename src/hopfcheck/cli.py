@@ -1,9 +1,10 @@
 """Command line interface: run named verifications, list them, export models.
 
 Every check is registered with the verdict it is expected to produce; two
-are negative controls that must fail.  Exit code 0 means every executed
-check matched its expected verdict, 1 means some check surprised us, 2 is a
-usage error.
+are negative controls that must fail.  A check that raises gets the verdict
+"error", which matches no expectation, so a crash never passes for a designed
+failure.  Exit code 0 means every executed check matched its expected
+verdict, 1 means some check surprised us, 2 is a usage error.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def _run_model_twist(ctx: Context) -> tuple[bool, str]:
     with open(ctx.model_path, encoding="utf-8") as fh:
         data = json.load(fh)
     tw = twist_from_model_dict(data)
-    rep = verify_hopf_axioms(tw.hopf)
+    rep = tw.axiom_report
     if rep.passed:
         return True, (f"user model verified; twist blocks "
                       f"{tw.hopf.algebra.block_sizes}")
@@ -322,7 +323,7 @@ def _execute(spec: CheckSpec, ctx: Context) -> dict:
         passed, witness = spec.runner(ctx)
         verdict = "pass" if passed else "fail"
     except Exception as exc:
-        verdict = "fail"
+        verdict = "error"
         witness = f"exception: {exc}"
     elapsed = int((time.perf_counter() - start) * 1000)
     return {"id": spec.id, "verdict": verdict, "expected": spec.expected,

@@ -8,14 +8,13 @@ floating-point guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyc, ONE, ZERO, ROOTS_OF_UNITY_8, cyc_sqrt
-from .hopf_core import HopfAlgebra
+from .hopf_core import HopfAlgebra, Report
 from .linalg import LinAlgError, Vector, exact_nullspace, solve_unique
-from .multimatrix import AlgElement, tensor_algebra
+from .multimatrix import AlgElement, tensor_split
 
 
 class UnsupportedProfile(Exception):
@@ -40,69 +39,43 @@ class Corep:
         return len(self.entries)
 
 
-@dataclass
-class CorepReport:
-    checks: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-
-def verify_corep(u: Corep) -> CorepReport:
+def verify_corep(u: Corep) -> Report:
     h = u.hopf
     n = u.size
     alg = h.algebra
-    rep = CorepReport()
+    e = u.entries
+    rep = Report()
+    pairs = [(i, j) for i in range(n) for j in range(n)]
 
-    ok, wit = True, ""
-    for i in range(n):
-        for j in range(n):
-            want = h.coproduct(u.entries[i][j])
-            got = want.parent.zero()
-            for k in range(n):
-                got = got + u.entries[i][k].tensor(u.entries[k][j])
-            if got != want:
-                ok, wit = False, f"coproduct of entry ({i},{j}) is not sum_k u[{i}k] tensor u[k{j}]"
-                break
-        if not ok:
-            break
-    rep.checks["comultiplicative"] = ok
-    if wit:
-        rep.witnesses["comultiplicative"] = wit
+    def tensor_sum(i: int, j: int) -> AlgElement:
+        got = h.coproduct.target.zero()
+        for k in range(n):
+            got = got + e[i][k].tensor(e[k][j])
+        return got
 
-    ok, wit = True, ""
-    for i in range(n):
-        for j in range(n):
-            want = ONE if i == j else ZERO
-            if h.counit_value(u.entries[i][j]) != want:
-                ok, wit = False, f"counit of entry ({i},{j}) is not {want}"
-                break
-        if not ok:
-            break
-    rep.checks["counit"] = ok
-    if wit:
-        rep.witnesses["counit"] = wit
+    wit = next((f"coproduct of entry ({i},{j}) is not sum_k u[{i}k] tensor u[k{j}]"
+                for i, j in pairs if tensor_sum(i, j) != h.coproduct(e[i][j])), "")
+    rep.record("comultiplicative", not wit, wit)
+
+    wit = next((f"counit of entry ({i},{j}) is not {ONE if i == j else ZERO}"
+                for i, j in pairs
+                if h.counit_value(e[i][j]) != (ONE if i == j else ZERO)), "")
+    rep.record("counit", not wit, wit)
 
     one, zero = alg.unit(), alg.zero()
-    ok, wit = True, ""
-    for i in range(n):
-        for j in range(n):
-            want = one if i == j else zero
-            left = alg.zero()
-            right = alg.zero()
-            for k in range(n):
-                left = left + u.entries[i][k] * u.entries[j][k].star()
-                right = right + u.entries[k][i].star() * u.entries[k][j]
-            if left != want or right != want:
-                ok, wit = False, f"unitarity fails at entry ({i},{j})"
-                break
-        if not ok:
-            break
-    rep.checks["unitary"] = ok
-    if wit:
-        rep.witnesses["unitary"] = wit
+
+    def unitary_at(i: int, j: int) -> bool:
+        want = one if i == j else zero
+        left = alg.zero()
+        right = alg.zero()
+        for k in range(n):
+            left = left + e[i][k] * e[j][k].star()
+            right = right + e[k][i].star() * e[k][j]
+        return left == want and right == want
+
+    wit = next((f"unitarity fails at entry ({i},{j})"
+                for i, j in pairs if not unitary_at(i, j)), "")
+    rep.record("unitary", not wit, wit)
     return rep
 
 
@@ -239,8 +212,7 @@ def one_dim_group(h: HopfAlgebra) -> OneDimGroup:
             f"block profile {alg.block_sizes} is out of scope for the search")
     oneidx = [alg.index(b, 0, 0) for b in ones]
     pos_of = {p: s for s, p in enumerate(oneidx)}
-    ta, tidx = tensor_algebra(alg, alg)
-    rev = {tidx[p][q]: (p, q) for p in range(alg.dim) for q in range(alg.dim)}
+    rev = tensor_split(alg)
 
     # group law on 1x1 blocks: Delta(e_r) must restrict to sum of e_s x e_t
     # with coefficient one, each (s, t) claimed exactly once

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def _reduce(nums: tuple[int, int, int, int], den: int) -> tuple[tuple[int, int, int, int], int]:
@@ -118,6 +119,10 @@ class Cyc:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
+        # equal to the hash of an equal int or Fraction, as __eq__ requires
+        if self.is_rational():
+            n0 = self._n[0]
+            return hash(n0 if self._d == 1 else Fraction(n0, self._d))
         return hash((self._n, self._d))
 
     def __neg__(self) -> Cyc:
@@ -246,6 +251,28 @@ IM = Cyc.zeta_power(2)
 SQRT2 = Cyc((0, 1, 0, -1))        # z - z**3
 INV_SQRT2 = Cyc((0, 1, 0, -1), 2)
 ROOTS_OF_UNITY_8 = tuple(Cyc.zeta_power(k) for k in range(8))
+
+
+# dense matrices over Q(z), as lists of rows ---------------------------------
+
+def _dot(u: Sequence[Cyc], v: Sequence[Cyc]) -> Cyc:
+    # the sum starts from the first product, not from ZERO
+    products = map(operator.mul, u, v)
+    return sum(products, next(products))
+
+
+def mat_mul(x: Sequence[Sequence[Cyc]], y: Sequence[Sequence[Cyc]],
+            ) -> list[list[Cyc]]:
+    """The product x y of dense matrices."""
+    cols = list(zip(*y))
+    return [[_dot(row, col) for col in cols] for row in x]
+
+
+def is_unitary(rows: Sequence[Sequence[Cyc]]) -> bool:
+    """Exact test of m m^* == 1 for a square matrix m given by its rows."""
+    conj = [[v.conj() for v in row] for row in rows]
+    return all(_dot(rows[i], conj[j]) == (ONE if i == j else ZERO)
+               for i in range(len(rows)) for j in range(len(rows)))
 
 
 def _frac_sqrt(f: Fraction) -> Fraction | None:

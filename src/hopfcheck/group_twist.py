@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .cyclotomic import Cyc, HALF, IM, ONE, ZERO
+from .cyclotomic import Cyc, HALF, IM, ONE, ZERO, is_unitary
 from .linalg import NoSolution, Vector, exact_rank, solve_unique
-from .hopf_core import (AxiomReport, HopfAlgebra, check_hopf_morphism,
+from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                         solve_counit_antipode, verify_hopf_axioms)
 from .multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra, Scalar,
                           _cyc, tensor_algebra)
@@ -39,7 +39,7 @@ class SubalgebraError(Exception):
 
 
 class AxiomFailure(Exception):
-    def __init__(self, what: str, report: AxiomReport):
+    def __init__(self, what: str, report: Report):
         super().__init__(f"{what}: failed {sorted(k for k, v in report.checks.items() if not v)}")
         self.report = report
 
@@ -82,7 +82,7 @@ class Mat2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
     def is_unitary(self) -> bool:
-        return self * self.star() == Mat2.identity()
+        return is_unitary(self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat2):
@@ -355,18 +355,72 @@ class CentralGrading:
                 if k < self.partner(k)]
 
 
+def coset_basis(smash: SmashProduct, grading: CentralGrading,
+                ) -> tuple[MultiMatrixAlgebra, list[AlgElement]]:
+    """The twist's coset-block basis in the crossed product, and its algebra.
+
+    The twist is spanned by even functions e_C = delta_h + delta_zh and odd
+    multiples o_C lam = (delta_h - delta_zh) lam.  Coset fixed pointwise by
+    the action: two 1x1 blocks (e_C +- o_C lam)/2.  Coset fixed with swapped
+    members: two 1x1 blocks (e_C -+ i o_C lam)/2.  A 2-orbit of cosets: one
+    2x2 block with e-parts on the diagonal and o_C lam off it.
+    """
+    perm = smash.action.perm
+    names = smash.fa.group.names
+    cosets = grading.cosets()
+    rep_of = {}
+    for idx, (a, b) in enumerate(cosets):
+        rep_of[a] = idx
+        rep_of[b] = idx
+
+    dl = smash.delta_lambda
+    def e_part(ci: int) -> AlgElement:
+        a, b = cosets[ci]
+        return dl(a, 0) + dl(b, 0)
+
+    def o_lam(ci: int) -> AlgElement:
+        a, b = cosets[ci]
+        return dl(a, 1) - dl(b, 1)
+
+    sizes: list[int] = []
+    labels: list[str] = []
+    basis_els: list[AlgElement] = []
+    seen: set[int] = set()
+    for ci, (a, b) in enumerate(cosets):
+        if ci in seen:
+            continue
+        seen.add(ci)
+        image = rep_of[perm[a]]
+        if image == ci:
+            if perm[a] == a:
+                kind = "fixed"
+                plus = (e_part(ci) + o_lam(ci)).scale(HALF)
+                minus = (e_part(ci) - o_lam(ci)).scale(HALF)
+            else:
+                kind = "swapped"
+                plus = (e_part(ci) - o_lam(ci).scale(IM)).scale(HALF)
+                minus = (e_part(ci) + o_lam(ci).scale(IM)).scale(HALF)
+            sizes += [1, 1]
+            labels += [f"{kind}+({names[a]})", f"{kind}-({names[a]})"]
+            basis_els += [plus, minus]
+        else:
+            seen.add(image)
+            sizes.append(2)
+            labels.append(f"m({names[a]},{names[cosets[image][0]]})")
+            x = o_lam(ci)
+            basis_els += [e_part(ci), x, x.star(), e_part(image)]
+    return MultiMatrixAlgebra(tuple(sizes), labels=tuple(labels)), basis_els
+
+
 class GradedTwist:
     """The twisted Hopf *-algebra inside the crossed product.
 
-    Spanned by even functions e_C = delta_h + delta_zh and odd multiples
-    o_C lam = (delta_h - delta_zh) lam.  Coset fixed pointwise by the action:
-    two 1x1 blocks (e_C +- o_C lam)/2.  Coset fixed with swapped members:
-    two 1x1 blocks (e_C -+ i o_C lam)/2.  A 2-orbit of cosets: one 2x2 block
-    with e-parts on the diagonal and o_C lam off it.
+    Built on the coset-block basis (see coset_basis) and verified once;
+    axiom_report is the report of that verification.
     """
 
     def __init__(self, fa: FunctionHopf, grading: CentralGrading,
-                 action: ConjugationAction, smash: SmashProduct | None = None):
+                 action: ConjugationAction):
         if grading.group is not fa.group:
             raise GradingError("grading group does not match")
         if action.perm[grading.z_index] != grading.z_index:
@@ -374,74 +428,19 @@ class GradedTwist:
         self.fa = fa
         self.grading = grading
         self.action = action
-        if grading.is_trivial:
-            self.smash = smash
+        self.trivial = grading.is_trivial
+        if self.trivial:
+            # function_algebra does not verify, so this is the one check
+            self.smash = None
             self.hopf = fa.hopf
-            self.trivial = True
             self.basis_in_ambient = fa.hopf.algebra.basis()
-            self.ambient = fa.hopf
             self._solver = lambda x: x
-            self.coset_kinds = {}
-            self.cosets = []
+            self.axiom_report = verify_hopf_axioms(fa.hopf)
             return
-        self.trivial = False
-        self.smash = smash if smash is not None else SmashProduct(fa, action)
-        self.ambient = self.smash.hopf
-        group = fa.group
-        perm = action.perm
-        names = group.names
-
-        cosets = grading.cosets()
-        rep_of = {}
-        for idx, (a, b) in enumerate(cosets):
-            rep_of[a] = idx
-            rep_of[b] = idx
-
-        dl = self.smash.delta_lambda
-        def e_part(ci: int) -> AlgElement:
-            a, b = cosets[ci]
-            return dl(a, 0) + dl(b, 0)
-
-        def o_lam(ci: int) -> AlgElement:
-            a, b = cosets[ci]
-            return dl(a, 1) - dl(b, 1)
-
-        sizes: list[int] = []
-        labels: list[str] = []
-        basis_els: list[AlgElement] = []
-        coset_kinds: dict[int, str] = {}
-        seen: set[int] = set()
-        for ci, (a, b) in enumerate(cosets):
-            if ci in seen:
-                continue
-            seen.add(ci)
-            image = rep_of[perm[a]]
-            if image == ci:
-                if perm[a] == a:
-                    kind = "fixed"
-                    plus = (e_part(ci) + o_lam(ci)).scale(HALF)
-                    minus = (e_part(ci) - o_lam(ci)).scale(HALF)
-                else:
-                    kind = "swapped"
-                    plus = (e_part(ci) - o_lam(ci).scale(IM)).scale(HALF)
-                    minus = (e_part(ci) + o_lam(ci).scale(IM)).scale(HALF)
-                coset_kinds[ci] = kind
-                sizes += [1, 1]
-                labels += [f"{kind}+({names[a]})", f"{kind}-({names[a]})"]
-                basis_els += [plus, minus]
-            else:
-                seen.add(image)
-                coset_kinds[ci] = coset_kinds[image] = "orbit"
-                sizes.append(2)
-                labels.append(f"m({names[a]},{names[cosets[image][0]]})")
-                x = o_lam(ci)
-                basis_els += [e_part(ci), x, x.star(), e_part(image)]
-
-        target = MultiMatrixAlgebra(tuple(sizes), labels=tuple(labels))
-        self.hopf, self._solver = subalgebra_hopf(self.ambient, basis_els, target)
-        self.basis_in_ambient = basis_els
-        self.coset_kinds = coset_kinds
-        self.cosets = cosets
+        self.smash = SmashProduct(fa, action)
+        target, self.basis_in_ambient = coset_basis(self.smash, grading)
+        self.hopf, self._solver, self.axiom_report = subalgebra_hopf(
+            self.smash.hopf, self.basis_in_ambient, target)
 
     def to_twist(self, x: AlgElement) -> AlgElement:
         """Coordinates of an ambient element in the twist, if it lies there."""
@@ -449,14 +448,16 @@ class GradedTwist:
 
 
 def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
-                    target: MultiMatrixAlgebra):
+                    target: MultiMatrixAlgebra,
+                    ) -> tuple[HopfAlgebra, Callable[[AlgElement], AlgElement],
+                               Report]:
     """Transport the ambient Hopf structure onto a multimatrix basis.
 
     basis_els[t] plays the role of target basis vector t.  Verifies that the
     span is a *-subalgebra matching target's structure constants, that the
     ambient coproduct restricts, and that the result satisfies every Hopf
-    axiom.  Returns (hopf, solver) with solver expressing ambient elements
-    in the chosen basis.
+    axiom.  Returns (hopf, solver, report) with solver expressing ambient
+    elements in the chosen basis and report the passing axiom report.
     """
     n = target.dim
     if len(basis_els) != n:
@@ -537,7 +538,7 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     report = verify_hopf_axioms(hopf)
     if not report.passed:
         raise AxiomFailure("transported subalgebra", report)
-    return hopf, solver
+    return hopf, solver, report
 
 
 # user model files ------------------------------------------------------------

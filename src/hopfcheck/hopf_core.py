@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .cyclotomic import Cyc, ONE, ZERO
-from .linalg import NoSolution, NonUniqueSolution, Vector, solve_unique, span_rank
+from .linalg import LinAlgError, Vector, solve_unique, span_rank
 from .multimatrix import (SCALARS, AlgElement, LinearMap, MultiMatrixAlgebra,
-                          flip_map, mult_map, tensor_algebra, tensor_map)
+                          flip_map, mult_map, tensor_algebra, tensor_map,
+                          tensor_split)
 
 
 @dataclass(frozen=True)
@@ -35,24 +36,24 @@ class HopfAlgebra:
 
 
 @dataclass
-class AxiomReport:
-    dim: int
+class Report:
+    """Named exact checks, with a witness for each failing one.
+
+    ranks and info are recorded for the reader; only checks decide passed.
+    """
     checks: dict[str, bool] = field(default_factory=dict)
+    witnesses: dict[str, str] = field(default_factory=dict)
     ranks: dict[str, int] = field(default_factory=dict)
     info: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, str] = field(default_factory=dict)
+
+    def record(self, name: str, ok: bool, witness: str = "") -> None:
+        self.checks[name] = ok
+        if not ok and witness:
+            self.witnesses[name] = witness
 
     @property
     def passed(self) -> bool:
-        full = self.dim * self.dim
-        return (all(self.checks.values())
-                and self.ranks.get("cancellation_left") == full
-                and self.ranks.get("cancellation_right") == full)
-
-
-def _tensor_split(alg: MultiMatrixAlgebra) -> dict[int, tuple[int, int]]:
-    _, tidx = tensor_algebra(alg, alg)
-    return {tidx[p][q]: (p, q) for p in range(alg.dim) for q in range(alg.dim)}
+        return all(self.checks.values())
 
 
 def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
@@ -63,7 +64,7 @@ def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
     them, which is itself a useful verdict for a defective table.
     """
     n = alg.dim
-    rev = _tensor_split(alg)
+    rev = tensor_split(alg)
 
     # counit: (eps tensor id) Delta == id gives, per source j and target q,
     # sum_p Delta_j[p, q] eps_p == delta_{jq}
@@ -126,18 +127,14 @@ def _diff_witness(alg, f: LinearMap, g: LinearMap) -> str:
     return ""
 
 
-def verify_hopf_axioms(h: HopfAlgebra) -> AxiomReport:
+def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     alg = h.algebra
     n = alg.dim
     delta, counit, antipode = h.coproduct, h.counit, h.antipode
-    ta, tidx = tensor_algebra(alg, alg)
-    rep = AxiomReport(dim=n)
+    ta, _ = tensor_algebra(alg, alg)
+    rep = Report()
+    record = rep.record
     ident = LinearMap.identity(alg)
-
-    def record(name: str, ok: bool, witness: str = "") -> None:
-        rep.checks[name] = ok
-        if not ok and witness:
-            rep.witnesses[name] = witness
 
     lhs = tensor_map(delta, ident).compose(delta)
     rhs = tensor_map(ident, delta).compose(delta)
@@ -157,70 +154,54 @@ def verify_hopf_axioms(h: HopfAlgebra) -> AxiomReport:
     record("antipode_left", s_left == eta_eps, _diff_witness(alg, s_left, eta_eps))
     record("antipode_right", s_right == eta_eps, _diff_witness(alg, s_right, eta_eps))
 
-    ok, wit = True, ""
     dcol = [AlgElement(ta, col) for col in delta.cols]
-    for p in range(n):
-        for q in range(n):
-            r = alg.mul_basis(p, q)
-            want = dcol[r] if r is not None else ta.zero()
-            got = dcol[p] * dcol[q]
-            if got != want:
-                ok, wit = False, (f"coproduct of {alg.basis_name(p)}*"
-                                  f"{alg.basis_name(q)} is not the product of "
-                                  "coproducts")
-                break
-        if not ok:
-            break
-    record("coproduct_multiplicative", ok, wit)
+
+    def product_of_coproducts(p: int, q: int) -> AlgElement:
+        r = alg.mul_basis(p, q)
+        return dcol[r] if r is not None else ta.zero()
+
+    wit = next((f"coproduct of {alg.basis_name(p)}*{alg.basis_name(q)} is "
+                "not the product of coproducts"
+                for p in range(n) for q in range(n)
+                if dcol[p] * dcol[q] != product_of_coproducts(p, q)), "")
+    record("coproduct_multiplicative", not wit, wit)
 
     one = alg.unit()
     record("coproduct_unital", delta(one) == one.tensor(one),
            "coproduct of the unit is not 1 tensor 1")
 
-    ok, wit = True, ""
-    for p in range(n):
-        lhs_c = delta.cols[alg.star_index(p)]
-        rhs_e = AlgElement(ta, delta.cols[p]).star()
-        if lhs_c != rhs_e.coords:
-            ok, wit = False, f"coproduct does not commute with * on {alg.basis_name(p)}"
-            break
-    record("coproduct_star", ok, wit)
+    wit = next((f"coproduct does not commute with * on {alg.basis_name(p)}"
+                for p in range(n)
+                if delta.cols[alg.star_index(p)]
+                != AlgElement(ta, delta.cols[p]).star().coords), "")
+    record("coproduct_star", not wit, wit)
 
-    ok, wit = True, ""
-    if h.counit_value(one) != ONE:
-        ok, wit = False, "counit of the unit is not 1"
-    else:
+    def counit_failures():
+        if h.counit_value(one) != ONE:
+            yield "counit of the unit is not 1"
         vals = [h.counit_value(b) for b in alg.basis()]
         for p in range(n):
             if vals[alg.star_index(p)] != vals[p].conj():
-                ok, wit = False, f"counit not *-compatible at {alg.basis_name(p)}"
-                break
+                yield f"counit not *-compatible at {alg.basis_name(p)}"
             for q in range(n):
                 r = alg.mul_basis(p, q)
                 want = vals[r] if r is not None else ZERO
                 if vals[p] * vals[q] != want:
-                    ok, wit = False, (f"counit not multiplicative at "
-                                      f"{alg.basis_name(p)}, {alg.basis_name(q)}")
-                    break
-            if not ok:
-                break
-    record("counit_character", ok, wit)
+                    yield (f"counit not multiplicative at "
+                           f"{alg.basis_name(p)}, {alg.basis_name(q)}")
+
+    wit = next(counit_failures(), "")
+    record("counit_character", not wit, wit)
 
     basis = alg.basis()
     left_vecs = [(basis[p].tensor(one) * dcol[q]).coords
                  for p in range(n) for q in range(n)]
     right_vecs = [(one.tensor(basis[p]) * dcol[q]).coords
                   for p in range(n) for q in range(n)]
-    rep.ranks["cancellation_left"] = span_rank(left_vecs, ta.dim)
-    rep.ranks["cancellation_right"] = span_rank(right_vecs, ta.dim)
-    if rep.ranks["cancellation_left"] != n * n:
-        rep.witnesses["cancellation_left"] = (
-            f"left cancellation span has rank {rep.ranks['cancellation_left']}, "
-            f"expected {n * n}")
-    if rep.ranks["cancellation_right"] != n * n:
-        rep.witnesses["cancellation_right"] = (
-            f"right cancellation span has rank {rep.ranks['cancellation_right']}, "
-            f"expected {n * n}")
+    for side, vecs in (("left", left_vecs), ("right", right_vecs)):
+        rank = rep.ranks[f"cancellation_{side}"] = span_rank(vecs, ta.dim)
+        record(f"cancellation_{side}", rank == n * n,
+               f"{side} cancellation span has rank {rank}, expected {n * n}")
 
     # recorded, not asserted: these hold for the models here but are not
     # part of the axiom gate
@@ -230,65 +211,43 @@ def verify_hopf_axioms(h: HopfAlgebra) -> AxiomReport:
     return rep
 
 
-@dataclass
-class MorphismReport:
-    checks: dict[str, bool] = field(default_factory=dict)
-    info: dict[str, bool] = field(default_factory=dict)
-    rank: int = 0
-    witnesses: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-
 Requirement = Literal["hom", "surjective", "iso"]
 
 
 def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
-                        require: Requirement = "hom") -> MorphismReport:
+                        require: Requirement = "hom") -> Report:
     """Check that f is a morphism of Hopf *-algebras, plus rank conditions."""
     if require not in ("hom", "surjective", "iso"):
         raise ValueError(f"unknown requirement {require!r}")
     a1, a2 = h1.algebra, h2.algebra
     if f.source != a1 or f.target != a2:
         raise ValueError("map endpoints do not match the Hopf algebras")
-    rep = MorphismReport()
+    rep = Report()
     n = a1.dim
     imgs = [AlgElement(a2, col) for col in f.cols]
 
-    ok, wit = True, ""
-    for p in range(n):
-        for q in range(n):
-            r = a1.mul_basis(p, q)
-            want = imgs[r] if r is not None else a2.zero()
-            if imgs[p] * imgs[q] != want:
-                ok, wit = False, (f"f({a1.basis_name(p)} * {a1.basis_name(q)}) "
-                                  "!= f(..) * f(..)")
-                break
-        if not ok:
-            break
-    rep.checks["multiplicative"] = ok
-    if wit:
-        rep.witnesses["multiplicative"] = wit
+    def image_of_product(p: int, q: int) -> AlgElement:
+        r = a1.mul_basis(p, q)
+        return imgs[r] if r is not None else a2.zero()
 
-    rep.checks["unital"] = f(a1.unit()) == a2.unit()
-    rep.checks["star"] = all(
-        f.cols[a1.star_index(p)] == imgs[p].star().coords for p in range(n))
+    wit = next((f"f({a1.basis_name(p)} * {a1.basis_name(q)}) != f(..) * f(..)"
+                for p in range(n) for q in range(n)
+                if imgs[p] * imgs[q] != image_of_product(p, q)), "")
+    rep.record("multiplicative", not wit, wit)
+    rep.record("unital", f(a1.unit()) == a2.unit())
+    rep.record("star", all(
+        f.cols[a1.star_index(p)] == imgs[p].star().coords for p in range(n)))
 
     lhs = tensor_map(f, f).compose(h1.coproduct)
     rhs = h2.coproduct.compose(f)
-    rep.checks["comultiplicative"] = lhs == rhs
-    if lhs != rhs:
-        rep.witnesses["comultiplicative"] = _diff_witness(a1, lhs, rhs)
+    rep.record("comultiplicative", lhs == rhs, _diff_witness(a1, lhs, rhs))
+    rep.record("counit", h2.counit.compose(f) == h1.counit)
 
-    rep.checks["counit"] = h2.counit.compose(f) == h1.counit
-
-    rep.rank = span_rank([c for c in f.cols], a2.dim)
+    rank = rep.ranks["image"] = span_rank([c for c in f.cols], a2.dim)
     if require in ("surjective", "iso"):
-        rep.checks["surjective"] = rep.rank == a2.dim
+        rep.record("surjective", rank == a2.dim)
     if require == "iso":
-        rep.checks["injective"] = rep.rank == n and n == a2.dim
+        rep.record("injective", rank == n and n == a2.dim)
 
     rep.info["antipode_compatible"] = f.compose(h1.antipode) == h2.antipode.compose(f)
     return rep
@@ -332,6 +291,11 @@ def hopf_to_dict(h: HopfAlgebra) -> dict:
 
 
 def hopf_from_dict(data: dict) -> HopfAlgebra:
+    """Load a stored structure, re-deriving its counit and antipode.
+
+    The stored counit and antipode must equal the unique ones the stored
+    coproduct determines; a mismatch raises ValueError naming the map.
+    """
     alg = MultiMatrixAlgebra(data["block_sizes"], data.get("labels"))
     ta, _ = tensor_algebra(alg, alg)
 
@@ -339,9 +303,14 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
         mat = [[Cyc.from_strings(cell) for cell in row] for row in data[key]]
         return LinearMap.from_matrix(alg, target, mat)
 
-    return HopfAlgebra(
-        algebra=alg,
-        coproduct=read("coproduct_matrix", ta),
-        counit=read("counit_matrix", SCALARS),
-        antipode=read("antipode_matrix", alg),
-    )
+    coproduct = read("coproduct_matrix", ta)
+    try:
+        counit, antipode = solve_counit_antipode(alg, coproduct)
+    except LinAlgError as exc:
+        raise ValueError("stored coproduct admits no unique counit and "
+                         "antipode") from exc
+    for name, derived in (("counit", counit), ("antipode", antipode)):
+        if read(f"{name}_matrix", derived.target) != derived:
+            raise ValueError(f"stored {name} differs from the {name} the "
+                             "coproduct determines")
+    return HopfAlgebra(alg, coproduct, counit, antipode)

@@ -19,19 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .corep import (Corep, CorepReport, FusionGraph, OneDimGroup, fusion_graph,
-                    hom_dim, one_dim_group, tensor_corep, verify_corep)
-from .cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO
+from .corep import (Corep, FusionGraph, OneDimGroup, fusion_graph, hom_dim,
+                    one_dim_group, tensor_corep, verify_corep)
+from .cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, mat_mul
 from .group_twist import (AxiomFailure, CentralGrading, ConjugationAction,
-                          FiniteMatrixGroup, FunctionHopf, GradedTwist, Mat2,
-                          SmashProduct, conjugation_action, function_algebra,
+                          FiniteMatrixGroup, FunctionHopf, Mat2, SmashProduct,
+                          conjugation_action, coset_basis, function_algebra,
                           generate_group, subalgebra_hopf)
-from .hopf_core import (AxiomReport, HopfAlgebra, MorphismReport,
-                        check_hopf_morphism, commutativity_flags,
-                        solve_counit_antipode, verify_hopf_axioms)
-from .linalg import span_rank
+from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
+                        commutativity_flags, solve_counit_antipode,
+                        verify_hopf_axioms)
+from .linalg import exact_rank, span_rank
 from .multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
-                          tensor_algebra)
+                          tensor_algebra, tensor_split)
 
 
 class ModelMismatchError(Exception):
@@ -126,8 +126,7 @@ def _table_coproduct(alg: MultiMatrixAlgebra, quads, mats) -> LinearMap:
 
 def _require_same_coproduct(h: HopfAlgebra, table: LinearMap) -> None:
     alg = h.algebra
-    _, tidx = tensor_algebra(alg, alg)
-    rev = {tidx[p][q]: (p, q) for p in range(alg.dim) for q in range(alg.dim)}
+    rev = tensor_split(alg)
     for t in range(alg.dim):
         got = h.coproduct.cols[t]
         want = table.cols[t]
@@ -149,7 +148,7 @@ class KPModel:
     hopf: HopfAlgebra
     handles: dict[str, AlgElement]
     unitaries: dict[str, Mat2]
-    axiom_report: AxiomReport
+    axiom_report: Report
 
 
 @lru_cache(maxsize=None)
@@ -241,10 +240,9 @@ def build_smash() -> SmashProduct:
 
 
 @lru_cache(maxsize=None)
-def build_coset_twist() -> GradedTwist:
-    """The twist on its generic coset-block basis (internal presentation)."""
-    vt = build_vtilde()
-    return GradedTwist(vt.fa, vt.grading, vt.action, smash=build_smash())
+def build_coset_twist() -> list[AlgElement]:
+    """The twist's generic coset-block basis, as crossed-product elements."""
+    return coset_basis(build_smash(), build_vtilde().grading)[1]
 
 
 @dataclass
@@ -255,7 +253,7 @@ class TwistModel:
     unitaries: dict[str, Mat2]
     vtilde: VtildeModel
     smash: SmashProduct
-    axiom_report: AxiomReport
+    axiom_report: Report
     checks: dict[str, bool]
     solver: object
 
@@ -301,11 +299,8 @@ def build_vtilde_twist() -> TwistModel:
     order = ["eps", "alphap", "betap", "gammap", "e11", "e12", "e21", "e22"]
     target = MultiMatrixAlgebra((1, 1, 1, 1, 2),
                                 labels=("eps", "alphap", "betap", "gammap", "m"))
-    hopf, solver = subalgebra_hopf(sm.hopf, [dictionary[n] for n in order],
-                                   target)
-    report = verify_hopf_axioms(hopf)
-    if not report.passed:
-        raise AxiomFailure("graded twist on the dictionary basis", report)
+    basis = [dictionary[n] for n in order]
+    hopf, solver, report = subalgebra_hopf(sm.hopf, basis, target)
     _require_same_coproduct(
         hopf, _table_coproduct(target, _TWIST_QUADS, _TWIST_CONJUGATORS))
 
@@ -324,14 +319,10 @@ def build_vtilde_twist() -> TwistModel:
             + odd["s1"].tensor(odd["s2"]) - odd["s2"].tensor(odd["s1"]))
     odd_display = hopf.coproduct(odd["s3"]) == want
 
-    # same subspace as the generic coset-block presentation
-    coset = build_coset_twist()
-    same_subspace = True
-    try:
-        for x in coset.basis_in_ambient:
-            solver(x)
-    except Exception:
-        same_subspace = False
+    # same subspace as the generic coset-block presentation: adding the
+    # coset basis to the (independent) dictionary basis must not raise the rank
+    same_subspace = exact_rank(
+        [x.coords for x in basis + build_coset_twist()]) == target.dim
 
     is_comm, is_cocomm, _ = commutativity_flags(hopf)
     checks = {
@@ -351,7 +342,7 @@ def build_vtilde_twist() -> TwistModel:
 @dataclass
 class PhiResult:
     map: LinearMap
-    report: MorphismReport
+    report: Report
     unitary_identities: dict[str, bool]
 
     @property
@@ -390,8 +381,8 @@ def build_phi_and_verify() -> PhiResult:
 class FundamentalResult:
     uprime: Corep
     ukp: Corep
-    uprime_report: CorepReport
-    ukp_report: CorepReport
+    uprime_report: Report
+    ukp_report: Report
     relations: dict[str, bool]
     word_ranks: list[tuple[int, int]]
     surjective: bool
@@ -491,12 +482,6 @@ class TensorSquareResult:
         return all(self.checks.values())
 
 
-def _mat_mul(x, y):
-    n = len(x)
-    return [[sum((x[i][k] * y[k][j] for k in range(n)), ZERO)
-             for j in range(n)] for i in range(n)]
-
-
 @lru_cache(maxsize=None)
 def kp_tensor_square() -> TensorSquareResult:
     """Decomposition of the fundamental's tensor square into four lines.
@@ -522,12 +507,12 @@ def kp_tensor_square() -> TensorSquareResult:
     checks: dict[str, bool] = {}
     ident = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
     checks["projections_idempotent"] = all(
-        _mat_mul(p, p) == p for p in projections)
+        mat_mul(p, p) == p for p in projections)
     checks["projections_selfadjoint"] = all(
         p[i][j].conj() == p[j][i] for p in projections
         for i in range(4) for j in range(4))
     checks["projections_orthogonal"] = all(
-        all(v == ZERO for row in _mat_mul(projections[i], projections[j])
+        all(v == ZERO for row in mat_mul(projections[i], projections[j])
             for v in row)
         for i in range(4) for j in range(4) if i != j)
     checks["projections_resolve_identity"] = [

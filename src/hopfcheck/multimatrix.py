@@ -213,8 +213,10 @@ class AlgElement:
         return f"<{self.describe()}>"
 
 
-_TENSOR_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]],
-                    tuple[MultiMatrixAlgebra, list[list[int]]]] = {}
+# keyed on the labels too, so a tensor algebra is named after its own factors;
+# each entry is [algebra, table, reverse index], the last filled in by
+# tensor_split on first use
+_TENSOR_CACHE: dict[tuple, list] = {}
 
 
 def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -226,10 +228,10 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     matrix Kronecker products.  Returns (algebra, table) with
     table[p][q] == index of e_p tensor e_q.
     """
-    key = (a.block_sizes, b.block_sizes)
+    key = (a.block_sizes, a.labels, b.block_sizes, b.labels)
     hit = _TENSOR_CACHE.get(key)
     if hit is not None:
-        return hit
+        return hit[0], hit[1]
     sizes = []
     labels = []
     for n1, l1 in zip(a.block_sizes, a.labels):
@@ -247,8 +249,18 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
             n2 = b.block_sizes[b2]
             blk = b1 * nb + b2
             table[p][q] = ta.index(blk, i1 * n2 + i2, j1 * n2 + j2)
-    _TENSOR_CACHE[key] = (ta, table)
+    _TENSOR_CACHE[key] = [ta, table, None]
     return ta, table
+
+
+def tensor_split(alg: MultiMatrixAlgebra) -> dict[int, tuple[int, int]]:
+    """Reverse of the tensor-square table: index of e_p tensor e_q -> (p, q)."""
+    tensor_algebra(alg, alg)
+    entry = _TENSOR_CACHE[(alg.block_sizes, alg.labels) * 2]
+    if entry[2] is None:
+        entry[2] = {t: (p, q) for p, row in enumerate(entry[1])
+                    for q, t in enumerate(row)}
+    return entry[2]
 
 
 class LinearMap:

@@ -136,6 +136,22 @@ def test_usage_error(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("check, target", [
+    ("ty.pentagon-negative", (cli.ty, "pentagon_report")),
+    ("modcat.unitarity", (cli.modcat, "module_report")),
+])
+def test_crash_is_not_a_designed_failure(capsys, monkeypatch, check, target):
+    def boom(*args, **kwargs):
+        raise TypeError("boom")
+
+    monkeypatch.setattr(*target, boom)
+    code, out, _ = run(capsys, "verify", "--check", check, "--json")
+    assert code == 1
+    result = json.loads(out)
+    assert result["verdict"] == "error"
+    assert result["witness"] == "exception: boom"
+
+
 def test_export_round_trip(capsys, tmp_path):
     for model_id in sorted(cli._EXPORTS):
         first = tmp_path / f"{model_id}.json"

@@ -47,6 +47,13 @@ def test_strings_round_trip():
         Cyc((1, 2, 3))
 
 
+def test_hash_agrees_with_equality():
+    assert ONE == 1 and len({ONE, 1}) == 1
+    assert hash(HALF) == hash(Fraction(1, 2))
+    assert hash(-ONE) == hash(-1)
+    assert len({ZERO, Fraction(0), 0}) == 1
+
+
 def test_rational_views():
     assert HALF.is_rational() and HALF.rational_part() == Fraction(1, 2)
     assert not ZETA.is_rational()

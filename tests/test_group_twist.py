@@ -12,7 +12,7 @@ from hopfcheck.group_twist import (ActionError, CentralGrading,
                                    conjugation_action, function_algebra,
                                    generate_group, twist_from_model_dict)
 from hopfcheck.hopf_core import verify_hopf_axioms
-from hopfcheck.models import S1, S2, S3, U_ACT, build_coset_twist, build_vtilde
+from hopfcheck.models import S1, S2, S3, U_ACT, build_vtilde
 
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 ROT = Mat2([[ZERO, -ONE], [ONE, ZERO]])
@@ -117,13 +117,15 @@ def test_trivial_grading_gives_back_the_function_algebra():
 
 
 def test_coset_twist_blocks_and_axioms():
-    tw = build_coset_twist()
+    vt = build_vtilde()
+    tw = GradedTwist(vt.fa, vt.grading, vt.action)
     assert sorted(tw.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2]
     assert verify_hopf_axioms(tw.hopf).passed
 
 
 def test_solver_rejects_elements_outside_the_twist():
-    tw = build_coset_twist()
+    vt = build_vtilde()
+    tw = GradedTwist(vt.fa, vt.grading, vt.action)
     stray = tw.smash.delta_lambda(0, 1)    # a lone delta lam is not graded
     with pytest.raises(SubalgebraError):
         tw.to_twist(stray)

@@ -99,7 +99,7 @@ def test_counit_section_is_a_hom_but_not_surjective():
     rep = check_hopf_morphism(f, kp, kp, require="surjective")
     assert not rep.passed
     assert not rep.checks["surjective"]
-    assert rep.rank == 1
+    assert rep.ranks["image"] == 1
 
 
 def test_transpose_is_not_multiplicative():
@@ -130,6 +130,14 @@ def test_serialization_round_trip():
     assert back.counit == kp.counit
     assert back.antipode == kp.antipode
     assert verify_hopf_axioms(back).passed
+
+
+@pytest.mark.parametrize("name, row", [("counit", 0), ("antipode", 4)])
+def test_tampered_load_is_rejected(name, row):
+    data = hopf_to_dict(build_kp().hopf)
+    data[f"{name}_matrix"][row][4] = ["7", "0", "0", "0"]
+    with pytest.raises(ValueError, match=f"stored {name} differs"):
+        hopf_from_dict(data)
 
 
 def test_commutativity_flags_on_kp():

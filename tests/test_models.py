@@ -6,6 +6,7 @@ import pytest
 
 from hopfcheck.corep import one_dim_group
 from hopfcheck.cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO
+from hopfcheck import models
 from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     commutativity_flags, verify_hopf_axioms
 from hopfcheck.models import (build_fundamental, build_kp,
@@ -73,6 +74,15 @@ def test_twist_model_checks():
     assert tw.passed
     assert tw.axiom_report.passed
     assert tw.hopf.algebra.block_sizes == (1, 1, 1, 1, 2)
+
+
+def test_coset_presentation_mismatch_is_detected(monkeypatch):
+    coset = list(models.build_coset_twist())
+    coset[0] = build_smash().delta_lambda(0, 1)    # not in the twist
+    monkeypatch.setattr(models, "build_coset_twist", lambda: coset)
+    tw = models.build_vtilde_twist.__wrapped__()
+    assert not tw.checks["matches_coset_presentation"]
+    assert build_vtilde_twist().checks["matches_coset_presentation"]
 
 
 def test_twist_dictionary_aligns_with_handles():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hopfcheck.cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                                    flip_map, mult_map, tensor_algebra,
-                                   tensor_map)
+                                   tensor_map, tensor_split)
 
 A = MultiMatrixAlgebra((1, 2), labels=("s", "m"))
 B = MultiMatrixAlgebra((1, 1), labels=("p", "q"))
@@ -65,6 +65,23 @@ def test_equality_is_by_shape():
 def test_from_blocks_round_trip():
     x = A.from_blocks([[[ZETA]], [[ONE, IM], [ZERO, -ONE]]])
     assert x.blocks() == [[[ZETA]], [[ONE, IM], [ZERO, -ONE]]]
+
+
+def test_tensor_labels_follow_the_factors():
+    xm = MultiMatrixAlgebra((1, 2), labels=("x", "m"))
+    yn = MultiMatrixAlgebra((1, 2), labels=("y", "n"))
+    tensor_algebra(xm, xm)
+    ta, _ = tensor_algebra(yn, yn)
+    assert ta.labels == ("y(x)y", "y(x)n", "n(x)y", "n(x)n")
+    assert ta.basis_name(1) == "y(x)n[0,0]"
+
+
+def test_tensor_split_inverts_the_table():
+    _, tidx = tensor_algebra(A, A)
+    split = tensor_split(A)
+    assert len(split) == A.dim * A.dim
+    assert all(split[tidx[p][q]] == (p, q)
+               for p in range(A.dim) for q in range(A.dim))
 
 
 def test_tensor_algebra_shape():
