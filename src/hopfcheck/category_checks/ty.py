@@ -1,11 +1,12 @@
 """Skeletal Tambara-Yamagami category over the Klein four-group.
 
-Objects are ordered lists of simples: the group elements 0..3 under xor plus
-one extra simple RHO.  Associators come from closed-form tables, and the
-pentagon identity is checked exactly over every quadruple of simples.  The
-normalization scale tau must be a square root of 1/4 for the pentagon to
-close; tau == 1 is kept around as a negative control, as is the misreading
-that drops the bicharacter from the middle associator.
+The simples are the group elements 0..3 under xor plus one extra simple
+RHO.  Every fusion space is at most one-dimensional, so an associator is a
+table of scalar F-symbols in closed form, and the pentagon identity is
+checked exactly as the F-move equations over every quadruple of simples.
+The normalization scale tau must be a square root of 1/4 for the pentagon
+to close; tau == 1 is kept around as a negative control, as is the
+misreading that drops the bicharacter from the middle associator.
 """
 
 from __future__ import annotations
@@ -13,14 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from ..cyclotomic import Cyc, HALF, ONE, ZERO, is_unitary, mat_mul
+from ..cyclotomic import Cyc, HALF, ONE, ZERO, is_unitary
 
 RHO = 4
 GROUP = (0, 1, 2, 3)
 SIMPLES = (0, 1, 2, 3, RHO)
-
-Matrix = list[list[Cyc]]
-
 
 def chi(x: int, y: int) -> Cyc:
     """The symmetric nondegenerate bicharacter (-1)**(x1 y1 + x2 y2)."""
@@ -47,154 +45,50 @@ def fuse(s: int, t: int) -> list[int]:
     return [s ^ t]
 
 
-def tensor_obj(xs: list[int], ys: list[int]) -> list[int]:
-    out: list[int] = []
-    for x in xs:
-        for y in ys:
-            out.extend(fuse(x, y))
-    return out
+def F(x: int, y: int, z: int, u: int, v: int, t: int, tau: Cyc,
+      literal_middle: bool = False) -> Cyc:
+    """F-symbol: the coefficient of the associator from (x y -> u) z -> t
+    to x (y z -> v) -> t.
 
-
-def assoc_simple(x: int, y: int, z: int, tau: Cyc,
-                 literal_middle: bool = False) -> Matrix:
-    """Associator on a triple of simples, (x y) z -> x (y z).
-
-    Columns enumerate the source summands in (p, q) order: p over the
-    decomposition of x y, then q over the decomposition of the result with
-    z.  Rows enumerate the target in (q', p') order.  literal_middle
-    replaces the bicharacter twist on (rho, g, rho) by the identity, the
-    misreading used as a negative control.
+    Every label is a simple and every fusion channel is admissible.
+    literal_middle replaces the bicharacter twist on (rho, g, rho) by one,
+    the misreading used as a negative control.
     """
-    rho = [s == RHO for s in (x, y, z)]
-    if rho == [False, True, False]:
-        return [[chi(x, z)]]
-    if rho == [True, False, True]:
-        if literal_middle:
-            return [[ONE if k == l else ZERO for k in GROUP] for l in GROUP]
-        return [[chi(y, k) if k == l else ZERO for k in GROUP] for l in GROUP]
-    if rho == [False, True, True]:
-        m = [[ZERO] * 4 for _ in range(4)]
-        for q in GROUP:
-            m[x ^ q][q] = ONE
-        return m
-    if rho == [True, True, False]:
-        m = [[ZERO] * 4 for _ in range(4)]
-        for p in GROUP:
-            m[p ^ z][p] = ONE
-        return m
-    if rho == [True, True, True]:
-        return [[tau * chi(k, l) for k in GROUP] for l in GROUP]
-    # all remaining patterns have a one-dimensional source
-    return [[ONE]]
+    if y == RHO and x != RHO and z != RHO:
+        return chi(x, z)
+    if x == RHO and z == RHO:
+        if y == RHO:
+            return tau * chi(u, v)
+        return ONE if literal_middle else chi(y, t)
+    return ONE
 
 
-def assoc(xs: list[int], ys: list[int], zs: list[int], tau: Cyc,
-          literal_middle: bool = False) -> Matrix:
-    """Associator (xs ys) zs -> xs (ys zs) on ordered sums of simples.
+def _pentagon_holds(w: int, x: int, y: int, z: int, tau: Cyc,
+                    literal_middle: bool) -> bool:
+    """The F-move pentagon on ((w x -> a) y -> b) z -> t, read off at the
+    target w (x (y z -> c) -> d) -> t."""
 
-    The map splits as a direct sum over triples of summand indices; each
-    piece is the simple associator, placed at the positions the two
-    flattening orders assign to that triple.
-    """
-    lhs_pos: dict[tuple[int, int, int, int, int], int] = {}
-    pos = 0
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            for p, v in enumerate(fuse(x, y)):
-                for k, z in enumerate(zs):
-                    for q in range(len(fuse(v, z))):
-                        lhs_pos[(i, j, k, p, q)] = pos
-                        pos += 1
-    total = pos
-    rhs_pos: dict[tuple[int, int, int, int, int], int] = {}
-    pos = 0
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            for k, z in enumerate(zs):
-                for qp, u in enumerate(fuse(y, z)):
-                    for pp in range(len(fuse(x, u))):
-                        rhs_pos[(i, j, k, qp, pp)] = pos
-                        pos += 1
-    m: Matrix = [[ZERO] * total for _ in range(total)]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            for k, z in enumerate(zs):
-                block = assoc_simple(x, y, z, tau, literal_middle)
-                cols = [(p, q) for p, v in enumerate(fuse(x, y))
-                        for q in range(len(fuse(v, z)))]
-                rows = [(qp, pp) for qp, u in enumerate(fuse(y, z))
-                        for pp in range(len(fuse(x, u)))]
-                for r, (qp, pp) in enumerate(rows):
-                    for c, (p, q) in enumerate(cols):
-                        if block[r][c]:
-                            m[rhs_pos[(i, j, k, qp, pp)]][
-                                lhs_pos[(i, j, k, p, q)]] = block[r][c]
-    return m
+    def f(*labels: int) -> Cyc:
+        return F(*labels, tau, literal_middle)
 
-
-def tensor_mor_id(f: Matrix, a: list[int], b: list[int],
-                  zs: list[int]) -> Matrix:
-    """f (x) identity, as a matrix from a (x) zs to b (x) zs."""
-
-    def positions(obj: list[int]) -> tuple[dict, int]:
-        out: dict[tuple[int, int, int], int] = {}
-        pos = 0
-        for p, s in enumerate(obj):
-            for k, z in enumerate(zs):
-                for q in range(len(fuse(s, z))):
-                    out[(p, k, q)] = pos
-                    pos += 1
-        return out, pos
-
-    dom, ncols = positions(a)
-    cod, nrows = positions(b)
-    m: Matrix = [[ZERO] * ncols for _ in range(nrows)]
-    for (p, k, q), c in dom.items():
-        for pb, s in enumerate(b):
-            # morphism components join equal simples, where the fusion
-            # expansions agree position by position
-            if s == a[p] and f[pb][p]:
-                m[cod[(pb, k, q)]][c] = f[pb][p]
-    return m
-
-
-def id_tensor_mor(ws: list[int], f: Matrix, a: list[int],
-                  b: list[int]) -> Matrix:
-    """identity (x) f, as a matrix from ws (x) a to ws (x) b."""
-
-    def positions(obj: list[int]) -> tuple[dict, int]:
-        out: dict[tuple[int, int, int], int] = {}
-        pos = 0
-        for i, w in enumerate(ws):
-            for p, s in enumerate(obj):
-                for q in range(len(fuse(w, s))):
-                    out[(i, p, q)] = pos
-                    pos += 1
-        return out, pos
-
-    dom, ncols = positions(a)
-    cod, nrows = positions(b)
-    m: Matrix = [[ZERO] * ncols for _ in range(nrows)]
-    for (i, p, q), c in dom.items():
-        for pb, s in enumerate(b):
-            if s == a[p] and f[pb][p]:
-                m[cod[(i, pb, q)]][c] = f[pb][p]
-    return m
-
-
-def _pentagon_at(w: int, x: int, y: int, z: int, tau: Cyc,
-                 literal_middle: bool) -> bool:
-    s = fuse(w, x)
-    mid = fuse(x, y)
-    l = fuse(y, z)
-    one_step = mat_mul(assoc([w], [x], l, tau, literal_middle),
-                        assoc(s, [y], [z], tau, literal_middle))
-    f1 = tensor_mor_id(assoc([w], [x], [y], tau, literal_middle),
-                       tensor_obj(s, [y]), tensor_obj([w], mid), [z])
-    f2 = assoc([w], mid, [z], tau, literal_middle)
-    f3 = id_tensor_mor([w], assoc([x], [y], [z], tau, literal_middle),
-                       tensor_obj(mid, [z]), tensor_obj([x], l))
-    return one_step == mat_mul(f3, mat_mul(f2, f1))
+    for a in fuse(w, x):
+        for b in fuse(a, y):
+            for t in fuse(b, z):
+                for c in fuse(y, z):
+                    for d in fuse(x, c):
+                        if t not in fuse(w, d):
+                            continue
+                        # no two-move path when a c cannot reach t
+                        two_moves = (f(a, y, z, b, c, t) * f(w, x, c, a, d, t)
+                                     if t in fuse(a, c) else ZERO)
+                        three_moves = sum(
+                            (f(w, x, y, a, e, b) * f(w, e, z, b, d, t)
+                             * f(x, y, z, e, c, d)
+                             for e in fuse(x, y)
+                             if b in fuse(w, e) and d in fuse(e, z)), ZERO)
+                        if two_moves != three_moves:
+                            return False
+    return True
 
 
 @dataclass
@@ -219,7 +113,7 @@ def pentagon_report(tau: Cyc, literal_middle: bool = False,
             for y in SIMPLES:
                 for z in SIMPLES:
                     count += 1
-                    if not _pentagon_at(w, x, y, z, tau, literal_middle):
+                    if not _pentagon_holds(w, x, y, z, tau, literal_middle):
                         failures.append((w, x, y, z))
                         if len(failures) >= max_failures:
                             return PentagonReport(tau, literal_middle,
@@ -229,12 +123,17 @@ def pentagon_report(tau: Cyc, literal_middle: bool = False,
 
 def associator_unitarity(tau: Cyc) -> tuple[bool, tuple | None]:
     """Every simple associator must be unitary (the big block needs the
-    right tau: it is one quarter of a real Hadamard pattern)."""
+    right tau: it is one quarter of a real Hadamard pattern).  An associator
+    preserves the total t, so it is unitary when each u x v block is."""
     for x in SIMPLES:
         for y in SIMPLES:
             for z in SIMPLES:
-                if not is_unitary(assoc_simple(x, y, z, tau)):
-                    return False, (x, y, z)
+                for t in SIMPLES:
+                    us = [u for u in fuse(x, y) if t in fuse(u, z)]
+                    vs = [v for v in fuse(y, z) if t in fuse(x, v)]
+                    if not is_unitary([[F(x, y, z, u, v, t, tau) for u in us]
+                                       for v in vs]):
+                        return False, (x, y, z)
     return True, None
 
 

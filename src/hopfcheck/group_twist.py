@@ -137,12 +137,26 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
 
+# A 2x2 matrix over Q(z) of finite order has order at most 30: its
+# eigenvalues lie in a field of degree at most 8, whose roots of unity are
+# cyclic of an order m with phi(m) <= 8.
+MAX_GENERATOR_ORDER = 30
+
+
 def generate_group(generators: Sequence[Mat2], cap: int = 64) -> FiniteMatrixGroup:
     """Close a set of 2x2 unitaries under multiplication, up to cap elements."""
+    identity = Mat2.identity()
     for g in generators:
         if not g.is_unitary():
             raise GroupClosureError(f"generator {g!r} is not unitary")
-    elements = [Mat2.identity()]
+        power = g
+        for _ in range(MAX_GENERATOR_ORDER):
+            if power == identity:
+                break
+            power = power * g
+        else:
+            raise GroupClosureError(f"generator {g!r} has infinite order")
+    elements = [identity]
     seen = {elements[0]}
     frontier = list(elements)
     while frontier:

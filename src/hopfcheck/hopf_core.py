@@ -123,7 +123,8 @@ def _diff_witness(alg, f: LinearMap, g: LinearMap) -> str:
             keys = sorted(set(a) | set(b), key=lambda k: (k not in a, k))
             k = next(k for k in keys if a.get(k, ZERO) != b.get(k, ZERO))
             return (f"images of {alg.basis_name(j)} differ: coefficient "
-                    f"{a.get(k, ZERO)} vs {b.get(k, ZERO)} at position {k}")
+                    f"{a.get(k, ZERO)} vs {b.get(k, ZERO)} at "
+                    f"{f.target.basis_name(k)}")
     return ""
 
 

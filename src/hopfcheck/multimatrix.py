@@ -12,6 +12,7 @@ are produced only at the serialization boundary.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .cyclotomic import Cyc, ZERO, ONE
@@ -22,6 +23,20 @@ Scalar = Cyc | int | Fraction
 
 def _cyc(x: Scalar) -> Cyc:
     return x if isinstance(x, Cyc) else Cyc.from_rational(x)
+
+
+@lru_cache(maxsize=None)
+def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple, tuple]:
+    """Dimension, block starts and index -> (block, i, j) table of a block
+    size tuple, shared by every algebra of that shape."""
+    starts = []
+    acc = 0
+    for n in sizes:
+        starts.append(acc)
+        acc += n * n
+    decomp = tuple((b, i, j) for b, n in enumerate(sizes)
+                   for i in range(n) for j in range(n))
+    return acc, tuple(starts), decomp
 
 
 class MultiMatrixAlgebra:
@@ -38,18 +53,7 @@ class MultiMatrixAlgebra:
         self.block_sizes = sizes
         self.labels = tuple(labels) if labels is not None else tuple(
             f"b{k}" for k in range(len(sizes)))
-        starts = []
-        acc = 0
-        for n in sizes:
-            starts.append(acc)
-            acc += n * n
-        self.dim = acc
-        self._starts = tuple(starts)
-        self._decomp = tuple(
-            (b, i, j)
-            for b, n in enumerate(sizes)
-            for i in range(n)
-            for j in range(n))
+        self.dim, self._starts, self._decomp = _layout(sizes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiMatrixAlgebra):
@@ -213,10 +217,12 @@ class AlgElement:
         return f"<{self.describe()}>"
 
 
-# keyed on the labels too, so a tensor algebra is named after its own factors;
-# each entry is [algebra, table, reverse index], the last filled in by
-# tensor_split on first use
-_TENSOR_CACHE: dict[tuple, list] = {}
+# keyed on the labels too, so a tensor algebra is named after its own
+# factors; each entry is (algebra, [table, reverse index]).  The list is
+# shared by all factors of the same block sizes, as is the algebra's layout,
+# and tensor_split fills in its reverse index on first use.
+_TENSOR_CACHE: dict[tuple, tuple] = {}
+_TENSOR_TABLES: dict[tuple, list] = {}
 
 
 def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -231,36 +237,35 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     key = (a.block_sizes, a.labels, b.block_sizes, b.labels)
     hit = _TENSOR_CACHE.get(key)
     if hit is not None:
-        return hit[0], hit[1]
-    sizes = []
-    labels = []
-    for n1, l1 in zip(a.block_sizes, a.labels):
-        for n2, l2 in zip(b.block_sizes, b.labels):
-            sizes.append(n1 * n2)
-            labels.append(f"{l1}(x){l2}")
-    ta = MultiMatrixAlgebra(sizes, labels)
-    nb = len(b.block_sizes)
-    table = [[0] * b.dim for _ in range(a.dim)]
-    for p in range(a.dim):
-        b1, i1, j1 = a.decompose(p)
-        n1 = a.block_sizes[b1]
-        for q in range(b.dim):
-            b2, i2, j2 = b.decompose(q)
-            n2 = b.block_sizes[b2]
-            blk = b1 * nb + b2
-            table[p][q] = ta.index(blk, i1 * n2 + i2, j1 * n2 + j2)
-    _TENSOR_CACHE[key] = [ta, table, None]
-    return ta, table
+        return hit[0], hit[1][0]
+    ta = MultiMatrixAlgebra(
+        [n1 * n2 for n1 in a.block_sizes for n2 in b.block_sizes],
+        [f"{l1}(x){l2}" for l1 in a.labels for l2 in b.labels])
+    entry = _TENSOR_TABLES.get((a.block_sizes, b.block_sizes))
+    if entry is None:
+        nb = len(b.block_sizes)
+        table = [[0] * b.dim for _ in range(a.dim)]
+        for p in range(a.dim):
+            b1, i1, j1 = a.decompose(p)
+            n1 = a.block_sizes[b1]
+            for q in range(b.dim):
+                b2, i2, j2 = b.decompose(q)
+                n2 = b.block_sizes[b2]
+                table[p][q] = ta.index(b1 * nb + b2, i1 * n2 + i2,
+                                       j1 * n2 + j2)
+        entry = _TENSOR_TABLES[(a.block_sizes, b.block_sizes)] = [table, None]
+    _TENSOR_CACHE[key] = (ta, entry)
+    return ta, entry[0]
 
 
 def tensor_split(alg: MultiMatrixAlgebra) -> dict[int, tuple[int, int]]:
     """Reverse of the tensor-square table: index of e_p tensor e_q -> (p, q)."""
     tensor_algebra(alg, alg)
-    entry = _TENSOR_CACHE[(alg.block_sizes, alg.labels) * 2]
-    if entry[2] is None:
-        entry[2] = {t: (p, q) for p, row in enumerate(entry[1])
+    entry = _TENSOR_TABLES[(alg.block_sizes,) * 2]
+    if entry[1] is None:
+        entry[1] = {t: (p, q) for p, row in enumerate(entry[0])
                     for q, t in enumerate(row)}
-    return entry[2]
+    return entry[1]
 
 
 class LinearMap:

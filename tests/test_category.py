@@ -49,6 +49,32 @@ def test_pentagon_needs_the_middle_twist():
     assert rep.failures == [(1, 4, 1, 4), (1, 4, 3, 4), (2, 4, 2, 4)]
 
 
+# the full failure set of the literal-middle control, as the matrix-level
+# associator form of the pentagon computed it
+LITERAL_MIDDLE_FAILURES = [
+    (1, 4, 1, 4), (1, 4, 3, 4), (2, 4, 2, 4), (2, 4, 3, 4), (3, 4, 1, 4),
+    (3, 4, 2, 4), (4, 1, 4, 1), (4, 1, 4, 3), (4, 1, 4, 4), (4, 2, 4, 2),
+    (4, 2, 4, 3), (4, 2, 4, 4), (4, 3, 4, 1), (4, 3, 4, 2), (4, 3, 4, 4),
+    (4, 4, 1, 4), (4, 4, 2, 4), (4, 4, 3, 4), (4, 4, 4, 4)]
+
+
+def test_full_negative_control_failure_sets():
+    rep = ty.pentagon_report(ONE, max_failures=625)
+    assert rep.quadruples == 625
+    assert rep.failures == [(4, 4, 4, 4)]
+    for tau in (HALF, -HALF):
+        rep = ty.pentagon_report(tau, literal_middle=True, max_failures=625)
+        assert rep.quadruples == 625
+        assert rep.failures == LITERAL_MIDDLE_FAILURES
+
+
+def test_big_f_symbol_is_a_scaled_bicharacter():
+    for u in ty.GROUP:
+        for v in ty.GROUP:
+            assert (ty.F(ty.RHO, ty.RHO, ty.RHO, u, v, ty.RHO, HALF)
+                    == HALF * ty.chi(u, v))
+
+
 def test_default_scale_constant():
     assert ty.TAU == HALF
 

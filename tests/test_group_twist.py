@@ -1,6 +1,7 @@
 """Matrix groups, function algebras, crossed products, graded twists."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,15 @@ def test_generate_group():
     assert g.inverse[g.index[S1]] == g.index[-S1]
     with pytest.raises(GroupClosureError):
         generate_group([S1, S2], cap=3)
+
+
+def test_infinite_order_generator_is_rejected():
+    # a rational rotation of infinite order fails before the closure loop
+    rot = Mat2([[Fraction(3, 5), Fraction(-4, 5)],
+                [Fraction(4, 5), Fraction(3, 5)]])
+    assert rot.is_unitary()
+    with pytest.raises(GroupClosureError, match="has infinite order"):
+        generate_group([rot], cap=2000)
 
 
 def test_group_table_is_a_latin_square():

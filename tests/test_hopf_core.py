@@ -78,6 +78,10 @@ def test_perturbed_kp_coproduct_fails():
                                          kp.antipode))
     assert not rep.passed
     assert any(not v for v in rep.checks.values())
+    # the witness names the tensor basis element, not a raw index
+    witness = rep.witnesses["coassociative"]
+    assert "position" not in witness
+    assert "(x)" in witness
 
 
 def test_identity_is_an_isomorphism():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcheck.cyclotomic import Cyc, IM, ONE, SQRT2, ZERO, ZETA
 from hopfcheck.linalg import (NoSolution, NonUniqueSolution, exact_nullspace,
@@ -100,3 +101,44 @@ def test_certificate_agrees_with_exact_rank_on_awkward_scalars():
 def test_scalar_system_with_fraction_rhs():
     rows = [dense(Cyc.from_rational(Fraction(3, 7)))]
     assert solve_unique(rows, [ONE], 1) == [Cyc.from_rational(Fraction(7, 3))]
+
+
+# entries over Q(z), zero-heavy so that sparse rows come up
+ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, TWO, ZETA, IM, SQRT2,
+                           Cyc((1, 0, -1, 2), 3)])
+
+
+@st.composite
+def systems(draw):
+    """A small sparse system rows x == rhs over Q(z).
+
+    The last row is sometimes a combination of two others, with a
+    consistent or a perturbed right-hand side, so that rank-deficient and
+    inconsistent systems come up as well as random ones.
+    """
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 5))
+    rows = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    rhs = [draw(ENTRIES) for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        i, j = draw(st.integers(0, nrows - 2)), draw(st.integers(0, nrows - 2))
+        c = draw(ENTRIES)
+        rows[-1] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rhs[-1] = rhs[i] + c * rhs[j] + draw(ENTRIES)
+    return [dense(*r) for r in rows], rhs, ncols
+
+
+def _outcome(solve, rows, rhs, ncols):
+    try:
+        return solve(rows, rhs, ncols)
+    except (NoSolution, NonUniqueSolution) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150)
+@given(systems())
+def test_modular_path_agrees_with_exact(system):
+    rows, rhs, ncols = system
+    assert (_outcome(solve_unique, rows, rhs, ncols)
+            == _outcome(exact_solve_unique, rows, rhs, ncols))
+    assert span_rank(rows, ncols) == exact_rank(rows)

@@ -70,10 +70,16 @@ def test_from_blocks_round_trip():
 def test_tensor_labels_follow_the_factors():
     xm = MultiMatrixAlgebra((1, 2), labels=("x", "m"))
     yn = MultiMatrixAlgebra((1, 2), labels=("y", "n"))
-    tensor_algebra(xm, xm)
-    ta, _ = tensor_algebra(yn, yn)
+    xa, xtable = tensor_algebra(xm, xm)
+    ta, table = tensor_algebra(yn, yn)
     assert ta.labels == ("y(x)y", "y(x)n", "n(x)y", "n(x)n")
     assert ta.basis_name(1) == "y(x)n[0,0]"
+    assert xa.labels != ta.labels
+    # a label-only variant shares the layout, the table and the reverse index
+    assert table is xtable
+    assert ta._decomp is xa._decomp and ta._starts is xa._starts
+    assert xm._decomp is yn._decomp
+    assert tensor_split(xm) is tensor_split(yn)
 
 
 def test_tensor_split_inverts_the_table():
