@@ -20,13 +20,13 @@ from typing import Callable
 from . import models
 from .category_checks import modcat, ty
 from .cyclotomic import Cyc, HALF, ONE
-from .group_twist import twist_from_model_dict
+from .group_twist import read_model, twist_from_model_dict
 from .hopf_core import commutativity_flags, hopf_to_dict, verify_hopf_axioms
 
 
 @dataclass
 class Context:
-    model_path: str | None
+    model: dict | None
     tau: Cyc
 
 
@@ -233,9 +233,7 @@ def _run_modcat_repair(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_model_twist(ctx: Context) -> tuple[bool, str]:
-    with open(ctx.model_path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    tw = twist_from_model_dict(data)
+    tw = twist_from_model_dict(ctx.model)
     rep = tw.axiom_report
     if rep.passed:
         return True, (f"user model verified; twist blocks "
@@ -314,7 +312,7 @@ _EXPORTS: dict[str, Callable[[], object]] = {
 
 
 def _execute(spec: CheckSpec, ctx: Context) -> dict:
-    if spec.needs_model and ctx.model_path is None:
+    if spec.needs_model and ctx.model is None:
         return {"id": spec.id, "verdict": "skip", "expected": spec.expected,
                 "elapsed_ms": 0, "anchor": spec.anchor,
                 "witness": "requires --model with a model description file"}
@@ -409,7 +407,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"--tau expects a rational like 1/2, got {args.tau!r}",
                   file=sys.stderr)
             return 2
-    ctx = Context(model_path=args.model, tau=tau)
+    model = None
+    if args.model is not None:
+        try:
+            with open(args.model, encoding="utf-8") as fh:
+                model = json.load(fh)
+            read_model(model)
+        except (OSError, ValueError) as exc:
+            print(f"cannot read model {args.model!r}: {exc}", file=sys.stderr)
+            return 2
+    ctx = Context(model=model, tau=tau)
 
     if args.check is not None:
         spec = _BY_ID.get(args.check)
@@ -417,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unknown check {args.check!r}; see 'hopfcheck list'",
                   file=sys.stderr)
             return 2
-        if spec.needs_model and ctx.model_path is None:
+        if spec.needs_model and ctx.model is None:
             print(f"{spec.id} requires --model PATH", file=sys.stderr)
             return 2
         result = _execute(spec, ctx)

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclotomic import Cyc, HALF, IM, ONE, ZERO, is_unitary
-from .linalg import NoSolution, Vector, exact_rank, solve_unique
+from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary
+from .linalg import LinAlgError, Vector, left_inverse
 from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                         solve_counit_antipode, verify_hopf_axioms)
 from .multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra, Scalar,
-                          _cyc, tensor_algebra)
+                          _cyc, tensor_algebra, tensor_map)
 
 
 class GroupClosureError(Exception):
@@ -141,10 +141,16 @@ class FiniteMatrixGroup:
 # eigenvalues lie in a field of degree at most 8, whose roots of unity are
 # cyclic of an order m with phi(m) <= 8.
 MAX_GENERATOR_ORDER = 30
+# A finite group of them has at most 480 elements: its scalars lie in mu_8,
+# and its image in PGL_2 is cyclic or dihedral with rotation order <= 30, or
+# A_4, S_4 or A_5, so of order <= 60.
+MAX_GROUP_ORDER = 480
 
 
 def generate_group(generators: Sequence[Mat2], cap: int = 64) -> FiniteMatrixGroup:
-    """Close a set of 2x2 unitaries under multiplication, up to cap elements."""
+    """Close a set of 2x2 unitaries under multiplication, up to cap elements
+    (and never beyond MAX_GROUP_ORDER)."""
+    cap = min(cap, MAX_GROUP_ORDER)
     identity = Mat2.identity()
     for g in generators:
         if not g.is_unitary():
@@ -467,25 +473,27 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
                                Report]:
     """Transport the ambient Hopf structure onto a multimatrix basis.
 
-    basis_els[t] plays the role of target basis vector t.  Verifies that the
-    span is a *-subalgebra matching target's structure constants, that the
-    ambient coproduct restricts, and that the result satisfies every Hopf
-    axiom.  Returns (hopf, solver, report) with solver expressing ambient
-    elements in the chosen basis and report the passing axiom report.
+    basis_els[t] plays the role of target basis vector t.  With B the
+    inclusion of their span and L one exact left inverse of B, the coproduct
+    is (L (x) L) Delta B, accepted only when (B (x) B) maps it back onto
+    Delta B exactly; the counit is eps B and the antipode L S B.  Also
+    verifies that the span is a *-subalgebra matching target's structure
+    constants, and that the result satisfies every Hopf axiom, which holds
+    only for the unique counit and antipode of the coproduct.  Returns
+    (hopf, solver, report) with solver expressing ambient elements in the
+    chosen basis and report the passing axiom report.
     """
     n = target.dim
     if len(basis_els) != n:
         raise SubalgebraError("basis length does not match the target algebra")
     amb = ambient.algebra
-    if exact_rank([x.coords for x in basis_els]) != n:
-        raise SubalgebraError("chosen elements are not linearly independent")
+    incl = LinearMap(target, amb, [x.coords for x in basis_els])
+    try:
+        left = LinearMap(amb, target, left_inverse(incl.cols, amb.dim))
+    except LinAlgError as exc:
+        raise SubalgebraError("chosen elements are not linearly independent") from exc
 
-    unit = target.unit()
-    amb_unit = amb.unit()
-    acc = amb.zero()
-    for t, c in unit.coords.items():
-        acc = acc + basis_els[t].scale(c)
-    if acc != amb_unit:
+    if incl(target.unit()) != amb.unit():
         raise SubalgebraError("units do not match")
     for p in range(n):
         if basis_els[p].star() != basis_els[target.star_index(p)]:
@@ -497,58 +505,18 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
                 raise SubalgebraError(
                     f"product mismatch at {target.basis_name(p)} * {target.basis_name(q)}")
 
-    # solver: coordinates in the chosen basis
-    eq_rows: dict[int, Vector] = {}
-    for t, x in enumerate(basis_els):
-        for c, v in x.coords.items():
-            eq_rows.setdefault(c, {})[t] = v
-    support = sorted(eq_rows)
-
-    def solve_in_basis(x: AlgElement, space: int = n,
-                       rows: dict[int, Vector] = eq_rows) -> list[Cyc]:
-        lhs, rhs = [], []
-        todo = dict(x.coords)
-        for c in support:
-            lhs.append(rows[c])
-            rhs.append(todo.pop(c, ZERO))
-        if todo:
-            raise SubalgebraError("element does not lie in the span")
-        try:
-            return solve_unique(lhs, rhs, space)
-        except NoSolution as exc:
-            raise SubalgebraError("element does not lie in the span") from exc
-
     def solver(x: AlgElement) -> AlgElement:
-        sol = solve_in_basis(x)
-        return target.element({t: v for t, v in enumerate(sol) if v})
+        y = left(x)
+        if incl(y) != x:
+            raise SubalgebraError("element does not lie in the span")
+        return y
 
-    # transported coproduct: solve in the tensor-square basis
-    ta_t, tidx_t = tensor_algebra(target, target)
-    pair_rows: dict[int, Vector] = {}
-    for p in range(n):
-        for q in range(n):
-            col = tidx_t[p][q]
-            for c, v in (basis_els[p].tensor(basis_els[q])).coords.items():
-                pair_rows.setdefault(c, {})[col] = v
-    pair_support = sorted(pair_rows)
-    cols: list[Vector] = []
-    for t in range(n):
-        img = ambient.coproduct(basis_els[t])
-        lhs, rhs = [], []
-        todo = dict(img.coords)
-        for c in pair_support:
-            lhs.append(pair_rows[c])
-            rhs.append(todo.pop(c, ZERO))
-        if todo:
-            raise SubalgebraError("coproduct does not restrict to the span")
-        try:
-            sol = solve_unique(lhs, rhs, ta_t.dim)
-        except NoSolution as exc:
-            raise SubalgebraError("coproduct does not restrict to the span") from exc
-        cols.append({c: v for c, v in enumerate(sol) if v})
-    delta = LinearMap(target, ta_t, cols)
-    counit, antipode = solve_counit_antipode(target, delta)
-    hopf = HopfAlgebra(target, delta, counit, antipode)
+    delta_b = ambient.coproduct.compose(incl)
+    delta = tensor_map(left, left).compose(delta_b)
+    if tensor_map(incl, incl).compose(delta) != delta_b:
+        raise SubalgebraError("coproduct does not restrict to the span")
+    hopf = HopfAlgebra(target, delta, ambient.counit.compose(incl),
+                       left.compose(ambient.antipode).compose(incl))
     report = verify_hopf_axioms(hopf)
     if not report.passed:
         raise AxiomFailure("transported subalgebra", report)
@@ -557,19 +525,25 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
 
 # user model files ------------------------------------------------------------
 
-def twist_from_model_dict(data: dict) -> GradedTwist:
-    """Build a graded twist from a JSON-style model description.
+def read_model(data: dict) -> tuple[list[Mat2], Mat2, Mat2, int]:
+    """Parse a JSON-style model description; ValueError if it is malformed.
 
     Expected keys: generators (list of 2x2 matrices, entries as 4-string
     coordinate arrays), action_unitary, central_element, optional cap.
+    Returns (generators, action unitary, central element, cap).
     """
     try:
-        gens = [Mat2.from_strings(g) for g in data["generators"]]
-        u = Mat2.from_strings(data["action_unitary"])
-        z = Mat2.from_strings(data["central_element"])
-    except (KeyError, ValueError, TypeError) as exc:
+        return ([Mat2.from_strings(g) for g in data["generators"]],
+                Mat2.from_strings(data["action_unitary"]),
+                Mat2.from_strings(data["central_element"]),
+                int(data.get("cap", 64)))
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
-    cap = int(data.get("cap", 64))
+
+
+def twist_from_model_dict(data: dict) -> GradedTwist:
+    """Build a graded twist from a model description (see read_model)."""
+    gens, u, z, cap = read_model(data)
     group = generate_group(gens, cap=cap)
     zi = group.index.get(z)
     if zi is None:

@@ -3,9 +3,11 @@
 A Hopf structure is a coproduct, counit and antipode as linear maps; every
 axiom is checked as an exact identity of sparse linear maps or of elements,
 and failures carry witnesses.  The counit and antipode are never entered by
-hand: they are solved for from the coproduct as the unique solutions of the
-counit and antipode laws, so a typo in a coproduct table cannot be papered
-over by a matching typo in the antipode.
+hand: they are solved for from the coproduct, or restricted from a verified
+ambient structure (group_twist.subalgebra_hopf).  Either way
+verify_hopf_axioms accepts only the unique ones the coproduct determines, so
+a typo in a coproduct table cannot be papered over by a matching typo in the
+antipode.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import Cyc, ZERO
+from .cyclotomic import Cyc, ONE, ZERO
 
 Vector = dict[int, Cyc]
 
@@ -101,6 +101,23 @@ def exact_nullspace(rows: list[Vector], ncols: int) -> list[Vector]:
                 v[pc] = -c
         basis.append(v)
     return basis
+
+
+def left_inverse(cols: list[Vector], dim: int) -> list[Vector]:
+    """The dim sparse columns of an L with L B == I, B having the given
+    columns in a dim-dimensional space; raises LinAlgError if they are
+    dependent.
+
+    One elimination of the rows col_t + e_{dim+t}: a reduced row with pivot
+    below dim is column pivot of L, read off past dim.
+    """
+    rows = [{**col, dim + t: ONE} for t, col in enumerate(cols)]
+    out: list[Vector] = [{} for _ in range(dim)]
+    for pc, row in _eliminate(rows):
+        if pc >= dim:
+            raise LinAlgError("columns are linearly dependent")
+        out[pc] = {j - dim: v for j, v in row.items() if j >= dim}
+    return out
 
 
 def exact_solve_unique(rows: list[Vector], rhs: list[Cyc], ncols: int) -> list[Cyc]:

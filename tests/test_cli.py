@@ -96,12 +96,30 @@ def test_model_check_with_sample(capsys):
 
 
 def test_broken_model_fails_with_witness(capsys, tmp_path):
+    # well formed, but the central element is not in the generated group
+    with open(SAMPLE_MODEL, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["central_element"] = [[["0", "1", "0", "0"], ["0"] * 4],
+                               [["0"] * 4, ["0", "1", "0", "0"]]]
     bad = tmp_path / "broken.json"
-    bad.write_text('{"generators": []}')
+    bad.write_text(json.dumps(data))
     code, out, _ = run(capsys, "verify", "--check", "model.twist-axioms",
                        "--model", str(bad))
     assert code == 1
     assert "exception" in out
+
+
+@pytest.mark.parametrize("text", [
+    '{"generators": []}', '{"generators": "nope"}', "{not json", None])
+def test_malformed_model_is_a_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "model.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, "verify", "--check", "model.twist-axioms",
+                         "--model", str(path))
+    assert code == 2
+    assert not out
+    assert "model" in err
 
 
 def test_unknown_check(capsys):

@@ -11,9 +11,11 @@ from hopfcheck.group_twist import (ActionError, CentralGrading,
                                    GradingError, GroupClosureError, Mat2,
                                    SmashProduct, SubalgebraError,
                                    conjugation_action, function_algebra,
-                                   generate_group, twist_from_model_dict)
+                                   generate_group, subalgebra_hopf,
+                                   twist_from_model_dict)
 from hopfcheck.hopf_core import verify_hopf_axioms
-from hopfcheck.models import S1, S2, S3, U_ACT, build_vtilde
+from hopfcheck.models import S1, S2, S3, U_ACT, build_smash, build_vtilde
+from hopfcheck.multimatrix import MultiMatrixAlgebra
 
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 ROT = Mat2([[ZERO, -ONE], [ONE, ZERO]])
@@ -45,6 +47,16 @@ def test_infinite_order_generator_is_rejected():
     assert rot.is_unitary()
     with pytest.raises(GroupClosureError, match="has infinite order"):
         generate_group([rot], cap=2000)
+
+
+def test_group_closure_is_bounded():
+    # two finite-order reflections generating an infinite dihedral group
+    r1 = Mat2([[ONE, ZERO], [ZERO, -ONE]])
+    r2 = Mat2([[Fraction(3, 5), Fraction(4, 5)],
+               [Fraction(4, 5), Fraction(-3, 5)]])
+    assert r1.is_unitary() and r2.is_unitary()
+    with pytest.raises(GroupClosureError, match="480"):
+        generate_group([r1, r2], cap=2000)
 
 
 def test_group_table_is_a_latin_square():
@@ -139,6 +151,20 @@ def test_solver_rejects_elements_outside_the_twist():
     stray = tw.smash.delta_lambda(0, 1)    # a lone delta lam is not graded
     with pytest.raises(SubalgebraError):
         tw.to_twist(stray)
+
+
+def test_transport_rejects_a_non_coalgebra_and_a_dependent_basis():
+    sm = build_smash()
+    amb = sm.hopf.algebra
+    d_e = sm.delta_lambda(sm.fa.group.identity_index, 0)
+    target = MultiMatrixAlgebra((1, 1))
+    # a *-subalgebra, but the coproduct of delta_e leaves its span
+    with pytest.raises(SubalgebraError,
+                       match="^coproduct does not restrict to the span$"):
+        subalgebra_hopf(sm.hopf, [d_e, amb.unit() - d_e], target)
+    with pytest.raises(SubalgebraError,
+                       match="^chosen elements are not linearly independent$"):
+        subalgebra_hopf(sm.hopf, [d_e, d_e], target)
 
 
 def test_twist_from_model_dict():

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcheck.cyclotomic import Cyc, IM, ONE, SQRT2, ZERO, ZETA
-from hopfcheck.linalg import (NoSolution, NonUniqueSolution, exact_nullspace,
-                              exact_rank, exact_solve_unique,
-                              full_rank_certificate, solve_unique, span_rank)
+from hopfcheck.linalg import (LinAlgError, NoSolution, NonUniqueSolution,
+                              exact_nullspace, exact_rank, exact_solve_unique,
+                              full_rank_certificate, left_inverse,
+                              solve_unique, span_rank)
 
 
 def dense(*vals):
@@ -142,3 +143,15 @@ def test_modular_path_agrees_with_exact(system):
     assert (_outcome(solve_unique, rows, rhs, ncols)
             == _outcome(exact_solve_unique, rows, rhs, ncols))
     assert span_rank(rows, ncols) == exact_rank(rows)
+    # the rows as the columns of B: L B == I unless they are dependent
+    if exact_rank(rows) < len(rows):
+        with pytest.raises(LinAlgError):
+            left_inverse(rows, ncols)
+    else:
+        left = left_inverse(rows, ncols)
+        for t, col in enumerate(rows):
+            image = {}
+            for c, v in col.items():
+                for s, w in left[c].items():
+                    image[s] = image.get(s, ZERO) + w * v
+            assert {s: w for s, w in image.items() if w} == {t: ONE}
