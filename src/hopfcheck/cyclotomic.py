@@ -2,6 +2,9 @@
 
 An element is a0 + a1*z + a2*z**2 + a3*z**3 with integer numerators over a
 shared positive denominator, kept reduced so gcd(a0, a1, a2, a3, den) == 1.
+Equality and hashing compare that canonical form, so every operation returns
+it.  The public constructor validates its input; the operators build their
+results from ints alone through _make, with no Fraction on the way.
 The defining relation is z**4 == -1, so z**2 is the imaginary unit and
 z - z**3 is sqrt(2).  All arithmetic is exact; floats only ever appear in
 the display embedding to_complex.
@@ -16,17 +19,32 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-def _reduce(nums: tuple[int, int, int, int], den: int) -> tuple[tuple[int, int, int, int], int]:
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        nums = tuple(-n for n in nums)
-        den = -den
-    g = math.gcd(den, *(abs(n) for n in nums))
-    if g > 1:
-        nums = tuple(n // g for n in nums)
-        den //= g
-    return nums, den
+_ZEROS = (0, 0, 0, 0)
+_new = object.__new__
+
+
+def _make(n0: int, n1: int, n2: int, n3: int, d: int) -> Cyc:
+    """Cyc of int coordinates over d > 0, reduced by the gcd; no checks."""
+    if d != 1:
+        g = math.gcd(n0, n1, n2, n3, d)
+        if g != 1:
+            n0 //= g
+            n1 //= g
+            n2 //= g
+            n3 //= g
+            d //= g
+    c = _new(Cyc)
+    c._n = (n0, n1, n2, n3)
+    c._d = d
+    return c
+
+
+def _raw(nums: tuple[int, int, int, int], d: int) -> Cyc:
+    """Cyc of an already reduced coordinate tuple over d > 0."""
+    c = _new(Cyc)
+    c._n = nums
+    c._d = d
+    return c
 
 
 class Cyc:
@@ -35,22 +53,35 @@ class Cyc:
     __slots__ = ("_n", "_d")
 
     def __init__(self, nums: Iterable[int | Fraction] = (0, 0, 0, 0), den: int = 1):
-        ns = list(nums)
+        ns = tuple(nums)
         if len(ns) != 4:
             raise ValueError("need exactly 4 coordinates")
+        if (not all(isinstance(n, (int, Fraction)) for n in ns)
+                or not isinstance(den, int)):
+            raise TypeError("coordinates must be int or Fraction, "
+                            "the denominator an int")
         if any(isinstance(n, Fraction) for n in ns):
-            fs = [Fraction(n) for n in ns]
-            m = math.lcm(*(f.denominator for f in fs))
-            ns = [int(f * m) for f in fs]
-            den = den * m
-        self._n, self._d = _reduce(tuple(int(n) for n in ns), int(den))
+            m = math.lcm(*(Fraction(n).denominator for n in ns))
+            ns = tuple(int(n * m) for n in ns)
+            den *= m
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            ns = tuple(-n for n in ns)
+            den = -den
+        g = math.gcd(*ns, den)
+        self._n = tuple(int(n) // g for n in ns)
+        self._d = int(den) // g
 
     # constructors
 
     @classmethod
     def from_rational(cls, q: int | Fraction) -> Cyc:
-        q = Fraction(q)
-        return cls((q.numerator, 0, 0, 0), q.denominator)
+        if isinstance(q, int):
+            return _raw((int(q), 0, 0, 0), 1)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return _raw((q.numerator, 0, 0, 0), q.denominator)
 
     @classmethod
     def zeta_power(cls, k: int) -> Cyc:
@@ -109,13 +140,13 @@ class Cyc:
     # ring structure
 
     def __bool__(self) -> bool:
-        return any(self._n)
+        return self._n != _ZEROS
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyc.from_rational(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
@@ -126,46 +157,53 @@ class Cyc:
         return hash((self._n, self._d))
 
     def __neg__(self) -> Cyc:
-        return Cyc(tuple(-n for n in self._n), self._d)
+        a0, a1, a2, a3 = self._n
+        return _raw((-a0, -a1, -a2, -a3), self._d)
 
     def __add__(self, other: Cyc | int | Fraction) -> Cyc:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyc.from_rational(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        a, b = self._n, other._n
-        return Cyc(tuple(a[k] * other._d + b[k] * self._d for k in range(4)),
-                   self._d * other._d)
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        da, db = self._d, other._d
+        if da == db:
+            return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _make(a0 * db + b0 * da, a1 * db + b1 * da,
+                     a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other: Cyc | int | Fraction) -> Cyc:
-        return self + (-other if isinstance(other, Cyc) else Cyc.from_rational(-other))
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Cyc.from_rational(other)
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        da, db = self._d, other._d
+        if da == db:
+            return _make(a0 - b0, a1 - b1, a2 - b2, a3 - b3, da)
+        return _make(a0 * db - b0 * da, a1 * db - b1 * da,
+                     a2 * db - b2 * da, a3 * db - b3 * da, da * db)
 
     def __rsub__(self, other: int | Fraction) -> Cyc:
         return Cyc.from_rational(other) + (-self)
 
     def __mul__(self, other: Cyc | int | Fraction) -> Cyc:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Cyc:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Cyc.from_rational(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        a, b = self._n, other._n
-        c = [0, 0, 0, 0]
-        for i in range(4):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(4):
-                bj = b[j]
-                if not bj:
-                    continue
-                k = i + j
-                if k < 4:
-                    c[k] += ai * bj
-                else:
-                    c[k - 4] -= ai * bj   # z**4 == -1
-        return Cyc(tuple(c), self._d * other._d)
+        a0, a1, a2, a3 = self._n
+        b0, b1, b2, b3 = other._n
+        # z**4 == -1 folds the degree 4..6 terms back with a sign
+        return _make(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                     a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                     a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                     a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                     self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -174,14 +212,15 @@ class Cyc:
         t %= 8
         if t % 2 == 0:
             raise ValueError("t must be odd")
-        a = self._n
+        a0, a1, a2, a3 = self._n
         if t == 1:
             return self
+        # a signed permutation of the coordinates keeps them reduced
         if t == 3:
-            return Cyc((a[0], a[3], -a[2], a[1]), self._d)
+            return _raw((a0, a3, -a2, a1), self._d)
         if t == 5:
-            return Cyc((a[0], -a[1], a[2], -a[3]), self._d)
-        return Cyc((a[0], -a[3], -a[2], -a[1]), self._d)
+            return _raw((a0, -a1, a2, -a3), self._d)
+        return _raw((a0, -a3, -a2, -a1), self._d)
 
     def conj(self) -> Cyc:
         """Complex conjugation, z -> z**7."""
@@ -191,10 +230,11 @@ class Cyc:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         # product of the other three Galois conjugates; times self it is the
-        # rational field norm
+        # rational field norm n/d, so the inverse is c * d/n
         c = self.galois(3) * self.galois(5) * self.galois(7)
         norm = self * c
-        return c * Cyc.from_rational(1 / norm.rational_part())
+        n, d = norm._n[0], norm._d
+        return c * (_raw((d, 0, 0, 0), n) if n > 0 else _raw((-d, 0, 0, 0), -n))
 
     def __truediv__(self, other: Cyc | int | Fraction) -> Cyc:
         if isinstance(other, (int, Fraction)):

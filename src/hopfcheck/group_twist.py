@@ -529,14 +529,19 @@ def read_model(data: dict) -> tuple[list[Mat2], Mat2, Mat2, int]:
     """Parse a JSON-style model description; ValueError if it is malformed.
 
     Expected keys: generators (list of 2x2 matrices, entries as 4-string
-    coordinate arrays), action_unitary, central_element, optional cap.
+    coordinate arrays), action_unitary, central_element, optional cap (a
+    positive int, default 64).
     Returns (generators, action unitary, central element, cap).
     """
     try:
-        return ([Mat2.from_strings(g) for g in data["generators"]],
-                Mat2.from_strings(data["action_unitary"]),
-                Mat2.from_strings(data["central_element"]),
-                int(data.get("cap", 64)))
+        parsed = ([Mat2.from_strings(g) for g in data["generators"]],
+                  Mat2.from_strings(data["action_unitary"]),
+                  Mat2.from_strings(data["central_element"]))
+        cap = data.get("cap", 64)
+        # bool is an int subclass, and int() would truncate 2.5
+        if type(cap) is not int or cap < 1:
+            raise ValueError(f"cap must be a positive integer, not {cap!r}")
+        return (*parsed, cap)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed model description: {exc}") from exc
 

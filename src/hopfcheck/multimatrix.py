@@ -145,6 +145,9 @@ class AlgElement:
         return hash((self.parent.block_sizes, tuple(sorted(self.coords.items()))))
 
     def __add__(self, other: AlgElement) -> AlgElement:
+        # != compares block sizes only; the pointer compare settles most calls
+        if other.parent is not self.parent and other.parent != self.parent:
+            raise ValueError("operands lie in algebras of different block sizes")
         coords = dict(self.coords)
         for p, v in other.coords.items():
             nv = coords.get(p, ZERO) + v
@@ -167,13 +170,30 @@ class AlgElement:
         return AlgElement(self.parent, {p: c * v for p, v in self.coords.items()})
 
     def __mul__(self, other: AlgElement) -> AlgElement:
+        # != compares block sizes only; the pointer compare settles most calls
+        if other.parent is not self.parent and other.parent != self.parent:
+            raise ValueError("operands lie in algebras of different block sizes")
         alg = self.parent
+        decomp, starts, sizes = alg._decomp, alg._starts, alg.block_sizes
+        # e_(b,i,j) e_(b,j,k) = e_(b,i,k): bucket the right factor by
+        # (block, row) so each left term meets only the terms it multiplies
+        rows: dict[tuple[int, int], list[tuple[int, Cyc]]] = {}
+        for q, y in other.coords.items():
+            b, i, k = decomp[q]
+            bucket = rows.get((b, i))
+            if bucket is None:
+                rows[(b, i)] = [(k, y)]
+            else:
+                bucket.append((k, y))
         acc: Vector = {}
         for p, x in self.coords.items():
-            for q, y in other.coords.items():
-                r = alg.mul_basis(p, q)
-                if r is None:
-                    continue
+            b, i, j = decomp[p]
+            bucket = rows.get((b, j))
+            if bucket is None:
+                continue
+            base = starts[b] + i * sizes[b]
+            for k, y in bucket:
+                r = base + k
                 nv = acc.get(r, ZERO) + x * y
                 if nv:
                     acc[r] = nv

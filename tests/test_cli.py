@@ -110,9 +110,15 @@ def test_broken_model_fails_with_witness(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text", [
-    '{"generators": []}', '{"generators": "nope"}', "{not json", None])
+    '{"generators": []}', '{"generators": "nope"}', "{not json", None,
+    # the sample model with a cap that is not a positive int
+    *(pytest.param({"cap": cap}, id=f"cap={cap!r}")
+      for cap in (0, -1, 2.5, True))])
 def test_malformed_model_is_a_usage_error(capsys, tmp_path, text):
     path = tmp_path / "model.json"
+    if isinstance(text, dict):
+        with open(SAMPLE_MODEL, encoding="utf-8") as fh:
+            text = json.dumps({**json.load(fh), **text})
     if text is not None:
         path.write_text(text)
     code, out, err = run(capsys, "verify", "--check", "model.twist-axioms",

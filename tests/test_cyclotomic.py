@@ -1,5 +1,6 @@
 """Exact arithmetic in the degree-8 cyclotomic field."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,17 @@ def test_strings_round_trip():
         Cyc.from_strings(["1", "2", "3"])
     with pytest.raises(ValueError):
         Cyc((1, 2, 3))
+
+
+def test_constructor_rejects_inexact_input():
+    # a float coordinate or denominator used to be truncated silently
+    for nums, den in [((0.5, 0, 0, 0), 1), ((1, 0, 0, 0), 2.7),
+                      (("1", 0, 0, 0), 1), ((1, 0, 0, 0), Fraction(1, 2))]:
+        with pytest.raises(TypeError):
+            Cyc(nums, den)
+    assert Cyc((Fraction(1, 2), 0, Fraction(-1, 3), 0), 2) == Cyc((3, 0, -2, 0), 12)
+    with pytest.raises(ZeroDivisionError):
+        Cyc((1, 0, 0, 0), 0)
 
 
 def test_hash_agrees_with_equality():
@@ -147,3 +159,89 @@ def test_conj_is_ring_map(x, y):
     assert (x * y).conj() == x.conj() * y.conj()
     assert (x + y).conj() == x.conj() + y.conj()
     assert x.conj().conj() == x
+
+
+# the fast operators against a reference on Fraction coordinates
+
+wide_cycs = st.builds(Cyc, st.tuples(*[st.integers(-60, 60)] * 4),
+                      st.integers(-12, 12).filter(bool))
+rationals = st.one_of(st.integers(-9, 9),
+                      st.fractions(max_denominator=9).map(Fraction))
+
+
+def ref_mul(a, b):
+    c = [Fraction(0)] * 4
+    for i in range(4):
+        for j in range(4):
+            if i + j < 4:
+                c[i + j] += a[i] * b[j]
+            else:
+                c[i + j - 4] -= a[i] * b[j]   # z**4 == -1
+    return tuple(c)
+
+
+def ref_galois(a, t):
+    c = [Fraction(0)] * 4
+    for k in range(4):
+        e = k * t % 8
+        c[e % 4] += a[k] if e < 4 else -a[k]
+    return tuple(c)
+
+
+def assert_canonical(c):
+    nums, den = c._n, c._d
+    assert all(type(n) is int for n in nums) and type(den) is int
+    assert den > 0 and math.gcd(*nums, den) == 1
+    if c.is_rational():
+        q = Fraction(nums[0], den)
+        assert c == q and hash(c) == hash(q)
+        if den == 1:
+            assert c == nums[0] and hash(c) == hash(nums[0])
+
+
+@settings(max_examples=300)
+@given(wide_cycs, wide_cycs, rationals, st.sampled_from([1, 3, 5, 7]))
+def test_fast_ops_match_fraction_reference(x, y, q, t):
+    a, b = x.coords, y.coords
+    qc = (Fraction(q), Fraction(0), Fraction(0), Fraction(0))
+    cases = [
+        (x + y, tuple(u + v for u, v in zip(a, b))),
+        (x - y, tuple(u - v for u, v in zip(a, b))),
+        (x * y, ref_mul(a, b)),
+        (-x, tuple(-u for u in a)),
+        (x.galois(t), ref_galois(a, t)),
+        (x.conj(), ref_galois(a, 7)),
+        (x + q, tuple(u + v for u, v in zip(a, qc))),
+        (q - x, tuple(v - u for u, v in zip(a, qc))),
+        (q * x, ref_mul(qc, a)),
+    ]
+    for got, want in cases:
+        assert got.coords == want
+        assert_canonical(got)
+    assert (x == y) == (a == b)
+    if x:
+        inv = x.inv()
+        assert_canonical(inv)
+        assert ref_mul(a, inv.coords) == (1, 0, 0, 0)
+
+
+def test_no_fraction_on_the_hot_path(monkeypatch):
+    xs = [Cyc((k, -2 * k, 3, k * k), 1 + k % 6) for k in range(-12, 12)]
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and made   # the counter sees a construction
+    made.clear()
+    for x in xs:
+        for y in xs:
+            assert x * y - y * x == ZERO
+            assert (x + y) * (x - y) == x * x - y * y
+        assert -x == ZERO - x
+        assert x.galois(3).conj() == x.galois(5)
+        assert x * x.inv() == ONE
+    assert not made

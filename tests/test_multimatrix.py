@@ -1,9 +1,12 @@
 """Multimatrix algebras, their elements, and linear maps between them."""
 
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA
+from hopfcheck.cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
+                                  mat_mul)
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                                    flip_map, mult_map, tensor_algebra,
                                    tensor_map, tensor_split)
@@ -60,6 +63,31 @@ def test_equality_is_by_shape():
     assert A == MultiMatrixAlgebra((1, 2), labels=("x", "y"))
     assert A != B
     assert hash(A) == hash(MultiMatrixAlgebra((1, 2)))
+
+
+def test_mixed_algebras_are_rejected():
+    # equal dimension, different blocks: the left layout used to win
+    x = MultiMatrixAlgebra((2,)).basis()[1]
+    y = MultiMatrixAlgebra((1, 1, 1, 1)).basis()[2]
+    for op in (operator.mul, operator.add, operator.sub):
+        with pytest.raises(ValueError):
+            op(x, y)
+    # labels do not matter
+    relabelled = MultiMatrixAlgebra((1, 2), labels=("x", "y")).basis()
+    assert relabelled[2] * A.basis()[3] == A.basis()[1]
+    assert relabelled[2] + A.basis()[3] - A.basis()[2] == A.basis()[3]
+
+
+D = MultiMatrixAlgebra((1, 2, 3))
+sparse_elements = st.dictionaries(st.integers(0, D.dim - 1), scalars,
+                                  max_size=9).map(D.element)
+
+
+@settings(max_examples=300)
+@given(sparse_elements, sparse_elements)
+def test_product_is_the_blockwise_matrix_product(x, y):
+    want = [mat_mul(bx, by) for bx, by in zip(x.blocks(), y.blocks())]
+    assert (x * y).blocks() == want
 
 
 def test_from_blocks_round_trip():
