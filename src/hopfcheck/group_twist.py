@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary
+from .cyclotomic import Cyc, HALF, IM, ONE, ZERO, is_unitary
 from .linalg import LinAlgError, Vector, left_inverse
 from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
-                        solve_counit_antipode, verify_hopf_axioms)
-from .multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra, Scalar,
-                          _cyc, tensor_algebra, tensor_map)
+                        verify_hopf_axioms)
+from .multimatrix import (SCALARS, AlgElement, LinearMap, MultiMatrixAlgebra,
+                          Scalar, _cyc, tensor_algebra, tensor_map)
 
 
 class GroupClosureError(Exception):
@@ -224,7 +224,9 @@ class FunctionHopf:
 
 
 def function_algebra(group: FiniteMatrixGroup) -> FunctionHopf:
-    """C(G) with pointwise product; coproduct dual to group multiplication."""
+    """C(G) with pointwise product; coproduct dual to group multiplication,
+    counit the evaluation at the identity and antipode delta_h ->
+    delta_{h^-1}."""
     n = group.order
     alg = MultiMatrixAlgebra((1,) * n,
                              labels=tuple(f"d{nm}" for nm in group.names))
@@ -234,7 +236,10 @@ def function_algebra(group: FiniteMatrixGroup) -> FunctionHopf:
         for b in range(n):
             cols[group.table[a][b]][tidx[a][b]] = ONE
     delta = LinearMap(alg, ta, cols)
-    counit, antipode = solve_counit_antipode(alg, delta)
+    counit = LinearMap(alg, SCALARS, [{0: ONE} if k == group.identity_index
+                                      else {} for k in range(n)])
+    antipode = LinearMap(alg, alg, [{group.inverse[k]: ONE}
+                                    for k in range(n)])
     hopf = HopfAlgebra(alg, delta, counit, antipode)
     return FunctionHopf(group, hopf)
 
@@ -309,8 +314,6 @@ class SmashProduct:
             if x.star() != want:
                 raise SubalgebraError("block model breaks the *-structure")
 
-        ta, _ = tensor_algebra(alg, alg)
-        cols: list[Vector] = [{} for _ in range(alg.dim)]
         unit_expansion: list[list[tuple[int, int, Cyc]]] = [[] for _ in range(alg.dim)]
         blk = 0
         for k in fixed:
@@ -324,16 +327,37 @@ class SmashProduct:
             unit_expansion[alg.index(blk, 0, 1)] = [(a, 1, ONE)]
             unit_expansion[alg.index(blk, 1, 0)] = [(b, 1, ONE)]
             blk += 1
-        for t, combo in enumerate(unit_expansion):
-            acc = ta.zero()
+
+        # Delta(delta_h lam^k) = sum over ab = h of delta_a lam^k (x)
+        # delta_b lam^k; eps(delta_h lam^k) = [h = e] and
+        # S(delta_h lam^k) = delta_{theta^k(h^-1)} lam^k (Majid, Foundations
+        # of Quantum Group Theory, 1.6)
+        ta, _ = tensor_algebra(alg, alg)
+        preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                preimages[group.table[a][b]].append((a, b))
+        cols: list[Vector] = []
+        eps_cols: list[Vector] = []
+        s_cols: list[Vector] = []
+        for combo in unit_expansion:
+            acc: Vector = {}
+            e = ZERO
+            s_img = alg.zero()
             for h, k, c in combo:
-                for a in range(n):
-                    for b in range(n):
-                        if group.table[a][b] == h:
-                            acc = acc + (dl[(a, k)].tensor(dl[(b, k)])).scale(c)
-            cols[t] = acc.coords
+                for a, b in preimages[h]:
+                    for t, v in dl[(a, k)].tensor(dl[(b, k)]).coords.items():
+                        acc[t] = acc.get(t, ZERO) + c * v
+                if h == group.identity_index:
+                    e = e + c
+                hinv = group.inverse[h]
+                s_img = s_img + dl[(perm[hinv] if k else hinv, k)].scale(c)
+            cols.append(acc)
+            eps_cols.append({0: e})
+            s_cols.append(s_img.coords)
         delta = LinearMap(alg, ta, cols)
-        counit, antipode = solve_counit_antipode(alg, delta)
+        counit = LinearMap(alg, SCALARS, eps_cols)
+        antipode = LinearMap(alg, alg, s_cols)
         self.hopf = HopfAlgebra(alg, delta, counit, antipode)
         report = verify_hopf_axioms(self.hopf)
         if not report.passed:

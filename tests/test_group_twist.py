@@ -1,6 +1,7 @@
 """Matrix groups, function algebras, crossed products, graded twists."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,12 @@ from hopfcheck.group_twist import (ActionError, CentralGrading,
                                    conjugation_action, function_algebra,
                                    generate_group, subalgebra_hopf,
                                    twist_from_model_dict)
-from hopfcheck.hopf_core import verify_hopf_axioms
+from hopfcheck import linalg, multimatrix
+from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
+                                 verify_hopf_axioms)
+from hopfcheck.linalg import span_rank
 from hopfcheck.models import S1, S2, S3, U_ACT, build_smash, build_vtilde
-from hopfcheck.multimatrix import MultiMatrixAlgebra
+from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra
 
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 ROT = Mat2([[ZERO, -ONE], [ONE, ZERO]])
@@ -167,9 +171,13 @@ def test_transport_rejects_a_non_coalgebra_and_a_dependent_basis():
         subalgebra_hopf(sm.hopf, [d_e, d_e], target)
 
 
-def test_twist_from_model_dict():
+def sample_model() -> dict:
     with open("tests/data/sample_model.json", encoding="utf-8") as fh:
-        data = json.load(fh)
+        return json.load(fh)
+
+
+def test_twist_from_model_dict():
+    data = sample_model()
     tw = twist_from_model_dict(data)
     assert sorted(tw.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2]
     assert verify_hopf_axioms(tw.hopf).passed
@@ -186,3 +194,88 @@ def test_duplicate_elements_are_rejected():
         FiniteMatrixGroup([I2, I2])
     g = generate_group([S1, S2], cap=16)
     assert len(set(g.names)) == g.order
+
+
+def _sample_model_parts():
+    tw = twist_from_model_dict(sample_model())
+    return tw.fa, tw.smash
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (build_vtilde().fa, build_smash()), _sample_model_parts,
+], ids=["order-8", "sample-model"])
+def test_closed_forms_are_the_solved_maps(build):
+    fa, sm = build()
+    for hopf in (fa.hopf, sm.hopf):
+        counit, antipode = solve_counit_antipode(hopf.algebra, hopf.coproduct)
+        assert hopf.counit == counit
+        assert hopf.antipode == antipode
+
+
+def test_wrong_closed_form_antipode_is_caught():
+    h = build_smash().hopf
+    alg = h.algebra
+    n = alg.dim
+    cols = list(h.antipode.cols)
+    cols[0] = cols[1]
+    rep = verify_hopf_axioms(HopfAlgebra(alg, h.coproduct, h.counit,
+                                         LinearMap(alg, alg, cols)))
+    assert not rep.checks["antipode_left"] and rep.witnesses["antipode_left"]
+    assert not rep.checks["antipode_right"] and rep.witnesses["antipode_right"]
+    # the preimage identities fail, so the ranks come from span_rank
+    ta = h.coproduct.target
+    one = alg.unit()
+    dcol = [ta.element(c) for c in h.coproduct.cols]
+    for side, factor in (("left", lambda b: b.tensor(one)),
+                         ("right", lambda b: one.tensor(b))):
+        vecs = [(factor(b) * dcol[q]).coords
+                for b in alg.basis() for q in range(n)]
+        assert rep.ranks[f"cancellation_{side}"] == span_rank(vecs, ta.dim)
+
+
+def _wrap_everywhere(monkeypatch, fn, wrapper):
+    """Install wrapper wherever a hopfcheck module binds fn by name."""
+    for name, mod in list(sys.modules.items()):
+        if name == "hopfcheck" or name.startswith("hopfcheck."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def test_model_twist_builds_no_square_sized_objects(monkeypatch):
+    """Building the sample model's twist solves for no counit or antipode,
+    and its axiom checks build no map on the tensor square and rank no n^2
+    vectors (n = 8 is the smallest structure verified)."""
+    calls = {"solve": 0, "tensor_map": 0}
+    ranked: list[int] = []
+    inside = [0]
+
+    def counting(key, fn, during_verify=False):
+        def wrapper(*args, **kwargs):
+            if not during_verify or inside[0]:
+                calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def verify(h):
+        inside[0] += 1
+        try:
+            return verify_hopf_axioms(h)
+        finally:
+            inside[0] -= 1
+
+    def rank(vectors, dim):
+        ranked.append(len(vectors))
+        return span_rank(vectors, dim)
+
+    _wrap_everywhere(monkeypatch, solve_counit_antipode,
+                     counting("solve", solve_counit_antipode))
+    _wrap_everywhere(monkeypatch, verify_hopf_axioms, verify)
+    for fn in (multimatrix.tensor_map, multimatrix.mult_map):
+        _wrap_everywhere(monkeypatch, fn, counting("tensor_map", fn, True))
+    _wrap_everywhere(monkeypatch, linalg.span_rank, rank)
+    tw = twist_from_model_dict(sample_model())
+    assert tw.axiom_report.passed
+    assert tw.smash.axiom_report.passed
+    assert calls == {"solve": 0, "tensor_map": 0}
+    assert all(k < 8 * 8 for k in ranked)

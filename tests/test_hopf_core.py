@@ -1,15 +1,17 @@
 """Hopf axiom verification, morphism checks, and serialization."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hopfcheck.cyclotomic import ZERO
-from hopfcheck.hopf_core import (HopfAlgebra, check_hopf_morphism,
+from hopfcheck.cyclotomic import ONE, ZERO, ZETA
+from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                                  commutativity_flags, hopf_from_dict,
                                  hopf_to_dict, solve_counit_antipode,
                                  verify_hopf_axioms)
-from hopfcheck.linalg import LinAlgError
-from hopfcheck.models import build_kp
-from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra
+from hopfcheck.linalg import LinAlgError, span_rank
+from hopfcheck.models import build_kp, build_smash
+from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
+                                   mult_map, tensor_algebra, tensor_map)
 
 
 def two_point_hopf():
@@ -148,3 +150,134 @@ def test_commutativity_flags_on_kp():
     comm, cocomm, wit = commutativity_flags(build_kp().hopf)
     assert not comm and not cocomm
     assert wit
+
+
+# matrix-level reference ------------------------------------------------------
+
+def _reference_witness(alg, f, g):
+    for j, (a, b) in enumerate(zip(f.cols, g.cols)):
+        if a != b:
+            keys = sorted(set(a) | set(b), key=lambda k: (k not in a, k))
+            k = next(k for k in keys if a.get(k, ZERO) != b.get(k, ZERO))
+            return (f"images of {alg.basis_name(j)} differ: coefficient "
+                    f"{a.get(k, ZERO)} vs {b.get(k, ZERO)} at "
+                    f"{f.target.basis_name(k)}")
+    return ""
+
+
+def reference_axioms(h):
+    """The axioms as identities of materialized maps on the tensor square
+    and cube, and cancellation as ranks of the n^2 spanning vectors."""
+    alg = h.algebra
+    n = alg.dim
+    delta, counit, antipode = h.coproduct, h.counit, h.antipode
+    ta, _ = tensor_algebra(alg, alg)
+    rep = Report()
+    ident = LinearMap.identity(alg)
+
+    def law(name, f, g):
+        rep.record(name, f == g, _reference_witness(alg, f, g))
+
+    law("coassociative", tensor_map(delta, ident).compose(delta),
+        tensor_map(ident, delta).compose(delta))
+    law("counit_left", tensor_map(counit, ident).compose(delta), ident)
+    law("counit_right", tensor_map(ident, counit).compose(delta), ident)
+    m = mult_map(alg)
+    eta_eps = LinearMap(alg, alg, [alg.unit().scale(h.counit_value(b)).coords
+                                   for b in alg.basis()])
+    law("antipode_left",
+        m.compose(tensor_map(antipode, ident)).compose(delta), eta_eps)
+    law("antipode_right",
+        m.compose(tensor_map(ident, antipode)).compose(delta), eta_eps)
+
+    dcol = [AlgElement(ta, col) for col in delta.cols]
+    one = alg.unit()
+    basis = alg.basis()
+    wit = next((f"coproduct of {alg.basis_name(p)}*{alg.basis_name(q)} is "
+                "not the product of coproducts"
+                for p in range(n) for q in range(n)
+                if dcol[p] * dcol[q] != (dcol[r] if (r := alg.mul_basis(p, q))
+                                         is not None else ta.zero())), "")
+    rep.record("coproduct_multiplicative", not wit, wit)
+    rep.record("coproduct_unital", delta(one) == one.tensor(one),
+               "coproduct of the unit is not 1 tensor 1")
+    wit = next((f"coproduct does not commute with * on {alg.basis_name(p)}"
+                for p in range(n)
+                if delta.cols[alg.star_index(p)] != dcol[p].star().coords), "")
+    rep.record("coproduct_star", not wit, wit)
+
+    def counit_failures():
+        if h.counit_value(one) != ONE:
+            yield "counit of the unit is not 1"
+        vals = [h.counit_value(b) for b in basis]
+        for p in range(n):
+            if vals[alg.star_index(p)] != vals[p].conj():
+                yield f"counit not *-compatible at {alg.basis_name(p)}"
+            for q in range(n):
+                r = alg.mul_basis(p, q)
+                if vals[p] * vals[q] != (vals[r] if r is not None else ZERO):
+                    yield (f"counit not multiplicative at "
+                           f"{alg.basis_name(p)}, {alg.basis_name(q)}")
+
+    wit = next(counit_failures(), "")
+    rep.record("counit_character", not wit, wit)
+    for side, factor in (("left", lambda p: basis[p].tensor(one)),
+                         ("right", lambda p: one.tensor(basis[p]))):
+        rank = rep.ranks[f"cancellation_{side}"] = span_rank(
+            [(factor(p) * dcol[q]).coords for p in range(n) for q in range(n)],
+            ta.dim)
+        rep.record(f"cancellation_{side}", rank == n * n,
+                   f"{side} cancellation span has rank {rank}, expected {n * n}")
+    rep.info["antipode_squared_identity"] = antipode.compose(antipode) == ident
+    rep.info["antipode_star_involution"] = all(
+        antipode(antipode(b).star()).star() == b for b in basis)
+    return rep
+
+
+def assert_matches_reference(h):
+    rep, ref = verify_hopf_axioms(h), reference_axioms(h)
+    assert rep.checks == ref.checks
+    assert rep.witnesses == ref.witnesses
+    assert rep.ranks == ref.ranks
+    assert rep.info == ref.info
+    return rep
+
+
+@pytest.mark.parametrize("build", [lambda: build_kp().hopf,
+                                   lambda: build_smash().hopf])
+def test_axioms_match_the_matrix_level_form(build):
+    assert assert_matches_reference(build()).passed
+
+
+def mutant(h, which, j, k, mode):
+    """h with one coefficient of one map changed: + 1, or zero <-> z."""
+    parts = {"coproduct": h.coproduct, "counit": h.counit,
+             "antipode": h.antipode}
+    f = parts[which]
+    cols = [dict(c) for c in f.cols]
+    v = cols[j].get(k, ZERO)
+    cols[j][k] = v + ONE if mode == "plus" else (ZERO if v else ZETA)
+    parts[which] = LinearMap(f.source, f.target, cols)
+    return HopfAlgebra(h.algebra, **parts)
+
+
+@st.composite
+def kp_mutants(draw):
+    which = draw(st.sampled_from(["coproduct", "counit", "antipode"]))
+    f = getattr(build_kp().hopf, which)
+    return (which, draw(st.integers(0, f.source.dim - 1)),
+            draw(st.integers(0, f.target.dim - 1)),
+            draw(st.sampled_from(["plus", "swap"])))
+
+
+@settings(max_examples=40)
+@given(kp_mutants())
+# counit witnesses name k (x) A and A (x) k, down to a 2x2 block
+@example(("counit", 5, 0, "plus"))
+# both cancellation ranks fall to 63, so both fall back to span_rank
+@example(("coproduct", 1, 1, "swap"))
+# the right rank alone falls, to 63
+@example(("coproduct", 4, 44, "swap"))
+def test_kp_mutants_match_the_matrix_level_form(m):
+    rep = assert_matches_reference(mutant(build_kp().hopf, *m))
+    assert not rep.passed

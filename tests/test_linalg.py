@@ -1,15 +1,16 @@
 """Sparse exact solving, ranks, nullspaces, and the modular fast path."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcheck.cyclotomic import Cyc, IM, ONE, SQRT2, ZERO, ZETA
-from hopfcheck.linalg import (LinAlgError, NoSolution, NonUniqueSolution,
-                              exact_nullspace, exact_rank, exact_solve_unique,
-                              full_rank_certificate, left_inverse,
-                              solve_unique, span_rank)
+from hopfcheck.linalg import (PRIMES, LinAlgError, NoSolution,
+                              NonUniqueSolution, exact_nullspace, exact_rank,
+                              exact_solve_unique, full_rank_certificate,
+                              left_inverse, solve_unique, span_rank)
 
 
 def dense(*vals):
@@ -97,6 +98,19 @@ def test_certificate_agrees_with_exact_rank_on_awkward_scalars():
     r = exact_rank(rows)
     assert full_rank_certificate(rows[:2], 3) is False
     assert r == span_rank(rows, 3)
+
+
+def test_unlucky_primes_fall_back_to_exact_elimination():
+    # the pivot vanishes modulo every prime of the modular layer, so every
+    # reduction is singular while the system over Q(z) is not
+    unlucky = Cyc.from_rational(math.prod(PRIMES))
+    rows = [dense(unlucky, ZETA), dense(ZERO, ONE)]
+    rhs = [ONE, ZETA]
+    assert not full_rank_certificate(rows, 2)
+    assert span_rank(rows, 2) == 2
+    x = solve_unique(rows, rhs, 2)
+    assert x == [(ONE - ZETA * ZETA) * unlucky.inv(), ZETA]
+    assert x == exact_solve_unique(rows, rhs, 2)
 
 
 def test_scalar_system_with_fraction_rhs():
