@@ -152,18 +152,38 @@ def column_phase_search() -> dict:
 def global_phase_family() -> dict:
     """Rescale each 2x2 matrix by a fourth root of unity and force the
     columns; every one of the 256 assignments must satisfy everything,
-    and the identity assignment is the closest to the printed matrix."""
+    and the identity assignment is the closest to the printed matrix.
+
+    Each equation is a sum over the group of a term that depends only on
+    g and its phase, so the 16 (g, phase) pairs are worked out once: the
+    forced column and its hook verdict, the terms col[i] conj(col[j]) whose
+    sum over g is m m* for the 4x4 matrix m of forced columns (the identity
+    is_unitary tests), and the group equation's terms.  Every assignment is
+    then checked exactly on its four sums.
+    """
+    two = Cyc.from_rational(2)
+    idx4 = list(product(range(4), repeat=2))
+    idx2 = list(product(range(2), repeat=4))
+    unit = [ONE if i == j else ZERO for i, j in idx4]
+    delta = [two if (i == j and k == m) else ZERO for i, j, k, m in idx2]
+    pairs = []
+    for g in GROUP_LABELS:
+        per_phase = []
+        for w in MU4:
+            psi = [[w * v for v in row] for row in PSI[g]]
+            col = forced_column(psi)
+            per_phase.append((
+                hook_equation(col, psi),
+                [col[i] * col[j].conj() for i, j in idx4],
+                [psi[j][m] * psi[i][k].conj() for i, j, k, m in idx2],
+            ))
+        pairs.append(per_phase)
     passing = 0
-    for phases in product(MU4, repeat=4):
-        psis = {g: [[w * v for v in row] for row in PSI[g]]
-                for g, w in zip(GROUP_LABELS, phases)}
-        cols = [forced_column(psis[g]) for g in GROUP_LABELS]
-        m = [[cols[ci][r] for ci in range(4)] for r in range(4)]
-        ok = (is_unitary(m)
-              and all(hook_equation(cols[ci], psis[g])
-                      for ci, g in enumerate(GROUP_LABELS))
-              and group_equation(psis))
-        if ok:
+    for terms in product(*pairs):
+        hooks, outers, groups = zip(*terms)
+        if (all(hooks)
+                and [a + b + c + d for a, b, c, d in zip(*outers)] == unit
+                and [a + b + c + d for a, b, c, d in zip(*groups)] == delta):
             passing += 1
     return {
         "assignments": 4 ** 4,

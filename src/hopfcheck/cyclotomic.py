@@ -15,11 +15,15 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
 _ZEROS = (0, 0, 0, 0)
+# the form to_strings writes: str() of a Fraction, whose denominator is
+# never zero
+_CANONICAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 _new = object.__new__
 
 
@@ -93,6 +97,17 @@ class Cyc:
 
     @classmethod
     def from_strings(cls, parts: Iterable[str]) -> Cyc:
+        """Parse the four coordinate strings to_strings writes.
+
+        Only that canonical form, an integer or a fraction of integers, is
+        accepted: an exponent such as "1e10000000" would build a huge
+        integer, while Python's bound on int string conversion keeps every
+        digit string small.  Raises ValueError for anything else.
+        """
+        parts = list(parts)
+        for p in parts:
+            if not isinstance(p, str) or not _CANONICAL.fullmatch(p):
+                raise ValueError(f"not a coordinate string: {p!r:.40}")
         fs = [Fraction(p) for p in parts]
         if len(fs) != 4:
             raise ValueError("need exactly 4 coordinates")

@@ -387,10 +387,13 @@ def hopf_to_dict(h: HopfAlgebra) -> dict:
 
 
 def hopf_from_dict(data: dict) -> HopfAlgebra:
-    """Load a stored structure, re-deriving its counit and antipode.
+    """Load a stored structure and verify it.
 
     The stored counit and antipode must equal the unique ones the stored
-    coproduct determines; a mismatch raises ValueError naming the map.
+    coproduct determines, and the loaded structure must pass
+    verify_hopf_axioms; otherwise ValueError names the stored map that
+    differs or the first failing check, so a returned structure is a
+    verified one.
     """
     alg = MultiMatrixAlgebra(data["block_sizes"], data.get("labels"))
     ta, _ = tensor_algebra(alg, alg)
@@ -409,4 +412,11 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
         if read(f"{name}_matrix", derived.target) != derived:
             raise ValueError(f"stored {name} differs from the {name} the "
                              "coproduct determines")
-    return HopfAlgebra(alg, coproduct, counit, antipode)
+    h = HopfAlgebra(alg, coproduct, counit, antipode)
+    report = verify_hopf_axioms(h)
+    for name, ok in report.checks.items():
+        if not ok:
+            witness = report.witnesses.get(name)
+            raise ValueError(f"stored structure fails {name}"
+                             + (f": {witness}" if witness else ""))
+    return h

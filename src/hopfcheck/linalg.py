@@ -8,8 +8,9 @@ field before being returned.
 
 The modular layer reduces Q(z) mod primes p == 1 (mod 8): any w of order 8
 in Z/p gives a ring map z -> w, and the four odd powers w, w**3, w**5, w**7
-give four independent scalar systems whose solutions are unmixed by a 4x4
-Vandermonde solve.  Ranks can only drop under reduction, so a full-rank
+give four independent scalar systems, each eliminated on sparse rows of
+residues, whose solutions are unmixed by the closed-form inverse of their
+4x4 Vandermonde matrix.  Ranks can only drop under reduction, so a full-rank
 reduction certifies full rank over the field.
 """
 
@@ -18,14 +19,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .cyclotomic import Cyc, ONE, ZERO
 
 Vector = dict[int, Cyc]
 
-# NTT-friendly primes, all == 1 mod 8, small enough that two int64 factors
-# below p keep products under 2**62
+# NTT-friendly primes, all == 1 mod 8
 PRIMES = (2013265921, 1811939329, 2113929217, 754974721, 469762049)
 
 
@@ -155,60 +153,80 @@ def _wpows(p: int, t: int) -> tuple[int, int, int, int]:
     return (1, wt, wt * wt % p, pow(wt, 3, p))
 
 
-def _reduce_matrix(rows: list[Vector], rhs: list[Cyc] | None, ncols: int,
-                   p: int, t: int) -> np.ndarray | None:
+def _reduce_rows(rows: list[Vector], rhs: list[Cyc] | None, ncols: int,
+                 p: int, t: int) -> list[dict[int, int]] | None:
+    """The system under z -> w**t mod p as dict rows of nonzero residues,
+    with rhs (when given) in column ncols; None when a denominator vanishes."""
     wp = _wpows(p, t)
-    width = ncols + (1 if rhs is not None else 0)
-    a = np.zeros((len(rows), width), dtype=np.int64)
+    out = []
     for i, row in enumerate(rows):
+        red = {}
         for j, v in row.items():
             r = v.residue(p, wp)
             if r is None:
                 return None
-            a[i, j] = r
+            if r:
+                red[j] = r
         if rhs is not None and rhs[i]:
             r = rhs[i].residue(p, wp)
             if r is None:
                 return None
-            a[i, ncols] = r
-    return a
+            if r:
+                red[ncols] = r
+        out.append(red)
+    return out
 
 
-def _modp_rref(a: np.ndarray, p: int, ncols: int) -> tuple[list[int], np.ndarray]:
-    """Row reduce mod p over the first ncols columns; returns (pivot cols, a)."""
-    a = a % p
-    m = a.shape[0]
-    pr = 0
-    pivots = []
-    for c in range(ncols):
-        col = a[pr:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+def _modp_eliminate(rows: list[dict[int, int]], p: int,
+                    aug: int | None = None) -> dict[int, dict[int, int]] | None:
+    """Sparse Gauss-Jordan mod p, the lowest column pivoting as in _eliminate.
+
+    Returns {pivot_col: row} with each row normalised and every pivot column
+    cleared from the other rows.  Column aug never hosts a pivot; a row that
+    reduces to weight only there makes the system inconsistent: None.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        # a reduced row is zero at every other pivot, so subtracting it
+        # leaves the row's other pivot entries as they were
+        for pc in [j for j in row if j in reduced]:
+            c = row[pc]
+            for j, v in reduced[pc].items():
+                nv = (row.get(j, 0) - c * v) % p
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+        if not row:
             continue
-        r = pr + int(nz[0])
-        if r != pr:
-            a[[pr, r]] = a[[r, pr]]
-        a[pr] = a[pr] * pow(int(a[pr, c]), -1, p) % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != pr]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[pr])) % p
-        pivots.append(c)
-        pr += 1
-        if pr == m:
-            break
-    return pivots, a
+        cand = [j for j in row if j != aug]
+        if not cand:
+            return None
+        pc = min(cand)
+        inv = pow(row[pc], -1, p)
+        row = {j: v * inv % p for j, v in row.items()}
+        for prow in reduced.values():
+            c = prow.get(pc)
+            if c is not None:
+                for j, v in row.items():
+                    nv = (prow.get(j, 0) - c * v) % p
+                    if nv:
+                        prow[j] = nv
+                    else:
+                        del prow[j]
+        reduced[pc] = row
+    return reduced
 
 
 def full_rank_certificate(rows: list[Vector], ncols: int) -> bool:
     """True certifies rank == min(len(rows), ncols); False is inconclusive."""
     target = min(len(rows), ncols)
     for p in PRIMES[:2]:
-        a = _reduce_matrix(rows, None, ncols, p, 1)
-        if a is None:
+        red = _reduce_rows(rows, None, ncols, p, 1)
+        if red is None:
             continue
-        pivots, _ = _modp_rref(a, p, ncols)
-        if len(pivots) == target:
+        if len(_modp_eliminate(red, p)) == target:
             return True
         return False    # rank really dropped, or unlucky prime; stay exact
     return False
@@ -238,39 +256,37 @@ def _rational_reconstruct(r: int, m: int) -> Fraction | None:
     return Fraction(v0, v1) if v1 > 0 else Fraction(-v0, -v1)
 
 
+def _unmixing(p: int) -> list[list[int]]:
+    """V^-1 mod p for V[r][k] == (w**t_r)**k, t_r in (1, 3, 5, 7).
+
+    The w**t_r are the four roots of x**4 + 1, and sum_r w**(t_r * m) is 4
+    for m == 0 and vanishes for 0 < |m| < 4, so V^-1[k][r] == w**(-t_r k) / 4.
+    """
+    w, quarter = _ROOTS[p], pow(4, -1, p)
+    return [[pow(w, -t * k % 8, p) * quarter % p for t in (1, 3, 5, 7)]
+            for k in range(4)]
+
+
 def _solve_residues(rows: list[Vector], rhs: list[Cyc], ncols: int,
                     p: int) -> list[tuple[int, int, int, int]] | None:
     """Coordinates of the unique solution mod p, or None when this prime fails."""
     embedded = []
     for t in (1, 3, 5, 7):
-        a = _reduce_matrix(rows, rhs, ncols, p, t)
-        if a is None:
+        red = _reduce_rows(rows, rhs, ncols, p, t)
+        if red is None:
             return None
-        pivots, red = _modp_rref(a, p, ncols)
-        if len(pivots) < ncols:
+        reduced = _modp_eliminate(red, p, aug=ncols)
+        if reduced is None or len(reduced) < ncols:
             return None
-        # inconsistent iff some leftover row has weight only in the aug column
-        if red[len(pivots):, ncols].any():
-            return None
-        x = np.zeros(ncols, dtype=np.int64)
-        x[pivots] = red[: len(pivots), ncols]
+        x = [0] * ncols
+        for pc, row in reduced.items():
+            x[pc] = row.get(ncols, 0)
         embedded.append(x)
-    # unmix: coordinate k of unknown j solves V a == (x_t[j])_t with
-    # V[r][k] == (w**t_r)**k
-    v = np.zeros((4, 4), dtype=np.int64)
-    for r, t in enumerate((1, 3, 5, 7)):
-        v[r] = _wpows(p, t)
-    vp, vred = _modp_rref(np.hstack([v, np.eye(4, dtype=np.int64)]), p, 4)
-    if len(vp) < 4:
-        return None
-    vinv = [[int(vred[k, 4 + r]) for r in range(4)] for k in range(4)]
-    out = []
-    for j in range(ncols):
-        y = [int(embedded[r][j]) for r in range(4)]
-        # python ints here, a 4-term sum of products can overflow int64
-        out.append(tuple(sum(vinv[k][r] * y[r] for r in range(4)) % p
-                         for k in range(4)))
-    return out
+    # unmix: coordinate k of unknown j solves V a == (x_t[j])_t
+    vinv = _unmixing(p)
+    return [tuple(sum(vk[r] * embedded[r][j] for r in range(4)) % p
+                  for vk in vinv)
+            for j in range(ncols)]
 
 
 def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:

@@ -1,11 +1,13 @@
 """The pointed fusion category with one big object, and its module data."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hopfcheck.category_checks import modcat, ty
-from hopfcheck.cyclotomic import Cyc, HALF, ONE
+from hopfcheck.cyclotomic import Cyc, HALF, ONE, ZERO, ZETA, is_unitary
 from hopfcheck.models import kp_fusion_rules
 
 
@@ -139,6 +141,55 @@ def test_gauge_family_all_pass():
     assert fam["assignments"] == 256
     assert fam["passing"] == 256
     assert fam["identity_assignment_distance"] == 5
+
+
+def _reference_phase_family():
+    # every assignment rebuilt and checked from scratch, as the family was
+    # first computed
+    passing = 0
+    for phases in product(modcat.MU4, repeat=4):
+        psis = {g: [[w * v for v in row] for row in modcat.PSI[g]]
+                for g, w in zip(modcat.GROUP_LABELS, phases)}
+        cols = [modcat.forced_column(psis[g]) for g in modcat.GROUP_LABELS]
+        m = [[cols[ci][r] for ci in range(4)] for r in range(4)]
+        if (is_unitary(m)
+                and all(modcat.hook_equation(cols[ci], psis[g])
+                        for ci, g in enumerate(modcat.GROUP_LABELS))
+                and modcat.group_equation(psis)):
+            passing += 1
+    return passing
+
+
+def _psi_mutant(g, r, c, new):
+    psi = {h: [list(row) for row in m] for h, m in modcat.PSI.items()}
+    psi[g][r][c] = new
+    return pytest.param(psi, id=f"{g}[{r}][{c}]={new}")
+
+
+def _psi_mutants(count, seed=0):
+    # one entry of one 2x2 matrix: + 1, times z, or zero <-> z
+    rng = random.Random(seed)
+    for _ in range(count):
+        g = rng.choice(modcat.GROUP_LABELS)
+        r, c = rng.randrange(2), rng.randrange(2)
+        old = modcat.PSI[g][r][c]
+        yield _psi_mutant(g, r, c, rng.choice(
+            [old + ONE, old * ZETA, ZETA if old == ZERO else ZERO]))
+
+
+@pytest.mark.parametrize("psi", [
+    pytest.param(modcat.PSI, id="printed"), *_psi_mutants(6),
+    # a singular matrix has no forced column
+    _psi_mutant("e", 0, 1, ZERO)])
+def test_gauge_family_matches_the_per_assignment_loop(monkeypatch, psi):
+    monkeypatch.setattr(modcat, "PSI", psi)
+    try:
+        want = _reference_phase_family()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            modcat.global_phase_family()
+        return
+    assert modcat.global_phase_family()["passing"] == want
 
 
 def test_worked_example():

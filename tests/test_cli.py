@@ -1,6 +1,10 @@
 """The command line interface, driven in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,7 +117,12 @@ def test_broken_model_fails_with_witness(capsys, tmp_path):
     '{"generators": []}', '{"generators": "nope"}', "{not json", None,
     # the sample model with a cap that is not a positive int
     *(pytest.param({"cap": cap}, id=f"cap={cap!r}")
-      for cap in (0, -1, 2.5, True))])
+      for cap in (0, -1, 2.5, True)),
+    # a coordinate not in the canonical integer or fraction form
+    *(pytest.param({"central_element": [[[coef, "0", "0", "0"], ["0"] * 4],
+                                        [["0"] * 4, ["-1", "0", "0", "0"]]]},
+                   id=f"coefficient={coef}")
+      for coef in ("1e5000", "0.5", "1/0"))])
 def test_malformed_model_is_a_usage_error(capsys, tmp_path, text):
     path = tmp_path / "model.json"
     if isinstance(text, dict):
@@ -185,3 +194,15 @@ def test_export_round_trip(capsys, tmp_path):
         assert first.read_bytes() == second.read_bytes()
         h = hopf_from_dict(json.loads(first.read_text()))
         assert verify_hopf_axioms(h).passed
+
+
+def test_import_loads_no_numpy():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", "import json, sys, hopfcheck.cli; "
+         "print(json.dumps([hopfcheck.cli.__file__, sorted(sys.modules)]))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    path, loaded = json.loads(probe.stdout)
+    assert Path(path).resolve().is_relative_to(src)
+    assert "numpy" not in loaded

@@ -44,6 +44,10 @@ def test_strings_round_trip():
     assert Cyc.from_strings(x.to_strings()) == x
     with pytest.raises(ValueError):
         Cyc.from_strings(["1", "2", "3"])
+    # only the canonical integer or fraction form is read
+    for bad in ("1e5000", "0.5", " 1", "1/0", "0x1", 5):
+        with pytest.raises(ValueError, match="not a coordinate string"):
+            Cyc.from_strings([bad, "0", "0", "0"])
     with pytest.raises(ValueError):
         Cyc((1, 2, 3))
 

@@ -1,9 +1,13 @@
 """Hopf axiom verification, morphism checks, and serialization."""
 
+import copy
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hopfcheck.cyclotomic import ONE, ZERO, ZETA
+from hopfcheck import cli
+from hopfcheck.cyclotomic import Cyc, ONE, ZERO, ZETA
 from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                                  commutativity_flags, hopf_from_dict,
                                  hopf_to_dict, solve_counit_antipode,
@@ -144,6 +148,27 @@ def test_tampered_load_is_rejected(name, row):
     data[f"{name}_matrix"][row][4] = ["7", "0", "0", "0"]
     with pytest.raises(ValueError, match=f"stored {name} differs"):
         hopf_from_dict(data)
+
+
+@pytest.mark.parametrize("model_id", sorted(cli._EXPORTS))
+def test_coproduct_mutants_of_the_exports_are_rejected(model_id):
+    # seeded single-coefficient edits of the stored coproduct: coefficient
+    # + 1, or zero <-> z; several of them still admit a unique counit and
+    # antipode equal to the stored ones, so only the axioms reject them
+    data = hopf_to_dict(cli._EXPORTS[model_id]())
+    rng = random.Random(model_id)
+    mat = data["coproduct_matrix"]
+    for _ in range(4):
+        r, c = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+        old = Cyc.from_strings(mat[r][c])
+        if rng.random() < 0.5:
+            new = old + ONE
+        else:
+            new = ZETA if old == ZERO else ZERO
+        mutant = copy.deepcopy(data)
+        mutant["coproduct_matrix"][r][c] = new.to_strings()
+        with pytest.raises(ValueError, match="stored"):
+            hopf_from_dict(mutant)
 
 
 def test_commutativity_flags_on_kp():

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcheck import hopf_core, linalg
 from hopfcheck.cyclotomic import Cyc, IM, ONE, SQRT2, ZERO, ZETA
 from hopfcheck.linalg import (PRIMES, LinAlgError, NoSolution,
                               NonUniqueSolution, exact_nullspace, exact_rank,
                               exact_solve_unique, full_rank_certificate,
                               left_inverse, solve_unique, span_rank)
+from hopfcheck.models import build_kp
 
 
 def dense(*vals):
@@ -111,6 +113,36 @@ def test_unlucky_primes_fall_back_to_exact_elimination():
     x = solve_unique(rows, rhs, 2)
     assert x == [(ONE - ZETA * ZETA) * unlucky.inv(), ZETA]
     assert x == exact_solve_unique(rows, rhs, 2)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unmixing_inverts_the_vandermonde_matrix(p):
+    v = [linalg._wpows(p, t) for t in (1, 3, 5, 7)]
+    vinv = linalg._unmixing(p)
+    for r in range(4):
+        for s in range(4):
+            assert sum(v[r][k] * vinv[k][s] for k in range(4)) % p == (r == s)
+
+
+def test_kp_antipode_system_is_solved_modularly(monkeypatch):
+    systems = []
+
+    def record(rows, rhs, ncols):
+        systems.append((rows, rhs, ncols))
+        return solve_unique(rows, rhs, ncols)
+
+    monkeypatch.setattr(hopf_core, "solve_unique", record)
+    kp = build_kp().hopf
+    hopf_core.solve_counit_antipode(kp.algebra, kp.coproduct)
+    rows, rhs, ncols = systems[-1]
+    assert ncols == 64
+    want = exact_solve_unique(rows, rhs, ncols)
+
+    def no_fallback(*args):
+        raise AssertionError("the modular candidate was not accepted")
+
+    monkeypatch.setattr(linalg, "exact_solve_unique", no_fallback)
+    assert solve_unique(rows, rhs, ncols) == want
 
 
 def test_scalar_system_with_fraction_rhs():
