@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import models
@@ -402,9 +401,9 @@ def main(argv: list[str] | None = None) -> int:
     tau = HALF
     if args.tau is not None:
         try:
-            tau = Cyc.from_rational(Fraction(args.tau))
-        except (ValueError, ZeroDivisionError):
-            print(f"--tau expects a rational like 1/2, got {args.tau!r}",
+            tau = Cyc.from_strings([args.tau, "0", "0", "0"])
+        except ValueError:
+            print(f"--tau expects a fraction like 1/2, got {args.tau!r:.40}",
                   file=sys.stderr)
             return 2
     model = None

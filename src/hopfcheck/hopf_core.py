@@ -393,8 +393,15 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     coproduct determines, and the loaded structure must pass
     verify_hopf_axioms; otherwise ValueError names the stored map that
     differs or the first failing check, so a returned structure is a
-    verified one.
+    verified one.  The matrix shapes are checked against the block sizes
+    before anything is built, so a dump gets work bounded by its own size.
     """
+    dim = sum(int(n) ** 2 for n in data["block_sizes"])
+    for key, rows in (("coproduct_matrix", dim * dim), ("counit_matrix", 1),
+                      ("antipode_matrix", dim)):
+        mat = data[key]
+        if len(mat) != rows or any(len(row) != dim for row in mat):
+            raise ValueError(f"{key} is not {rows} x {dim}")
     alg = MultiMatrixAlgebra(data["block_sizes"], data.get("labels"))
     ta, _ = tensor_algebra(alg, alg)
 

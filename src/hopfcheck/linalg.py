@@ -1,30 +1,22 @@
-"""Sparse exact linear algebra over Q(z), with a modular fast path.
+"""Sparse exact linear algebra over Q(z), with a modular full-rank certificate.
 
 Vectors are dicts {index: Cyc} holding only nonzero entries; matrices are
-lists of such rows.  Everything user-visible is exact: ranks come from exact
-elimination unless a one-sided modular certificate already settles them, and
-modular solutions are rationally reconstructed and then re-verified over the
-field before being returned.
-
-The modular layer reduces Q(z) mod primes p == 1 (mod 8): any w of order 8
-in Z/p gives a ring map z -> w, and the four odd powers w, w**3, w**5, w**7
-give four independent scalar systems, each eliminated on sparse rows of
-residues, whose solutions are unmixed by the closed-form inverse of their
-4x4 Vandermonde matrix.  Ranks can only drop under reduction, so a full-rank
-reduction certifies full rank over the field.
+lists of such rows.  Solutions, nullspaces and ranks come from exact
+Gauss-Jordan elimination over the field.  The one shortcut is one-sided:
+Q(z) reduces mod primes p == 1 (mod 8), where any w of order 8 in Z/p gives
+a ring map z -> w, and since ranks can only drop under reduction, a
+reduction of full rank certifies full rank over the field.  Any other
+modular outcome is inconclusive and the rank is computed exactly.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from .cyclotomic import Cyc, ONE, ZERO
 
 Vector = dict[int, Cyc]
 
-# NTT-friendly primes, all == 1 mod 8
-PRIMES = (2013265921, 1811939329, 2113929217, 754974721, 469762049)
+# NTT-friendly primes, both == 1 mod 8
+PRIMES = (2013265921, 1811939329)
 
 
 class LinAlgError(Exception):
@@ -118,7 +110,13 @@ def left_inverse(cols: list[Vector], dim: int) -> list[Vector]:
     return out
 
 
-def exact_solve_unique(rows: list[Vector], rhs: list[Cyc], ncols: int) -> list[Cyc]:
+def solve_unique(rows: list[Vector], rhs: list[Cyc], ncols: int) -> list[Cyc]:
+    """Unique solution of a (possibly overdetermined) system, by exact
+    elimination of the rows augmented with rhs.
+
+    Raises NoSolution when the system is inconsistent and NonUniqueSolution
+    when its rank is below ncols.
+    """
     aug = ncols
     sys_rows = []
     for row, b in zip(rows, rhs):
@@ -135,31 +133,30 @@ def exact_solve_unique(rows: list[Vector], rhs: list[Cyc], ncols: int) -> list[C
     return x
 
 
-# modular layer --------------------------------------------------------------
+# bench/tracer.py wraps the solver under this name as well
+exact_solve_unique = solve_unique
 
-def _order8_root(p: int) -> int:
+
+# modular certificate --------------------------------------------------------
+
+def _order8_powers(p: int) -> tuple[int, int, int, int]:
+    """(1, w, w**2, w**3) mod p for some w of order 8."""
     for g in range(2, 100):
         w = pow(g, (p - 1) // 8, p)
         if pow(w, 4, p) == p - 1:
-            return w
+            return (1, w, w * w % p, pow(w, 3, p))
     raise LinAlgError(f"no order-8 root mod {p}")
 
 
-_ROOTS = {p: _order8_root(p) for p in PRIMES}
+_WPOWS = {p: _order8_powers(p) for p in PRIMES}
 
 
-def _wpows(p: int, t: int) -> tuple[int, int, int, int]:
-    wt = pow(_ROOTS[p], t, p)
-    return (1, wt, wt * wt % p, pow(wt, 3, p))
-
-
-def _reduce_rows(rows: list[Vector], rhs: list[Cyc] | None, ncols: int,
-                 p: int, t: int) -> list[dict[int, int]] | None:
-    """The system under z -> w**t mod p as dict rows of nonzero residues,
-    with rhs (when given) in column ncols; None when a denominator vanishes."""
-    wp = _wpows(p, t)
+def _reduce_rows(rows: list[Vector], p: int) -> list[dict[int, int]] | None:
+    """The rows under z -> w mod p as dicts of nonzero residues; None when a
+    denominator vanishes."""
+    wp = _WPOWS[p]
     out = []
-    for i, row in enumerate(rows):
+    for row in rows:
         red = {}
         for j, v in row.items():
             r = v.residue(p, wp)
@@ -167,23 +164,15 @@ def _reduce_rows(rows: list[Vector], rhs: list[Cyc] | None, ncols: int,
                 return None
             if r:
                 red[j] = r
-        if rhs is not None and rhs[i]:
-            r = rhs[i].residue(p, wp)
-            if r is None:
-                return None
-            if r:
-                red[ncols] = r
         out.append(red)
     return out
 
 
-def _modp_eliminate(rows: list[dict[int, int]], p: int,
-                    aug: int | None = None) -> dict[int, dict[int, int]] | None:
+def _modp_eliminate(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
     """Sparse Gauss-Jordan mod p, the lowest column pivoting as in _eliminate.
 
     Returns {pivot_col: row} with each row normalised and every pivot column
-    cleared from the other rows.  Column aug never hosts a pivot; a row that
-    reduces to weight only there makes the system inconsistent: None.
+    cleared from the other rows.
     """
     reduced: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -200,10 +189,7 @@ def _modp_eliminate(rows: list[dict[int, int]], p: int,
                     del row[j]
         if not row:
             continue
-        cand = [j for j in row if j != aug]
-        if not cand:
-            return None
-        pc = min(cand)
+        pc = min(row)
         inv = pow(row[pc], -1, p)
         row = {j: v * inv % p for j, v in row.items()}
         for prow in reduced.values():
@@ -222,13 +208,12 @@ def _modp_eliminate(rows: list[dict[int, int]], p: int,
 def full_rank_certificate(rows: list[Vector], ncols: int) -> bool:
     """True certifies rank == min(len(rows), ncols); False is inconclusive."""
     target = min(len(rows), ncols)
-    for p in PRIMES[:2]:
-        red = _reduce_rows(rows, None, ncols, p, 1)
+    for p in PRIMES:
+        red = _reduce_rows(rows, p)
         if red is None:
             continue
-        if len(_modp_eliminate(red, p)) == target:
-            return True
-        return False    # rank really dropped, or unlucky prime; stay exact
+        # False when the rank really dropped or p is unlucky: stay exact
+        return len(_modp_eliminate(red, p)) == target
     return False
 
 
@@ -240,104 +225,3 @@ def span_rank(vectors: list[Vector], dim: int) -> int:
     if full_rank_certificate(vectors, dim):
         return min(len(vectors), dim)
     return exact_rank(vectors)
-
-
-def _rational_reconstruct(r: int, m: int) -> Fraction | None:
-    # Wang's algorithm: n/d == r (mod m) with |n|, d <= sqrt(m/2)
-    bound = math.isqrt(m // 2)
-    u0, u1 = m, 0
-    v0, v1 = r % m, 1
-    while v0 > bound:
-        q = u0 // v0
-        u0, v0 = v0, u0 - q * v0
-        u1, v1 = v1, u1 - q * v1
-    if v1 == 0 or abs(v1) > bound or math.gcd(v0, v1) != 1:
-        return None
-    return Fraction(v0, v1) if v1 > 0 else Fraction(-v0, -v1)
-
-
-def _unmixing(p: int) -> list[list[int]]:
-    """V^-1 mod p for V[r][k] == (w**t_r)**k, t_r in (1, 3, 5, 7).
-
-    The w**t_r are the four roots of x**4 + 1, and sum_r w**(t_r * m) is 4
-    for m == 0 and vanishes for 0 < |m| < 4, so V^-1[k][r] == w**(-t_r k) / 4.
-    """
-    w, quarter = _ROOTS[p], pow(4, -1, p)
-    return [[pow(w, -t * k % 8, p) * quarter % p for t in (1, 3, 5, 7)]
-            for k in range(4)]
-
-
-def _solve_residues(rows: list[Vector], rhs: list[Cyc], ncols: int,
-                    p: int) -> list[tuple[int, int, int, int]] | None:
-    """Coordinates of the unique solution mod p, or None when this prime fails."""
-    embedded = []
-    for t in (1, 3, 5, 7):
-        red = _reduce_rows(rows, rhs, ncols, p, t)
-        if red is None:
-            return None
-        reduced = _modp_eliminate(red, p, aug=ncols)
-        if reduced is None or len(reduced) < ncols:
-            return None
-        x = [0] * ncols
-        for pc, row in reduced.items():
-            x[pc] = row.get(ncols, 0)
-        embedded.append(x)
-    # unmix: coordinate k of unknown j solves V a == (x_t[j])_t
-    vinv = _unmixing(p)
-    return [tuple(sum(vk[r] * embedded[r][j] for r in range(4)) % p
-                  for vk in vinv)
-            for j in range(ncols)]
-
-
-def _crt(res_a: int, mod_a: int, res_b: int, mod_b: int) -> int:
-    d = pow(mod_a, -1, mod_b)
-    return (res_a + (res_b - res_a) * d % mod_b * mod_a) % (mod_a * mod_b)
-
-
-def solve_unique(rows: list[Vector], rhs: list[Cyc], ncols: int) -> list[Cyc]:
-    """Unique solution of a (possibly overdetermined) consistent system.
-
-    Modular fast path with exact verification; falls back to exact
-    elimination whenever reconstruction or verification fails.
-    """
-    residues = None
-    modulus = 1
-    for p in PRIMES:
-        got = _solve_residues(rows, rhs, ncols, p)
-        if got is None:
-            continue
-        if residues is None:
-            residues, modulus = got, p
-        else:
-            residues = [tuple(_crt(a, modulus, b, p) for a, b in zip(ra, rb))
-                        for ra, rb in zip(residues, got)]
-            modulus *= p
-        x = _lift(residues, modulus)
-        if x is not None and _verifies(rows, rhs, x):
-            return x
-        if modulus > PRIMES[0] ** 3:
-            break
-    return exact_solve_unique(rows, rhs, ncols)
-
-
-def _lift(residues, modulus) -> list[Cyc] | None:
-    out = []
-    for quad in residues:
-        fracs = []
-        for r in quad:
-            f = _rational_reconstruct(r, modulus)
-            if f is None:
-                return None
-            fracs.append(f)
-        out.append(Cyc(fracs))
-    return out
-
-
-def _verifies(rows: list[Vector], rhs: list[Cyc], x: list[Cyc]) -> bool:
-    for row, b in zip(rows, rhs):
-        acc = ZERO
-        for j, v in row.items():
-            acc = acc + v * x[j]
-        if acc != b:
-            return False
-    return True

@@ -144,10 +144,13 @@ def test_unknown_check(capsys):
 
 
 def test_bad_tau(capsys):
-    code, _, err = run(capsys, "verify", "--check", "ty.pentagon",
-                       "--tau", "bogus")
-    assert code == 2
-    assert "--tau" in err
+    # only an integer or a fraction of integers: an exponent would build a
+    # number too large to print, or to build at all
+    for tau in ("bogus", "1e5000", "0.5"):
+        code, _, err = run(capsys, "verify", "--check", "ty.pentagon",
+                           "--tau", tau)
+        assert code == 2
+        assert "--tau" in err
 
 
 def test_wrong_tau_is_an_unexpected_failure(capsys):

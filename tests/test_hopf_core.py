@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hopfcheck import cli
+from hopfcheck import cli, hopf_core
 from hopfcheck.cyclotomic import Cyc, ONE, ZERO, ZETA
 from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                                  commutativity_flags, hopf_from_dict,
@@ -147,6 +147,20 @@ def test_tampered_load_is_rejected(name, row):
     data = hopf_to_dict(build_kp().hopf)
     data[f"{name}_matrix"][row][4] = ["7", "0", "0", "0"]
     with pytest.raises(ValueError, match=f"stored {name} differs"):
+        hopf_from_dict(data)
+
+
+def test_load_checks_shapes_before_building(monkeypatch):
+    # building the algebra and its tensor square costs n**4 for a block of
+    # size n, whatever the matrices hold
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the matrix shapes were checked")
+
+    monkeypatch.setattr(hopf_core, "MultiMatrixAlgebra", refuse)
+    monkeypatch.setattr(hopf_core, "tensor_algebra", refuse)
+    data = {"block_sizes": [30], "coproduct_matrix": [], "counit_matrix": [],
+            "antipode_matrix": []}
+    with pytest.raises(ValueError):
         hopf_from_dict(data)
 
 
