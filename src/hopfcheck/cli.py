@@ -392,8 +392,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "export":
         data = hopf_to_dict(_EXPORTS[args.model_id]())
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-        with open(args.path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write {args.path!r}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.model_id} to {args.path}")
         return 0
 

@@ -96,21 +96,21 @@ class Cyc:
         return cls(nums)
 
     @classmethod
-    def from_strings(cls, parts: Iterable[str]) -> Cyc:
-        """Parse the four coordinate strings to_strings writes.
+    def from_strings(cls, parts: list[str]) -> Cyc:
+        """Parse the list of four coordinate strings to_strings writes.
 
         Only that canonical form, an integer or a fraction of integers, is
         accepted: an exponent such as "1e10000000" would build a huge
         integer, while Python's bound on int string conversion keeps every
-        digit string small.  Raises ValueError for anything else.
+        digit string small.  Raises ValueError for anything else, a string
+        "1000" in place of the list included.
         """
-        parts = list(parts)
+        if type(parts) is not list or len(parts) != 4:
+            raise ValueError(f"need a list of 4 coordinates, not {parts!r:.40}")
         for p in parts:
             if not isinstance(p, str) or not _CANONICAL.fullmatch(p):
                 raise ValueError(f"not a coordinate string: {p!r:.40}")
         fs = [Fraction(p) for p in parts]
-        if len(fs) != 4:
-            raise ValueError("need exactly 4 coordinates")
         den = math.lcm(*(f.denominator for f in fs))
         return cls(tuple(int(f * den) for f in fs), den)
 
@@ -141,16 +141,6 @@ class Cyc:
 
     def sort_key(self) -> tuple[Fraction, ...]:
         return self.coords
-
-    def residue(self, p: int, wpows: tuple[int, int, int, int]) -> int | None:
-        """Image in Z/p under z -> w, given (1, w, w**2, w**3) mod p.
-
-        None when the denominator vanishes mod p; w must satisfy w**4 == -1.
-        """
-        if self._d % p == 0:
-            return None
-        s = sum(n * wp for n, wp in zip(self._n, wpows))
-        return s * pow(self._d, -1, p) % p
 
     # ring structure
 

@@ -3,13 +3,14 @@
 A Hopf structure is a coproduct, counit and antipode as linear maps; every
 axiom is checked as an exact identity of sparse linear maps or of elements,
 and failures carry witnesses.  The counit and antipode are never entered by
-hand: they are solved for from the coproduct (entered tables and loads),
-written in closed form from the group table (function algebras and their
-crossed products, group_twist), or restricted from a verified ambient
-structure (group_twist.subalgebra_hopf).  Whatever the source,
-verify_hopf_axioms accepts only the unique ones the coproduct determines, so
-a typo in a coproduct table cannot be papered over by a matching typo in the
-antipode.
+hand: they are solved for from the coproduct (entered tables), written in
+closed form from the group table (function algebras and their crossed
+products, group_twist), restricted from a verified ambient structure
+(group_twist.subalgebra_hopf), or read from a dump (hopf_from_dict).
+Whatever the source, verify_hopf_axioms accepts only the unique ones the
+coproduct determines, since a bialgebra has at most one counit and one
+antipode, so a typo in a coproduct table cannot be papered over by a
+matching typo in the antipode.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .cyclotomic import Cyc, ONE, ZERO
-from .linalg import LinAlgError, Vector, solve_unique, span_rank
+from .linalg import Vector, exact_rank, solve_unique
 from .multimatrix import (SCALARS, AlgElement, LinearMap, MultiMatrixAlgebra,
                           flip_map, tensor_algebra, tensor_map,
                           tensor_split)
@@ -292,8 +293,8 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
         if all(galois(j) == want(j) for j in range(n)):
             rank = n * n
         else:
-            rank = span_rank([(factor(p) * dcol[q]).coords
-                              for p in range(n) for q in range(n)], ta.dim)
+            rank = exact_rank([(factor(p) * dcol[q]).coords
+                               for p in range(n) for q in range(n)])
         rep.ranks[f"cancellation_{side}"] = rank
         record(f"cancellation_{side}", rank == n * n,
                f"{side} cancellation span has rank {rank}, expected {n * n}")
@@ -339,7 +340,7 @@ def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
     rep.record("comultiplicative", lhs == rhs, _diff_witness(a1, lhs, rhs))
     rep.record("counit", h2.counit.compose(f) == h1.counit)
 
-    rank = rep.ranks["image"] = span_rank([c for c in f.cols], a2.dim)
+    rank = rep.ranks["image"] = exact_rank(f.cols)
     if require in ("surjective", "iso"):
         rep.record("surjective", rank == a2.dim)
     if require == "iso":
@@ -389,37 +390,41 @@ def hopf_to_dict(h: HopfAlgebra) -> dict:
 def hopf_from_dict(data: dict) -> HopfAlgebra:
     """Load a stored structure and verify it.
 
-    The stored counit and antipode must equal the unique ones the stored
-    coproduct determines, and the loaded structure must pass
-    verify_hopf_axioms; otherwise ValueError names the stored map that
-    differs or the first failing check, so a returned structure is a
-    verified one.  The matrix shapes are checked against the block sizes
-    before anything is built, so a dump gets work bounded by its own size.
+    The dump is read in full before anything is built, so it gets work
+    bounded by its own size: block sizes must be ints >= 1, labels (when
+    present) one str per block, and each matrix must have the shape the
+    block sizes fix, with a list of four coordinate strings in every cell.
+    The stored maps must then pass verify_hopf_axioms, which holds only for
+    the unique counit and antipode of the stored coproduct.  Anything else
+    raises ValueError, naming the malformed field or the first failing
+    check, so a returned structure is a verified one.
     """
-    dim = sum(int(n) ** 2 for n in data["block_sizes"])
-    for key, rows in (("coproduct_matrix", dim * dim), ("counit_matrix", 1),
-                      ("antipode_matrix", dim)):
-        mat = data[key]
-        if len(mat) != rows or any(len(row) != dim for row in mat):
-            raise ValueError(f"{key} is not {rows} x {dim}")
-    alg = MultiMatrixAlgebra(data["block_sizes"], data.get("labels"))
-    ta, _ = tensor_algebra(alg, alg)
-
-    def read(key: str, target: MultiMatrixAlgebra) -> LinearMap:
-        mat = [[Cyc.from_strings(cell) for cell in row] for row in data[key]]
-        return LinearMap.from_matrix(alg, target, mat)
-
-    coproduct = read("coproduct_matrix", ta)
     try:
-        counit, antipode = solve_counit_antipode(alg, coproduct)
-    except LinAlgError as exc:
-        raise ValueError("stored coproduct admits no unique counit and "
-                         "antipode") from exc
-    for name, derived in (("counit", counit), ("antipode", antipode)):
-        if read(f"{name}_matrix", derived.target) != derived:
-            raise ValueError(f"stored {name} differs from the {name} the "
-                             "coproduct determines")
-    h = HopfAlgebra(alg, coproduct, counit, antipode)
+        sizes, labels = data["block_sizes"], data.get("labels")
+        # bool is an int subclass, and int() would truncate 2.5
+        if any(type(n) is not int or n < 1 for n in sizes):
+            raise ValueError(f"block sizes must be positive integers, not "
+                             f"{sizes!r:.40}")
+        if labels is not None and (
+                type(labels) is not list or len(labels) != len(sizes)
+                or any(type(label) is not str for label in labels)):
+            raise ValueError(f"labels must be one string per block, not "
+                             f"{labels!r:.40}")
+        dim = sum(n * n for n in sizes)
+        mats = []
+        for key, rows in (("coproduct_matrix", dim * dim),
+                          ("counit_matrix", 1), ("antipode_matrix", dim)):
+            mat = data[key]
+            if len(mat) != rows or any(len(row) != dim for row in mat):
+                raise ValueError(f"{key} is not {rows} x {dim}")
+            mats.append([[Cyc.from_strings(cell) for cell in row]
+                         for row in mat])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed dump: {exc!r}") from exc
+    alg = MultiMatrixAlgebra(sizes, labels)
+    ta, _ = tensor_algebra(alg, alg)
+    h = HopfAlgebra(alg, *(LinearMap.from_matrix(alg, target, mat)
+                           for target, mat in zip((ta, SCALARS, alg), mats)))
     report = verify_hopf_axioms(h)
     for name, ok in report.checks.items():
         if not ok:

@@ -1,12 +1,9 @@
-"""Sparse exact linear algebra over Q(z), with a modular full-rank certificate.
+"""Sparse exact linear algebra over Q(z).
 
 Vectors are dicts {index: Cyc} holding only nonzero entries; matrices are
-lists of such rows.  Solutions, nullspaces and ranks come from exact
-Gauss-Jordan elimination over the field.  The one shortcut is one-sided:
-Q(z) reduces mod primes p == 1 (mod 8), where any w of order 8 in Z/p gives
-a ring map z -> w, and since ranks can only drop under reduction, a
-reduction of full rank certifies full rank over the field.  Any other
-modular outcome is inconclusive and the rank is computed exactly.
+lists of such rows.  Solutions, ranks, nullspaces and left inverses all come
+from one exact Gauss-Jordan elimination over the field, pivoting on the
+lowest column.
 """
 
 from __future__ import annotations
@@ -14,9 +11,6 @@ from __future__ import annotations
 from .cyclotomic import Cyc, ONE, ZERO
 
 Vector = dict[int, Cyc]
-
-# NTT-friendly primes, both == 1 mod 8
-PRIMES = (2013265921, 1811939329)
 
 
 class LinAlgError(Exception):
@@ -30,8 +24,6 @@ class NoSolution(LinAlgError):
 class NonUniqueSolution(LinAlgError):
     pass
 
-
-# exact elimination ---------------------------------------------------------
 
 def _eliminate(rows: list[Vector], track_aug: int | None = None):
     """Incremental Gauss-Jordan.  Returns list of (pivot_col, row).
@@ -133,95 +125,6 @@ def solve_unique(rows: list[Vector], rhs: list[Cyc], ncols: int) -> list[Cyc]:
     return x
 
 
-# bench/tracer.py wraps the solver under this name as well
+# bench/tracer.py wraps the solver and the rank under these names as well
 exact_solve_unique = solve_unique
-
-
-# modular certificate --------------------------------------------------------
-
-def _order8_powers(p: int) -> tuple[int, int, int, int]:
-    """(1, w, w**2, w**3) mod p for some w of order 8."""
-    for g in range(2, 100):
-        w = pow(g, (p - 1) // 8, p)
-        if pow(w, 4, p) == p - 1:
-            return (1, w, w * w % p, pow(w, 3, p))
-    raise LinAlgError(f"no order-8 root mod {p}")
-
-
-_WPOWS = {p: _order8_powers(p) for p in PRIMES}
-
-
-def _reduce_rows(rows: list[Vector], p: int) -> list[dict[int, int]] | None:
-    """The rows under z -> w mod p as dicts of nonzero residues; None when a
-    denominator vanishes."""
-    wp = _WPOWS[p]
-    out = []
-    for row in rows:
-        red = {}
-        for j, v in row.items():
-            r = v.residue(p, wp)
-            if r is None:
-                return None
-            if r:
-                red[j] = r
-        out.append(red)
-    return out
-
-
-def _modp_eliminate(rows: list[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
-    """Sparse Gauss-Jordan mod p, the lowest column pivoting as in _eliminate.
-
-    Returns {pivot_col: row} with each row normalised and every pivot column
-    cleared from the other rows.
-    """
-    reduced: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = dict(row)
-        # a reduced row is zero at every other pivot, so subtracting it
-        # leaves the row's other pivot entries as they were
-        for pc in [j for j in row if j in reduced]:
-            c = row[pc]
-            for j, v in reduced[pc].items():
-                nv = (row.get(j, 0) - c * v) % p
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-        if not row:
-            continue
-        pc = min(row)
-        inv = pow(row[pc], -1, p)
-        row = {j: v * inv % p for j, v in row.items()}
-        for prow in reduced.values():
-            c = prow.get(pc)
-            if c is not None:
-                for j, v in row.items():
-                    nv = (prow.get(j, 0) - c * v) % p
-                    if nv:
-                        prow[j] = nv
-                    else:
-                        del prow[j]
-        reduced[pc] = row
-    return reduced
-
-
-def full_rank_certificate(rows: list[Vector], ncols: int) -> bool:
-    """True certifies rank == min(len(rows), ncols); False is inconclusive."""
-    target = min(len(rows), ncols)
-    for p in PRIMES:
-        red = _reduce_rows(rows, p)
-        if red is None:
-            continue
-        # False when the rank really dropped or p is unlucky: stay exact
-        return len(_modp_eliminate(red, p)) == target
-    return False
-
-
-def span_rank(vectors: list[Vector], dim: int) -> int:
-    """Exact rank of the span; shortcut when a certificate gives the max."""
-    vectors = [v for v in vectors if v]
-    if not vectors:
-        return 0
-    if full_rank_certificate(vectors, dim):
-        return min(len(vectors), dim)
-    return exact_rank(vectors)
+span_rank = exact_rank

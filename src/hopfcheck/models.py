@@ -29,7 +29,7 @@ from .group_twist import (AxiomFailure, CentralGrading, ConjugationAction,
 from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                         commutativity_flags, solve_counit_antipode,
                         verify_hopf_axioms)
-from .linalg import exact_rank, span_rank
+from .linalg import exact_rank
 from .multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                           tensor_algebra, tensor_split)
 
@@ -436,7 +436,7 @@ def build_fundamental() -> FundamentalResult:
     ents = [a, b, c, d]
     words = [unit]
     vecs = [unit.coords]
-    word_ranks = [(0, span_rank(vecs, tw.hopf.dim))]
+    word_ranks = [(0, exact_rank(vecs))]
     length = 0
     while True:
         length += 1
@@ -444,7 +444,7 @@ def build_fundamental() -> FundamentalResult:
             raise ModelMismatchError("word span did not stabilize by length 8")
         words = [w * e for w in words for e in ents]
         vecs.extend(w.coords for w in words)
-        rank = span_rank(vecs, tw.hopf.dim)
+        rank = exact_rank(vecs)
         word_ranks.append((length, rank))
         if rank == word_ranks[-2][1]:
             break

@@ -199,6 +199,15 @@ def test_export_round_trip(capsys, tmp_path):
         assert verify_hopf_axioms(h).passed
 
 
+@pytest.mark.parametrize("parts", [("missing", "out.json"), ()],
+                         ids=["missing-dir", "dir"])
+def test_export_to_unwritable_path_is_a_usage_error(capsys, tmp_path, parts):
+    code, out, err = run(capsys, "export", "kp", str(tmp_path.joinpath(*parts)))
+    assert code == 2
+    assert not out
+    assert "cannot write" in err
+
+
 def test_import_loads_no_numpy():
     src = Path(cli.__file__).resolve().parents[1]
     probe = subprocess.run(

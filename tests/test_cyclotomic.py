@@ -42,8 +42,10 @@ def test_string_forms():
 def test_strings_round_trip():
     x = Cyc((3, -1, 0, 7), 6)
     assert Cyc.from_strings(x.to_strings()) == x
-    with pytest.raises(ValueError):
-        Cyc.from_strings(["1", "2", "3"])
+    # only a list of four: a string of four digits is not one
+    for bad in (["1", "2", "3"], "1000"):
+        with pytest.raises(ValueError, match="need a list of 4"):
+            Cyc.from_strings(bad)
     # only the canonical integer or fraction form is read
     for bad in ("1e5000", "0.5", " 1", "1/0", "0x1", 5):
         with pytest.raises(ValueError, match="not a coordinate string"):
@@ -98,17 +100,6 @@ def test_square_roots():
     assert cyc_sqrt(Cyc.from_rational(3)) == []
     for r in cyc_sqrt(Cyc.from_rational(Fraction(9, 4))):
         assert r * r == Cyc.from_rational(Fraction(9, 4))
-
-
-def test_residue():
-    # 2**4 == 16 == -1 mod 17, so z -> 2 is a legitimate reduction
-    wpows = (1, 2, 4, 8)
-    assert ZETA.residue(17, wpows) == 2
-    r = SQRT2.residue(17, wpows)
-    assert r is not None and (r * r) % 17 == 2
-    assert HALF.residue(17, wpows) == pow(2, -1, 17)
-    # denominator divisible by p has no residue
-    assert Cyc((1, 0, 0, 0), 17).residue(17, wpows) is None
 
 
 def test_to_complex():

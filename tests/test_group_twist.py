@@ -17,7 +17,7 @@ from hopfcheck.group_twist import (ActionError, CentralGrading,
 from hopfcheck import linalg, multimatrix
 from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
                                  verify_hopf_axioms)
-from hopfcheck.linalg import span_rank
+from hopfcheck.linalg import exact_rank
 from hopfcheck.models import S1, S2, S3, U_ACT, build_smash, build_vtilde
 from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra
 
@@ -222,7 +222,7 @@ def test_wrong_closed_form_antipode_is_caught():
                                          LinearMap(alg, alg, cols)))
     assert not rep.checks["antipode_left"] and rep.witnesses["antipode_left"]
     assert not rep.checks["antipode_right"] and rep.witnesses["antipode_right"]
-    # the preimage identities fail, so the ranks come from span_rank
+    # the preimage identities fail, so the ranks come from elimination
     ta = h.coproduct.target
     one = alg.unit()
     dcol = [ta.element(c) for c in h.coproduct.cols]
@@ -230,7 +230,7 @@ def test_wrong_closed_form_antipode_is_caught():
                          ("right", lambda b: one.tensor(b))):
         vecs = [(factor(b) * dcol[q]).coords
                 for b in alg.basis() for q in range(n)]
-        assert rep.ranks[f"cancellation_{side}"] == span_rank(vecs, ta.dim)
+        assert rep.ranks[f"cancellation_{side}"] == exact_rank(vecs)
 
 
 def _wrap_everywhere(monkeypatch, fn, wrapper):
@@ -264,16 +264,16 @@ def test_model_twist_builds_no_square_sized_objects(monkeypatch):
         finally:
             inside[0] -= 1
 
-    def rank(vectors, dim):
+    def rank(vectors):
         ranked.append(len(vectors))
-        return span_rank(vectors, dim)
+        return exact_rank(vectors)
 
     _wrap_everywhere(monkeypatch, solve_counit_antipode,
                      counting("solve", solve_counit_antipode))
     _wrap_everywhere(monkeypatch, verify_hopf_axioms, verify)
     for fn in (multimatrix.tensor_map, multimatrix.mult_map):
         _wrap_everywhere(monkeypatch, fn, counting("tensor_map", fn, True))
-    _wrap_everywhere(monkeypatch, linalg.span_rank, rank)
+    _wrap_everywhere(monkeypatch, linalg.exact_rank, rank)
     tw = twist_from_model_dict(sample_model())
     assert tw.axiom_report.passed
     assert tw.smash.axiom_report.passed

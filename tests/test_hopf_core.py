@@ -12,7 +12,7 @@ from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                                  commutativity_flags, hopf_from_dict,
                                  hopf_to_dict, solve_counit_antipode,
                                  verify_hopf_axioms)
-from hopfcheck.linalg import LinAlgError, span_rank
+from hopfcheck.linalg import LinAlgError, exact_rank
 from hopfcheck.models import build_kp, build_smash
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                                    mult_map, tensor_algebra, tensor_map)
@@ -146,7 +146,38 @@ def test_serialization_round_trip():
 def test_tampered_load_is_rejected(name, row):
     data = hopf_to_dict(build_kp().hopf)
     data[f"{name}_matrix"][row][4] = ["7", "0", "0", "0"]
-    with pytest.raises(ValueError, match=f"stored {name} differs"):
+    with pytest.raises(ValueError, match=f"stored structure fails {name}_left"):
+        hopf_from_dict(data)
+
+
+def _two_point_dump(**fields):
+    return {**hopf_to_dict(two_point_hopf()), **fields}
+
+
+def _with_cell(cell):
+    data = _two_point_dump()
+    data["counit_matrix"] = [[["1", "0", "0", "0"], cell]]
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    *(pytest.param(_two_point_dump(block_sizes=sizes), id=f"sizes={sizes!r}")
+      for sizes in ([1, 1.5], [1, "1"], [1, True])),
+    pytest.param(_two_point_dump(labels=[0, 1]), id="int-labels"),
+    pytest.param(_two_point_dump(labels="ab"), id="str-labels"),
+    *(pytest.param({k: v for k, v in _two_point_dump().items() if k != key},
+                   id=f"no-{key}")
+      for key in ("block_sizes", "coproduct_matrix")),
+    # the counit's second cell, eps(dg) = 0, in forms that are not a list
+    pytest.param(_with_cell(0), id="int-cell"),
+    pytest.param(_with_cell("0000"), id="str-cell"),
+])
+def test_malformed_dump_is_a_value_error(monkeypatch, data):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the dump was read")
+
+    monkeypatch.setattr(hopf_core, "MultiMatrixAlgebra", refuse)
+    with pytest.raises(ValueError):
         hopf_from_dict(data)
 
 
@@ -262,9 +293,8 @@ def reference_axioms(h):
     rep.record("counit_character", not wit, wit)
     for side, factor in (("left", lambda p: basis[p].tensor(one)),
                          ("right", lambda p: one.tensor(basis[p]))):
-        rank = rep.ranks[f"cancellation_{side}"] = span_rank(
-            [(factor(p) * dcol[q]).coords for p in range(n) for q in range(n)],
-            ta.dim)
+        rank = rep.ranks[f"cancellation_{side}"] = exact_rank(
+            [(factor(p) * dcol[q]).coords for p in range(n) for q in range(n)])
         rep.record(f"cancellation_{side}", rank == n * n,
                    f"{side} cancellation span has rank {rank}, expected {n * n}")
     rep.info["antipode_squared_identity"] = antipode.compose(antipode) == ident
@@ -313,7 +343,7 @@ def kp_mutants(draw):
 @given(kp_mutants())
 # counit witnesses name k (x) A and A (x) k, down to a 2x2 block
 @example(("counit", 5, 0, "plus"))
-# both cancellation ranks fall to 63, so both fall back to span_rank
+# both cancellation ranks fall to 63, so both are computed by elimination
 @example(("coproduct", 1, 1, "swap"))
 # the right rank alone falls, to 63
 @example(("coproduct", 4, 44, "swap"))

@@ -1,17 +1,14 @@
-"""Sparse exact solving, ranks, nullspaces, and the modular full-rank
-certificate."""
+"""Sparse exact solving, ranks, nullspaces and left inverses."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcheck.cyclotomic import Cyc, IM, ONE, SQRT2, ZERO, ZETA
-from hopfcheck.linalg import (PRIMES, LinAlgError, NoSolution,
-                              NonUniqueSolution, exact_nullspace, exact_rank,
-                              exact_solve_unique, full_rank_certificate,
-                              left_inverse, solve_unique, span_rank)
+from hopfcheck.linalg import (LinAlgError, NoSolution, NonUniqueSolution,
+                              exact_nullspace, exact_rank, exact_solve_unique,
+                              left_inverse, solve_unique)
 
 
 def dense(*vals):
@@ -91,35 +88,19 @@ def test_nullspace_of_full_rank_is_empty():
 def test_span_rank():
     vecs = [dense(ONE, ZERO, ZERO), dense(ONE, ONE, ZERO),
             dense(ZERO, ONE, ZERO)]
-    assert span_rank(vecs, 3) == 2
-    assert span_rank([], 3) == 0
+    assert exact_rank(vecs) == 2
+    assert exact_rank([]) == 0
 
 
-def test_full_rank_certificate():
-    assert full_rank_certificate([dense(ONE, ZETA), dense(ZETA, ONE)], 2)
-    assert not full_rank_certificate([dense(ONE, ONE), dense(TWO, TWO)], 2)
-
-
-def test_certificate_agrees_with_exact_rank_on_awkward_scalars():
-    # rows built from eighth roots and half-integers, where a careless
-    # reduction could misjudge the rank
-    a = Cyc((1, 1, 1, 1), 2)
-    rows = [dense(a, a * a, ONE), dense(ONE, a, a.inv()), dense(ZERO, ZERO, ZERO)]
-    r = exact_rank(rows)
-    assert full_rank_certificate(rows[:2], 3) is False
-    assert r == span_rank(rows, 3)
-
-
-def test_unlucky_primes_fall_back_to_exact_elimination():
-    # the pivot vanishes modulo every prime of the certificate, so every
-    # reduction is singular while the system over Q(z) is not
-    unlucky = Cyc.from_rational(math.prod(PRIMES))
-    rows = [dense(unlucky, ZETA), dense(ZERO, ONE)]
+def test_large_pivot_is_eliminated_exactly():
+    # a pivot that vanishes modulo the primes 2013265921 and 1811939329
+    # is a unit of Q(z) like any other nonzero integer
+    big = Cyc.from_rational(2013265921 * 1811939329)
+    rows = [dense(big, ZETA), dense(ZERO, ONE)]
     rhs = [ONE, ZETA]
-    assert not full_rank_certificate(rows, 2)
-    assert span_rank(rows, 2) == 2
+    assert exact_rank(rows) == 2
     x = solve_unique(rows, rhs, 2)
-    assert x == [(ONE - ZETA * ZETA) * unlucky.inv(), ZETA]
+    assert x == [(ONE - ZETA * ZETA) * big.inv(), ZETA]
 
 
 def test_scalar_system_with_fraction_rhs():
@@ -154,7 +135,7 @@ def systems(draw):
 
 @settings(max_examples=150)
 @given(systems())
-def test_modular_path_agrees_with_exact(system):
+def test_solve_rank_and_left_inverse_agree(system):
     rows, rhs, ncols = system
     rank = exact_rank(rows)
     # the rank of [A | b] decides the outcome of the solve
@@ -168,7 +149,6 @@ def test_modular_path_agrees_with_exact(system):
     else:
         x = solve_unique(rows, rhs, ncols)
         assert [apply(row, x) for row in rows] == rhs
-    assert span_rank(rows, ncols) == rank
     # the rows as the columns of B: L B == I unless they are dependent
     if rank < len(rows):
         with pytest.raises(LinAlgError):
