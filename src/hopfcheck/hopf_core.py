@@ -60,6 +60,13 @@ class Report:
     def passed(self) -> bool:
         return all(self.checks.values())
 
+    def first_failure(self) -> str:
+        """The first failing check's name, with its witness when it has
+        one; empty when every check passes."""
+        name = next((k for k, ok in self.checks.items() if not ok), "")
+        witness = self.witnesses.get(name)
+        return f"{name}: {witness}" if witness else name
+
 
 def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
                           ) -> tuple[LinearMap, LinearMap]:
@@ -313,7 +320,11 @@ Requirement = Literal["hom", "surjective", "iso"]
 
 def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
                         require: Requirement = "hom") -> Report:
-    """Check that f is a morphism of Hopf *-algebras, plus rank conditions."""
+    """Check that f is a morphism of Hopf *-algebras, plus rank conditions.
+
+    A failing check's witness names a basis element of h1.  The image rank
+    (ranks["image"]) is computed only when require asks for surjectivity.
+    """
     if require not in ("hom", "surjective", "iso"):
         raise ValueError(f"unknown requirement {require!r}")
     a1, a2 = h1.algebra, h2.algebra
@@ -331,20 +342,23 @@ def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
                 for p in range(n) for q in range(n)
                 if imgs[p] * imgs[q] != image_of_product(p, q)), "")
     rep.record("multiplicative", not wit, wit)
-    rep.record("unital", f(a1.unit()) == a2.unit())
-    rep.record("star", all(
-        f.cols[a1.star_index(p)] == imgs[p].star().coords for p in range(n)))
+    rep.record("unital", f(a1.unit()) == a2.unit(), "f(1) != 1")
+    wit = next((f"*-structure mismatch at {a1.basis_name(p)}"
+                for p in range(n)
+                if f.cols[a1.star_index(p)] != imgs[p].star().coords), "")
+    rep.record("star", not wit, wit)
 
     lhs = tensor_map(f, f).compose(h1.coproduct)
     rhs = h2.coproduct.compose(f)
     rep.record("comultiplicative", lhs == rhs, _diff_witness(a1, lhs, rhs))
-    rep.record("counit", h2.counit.compose(f) == h1.counit)
+    lhs, rhs = h2.counit.compose(f), h1.counit
+    rep.record("counit", lhs == rhs, _diff_witness(a1, lhs, rhs))
 
-    rank = rep.ranks["image"] = exact_rank(f.cols)
     if require in ("surjective", "iso"):
+        rank = rep.ranks["image"] = exact_rank(f.cols)
         rep.record("surjective", rank == a2.dim)
-    if require == "iso":
-        rep.record("injective", rank == n and n == a2.dim)
+        if require == "iso":
+            rep.record("injective", rank == n and n == a2.dim)
 
     rep.info["antipode_compatible"] = f.compose(h1.antipode) == h2.antipode.compose(f)
     return rep
@@ -426,9 +440,6 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     h = HopfAlgebra(alg, *(LinearMap.from_matrix(alg, target, mat)
                            for target, mat in zip((ta, SCALARS, alg), mats)))
     report = verify_hopf_axioms(h)
-    for name, ok in report.checks.items():
-        if not ok:
-            witness = report.witnesses.get(name)
-            raise ValueError(f"stored structure fails {name}"
-                             + (f": {witness}" if witness else ""))
+    if not report.passed:
+        raise ValueError(f"stored structure fails {report.first_failure()}")
     return h

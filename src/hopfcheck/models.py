@@ -582,20 +582,20 @@ def kp_fusion_rules() -> dict:
 
     Returns the group table of the four lines (in the entered order), and
     the multiplicities of the fundamental in its products with the lines
-    and of everything in the fundamental's square.
+    and of everything in the fundamental's square; all but line (x) fund
+    are read off the fusion graph, whose row x counts fund (x) x.
     """
     kp = build_kp()
     ts = kp_tensor_square()
     fund = build_fundamental().ukp
     lines = [Corep(kp.hopf, [[g]]) for g in ts.printed]
+    mult = kp_fusion_graph().multiplicities
     table = [[ts.printed.index(x * y) for y in ts.printed] for x in ts.printed]
-    square = tensor_corep(fund, fund)
     return {
         "table": table,
         "fund_after_line": [hom_dim(fund, tensor_corep(x, fund))
                             for x in lines],
-        "fund_before_line": [hom_dim(fund, tensor_corep(fund, x))
-                             for x in lines],
-        "lines_in_square": [hom_dim(x, square) for x in lines],
-        "fund_in_square": hom_dim(fund, square),
+        "fund_before_line": [mult[i][4] for i in range(4)],
+        "lines_in_square": [mult[4][i] for i in range(4)],
+        "fund_in_square": mult[4][4],
     }

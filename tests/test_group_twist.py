@@ -1,19 +1,21 @@
 """Matrix groups, function algebras, crossed products, graded twists."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from hopfcheck.cyclotomic import Cyc, INV_SQRT2, ONE, ZERO, ZETA
-from hopfcheck.group_twist import (ActionError, CentralGrading,
+from hopfcheck.group_twist import (ActionError, AxiomFailure,
+                                   CentralGrading, ConjugationAction,
                                    FiniteMatrixGroup, GradedTwist,
                                    GradingError, GroupClosureError, Mat2,
                                    SmashProduct, SubalgebraError,
-                                   conjugation_action, function_algebra,
-                                   generate_group, subalgebra_hopf,
-                                   twist_from_model_dict)
+                                   conjugation_action, coset_basis,
+                                   function_algebra, generate_group,
+                                   subalgebra_hopf, twist_from_model_dict)
 from hopfcheck import linalg, multimatrix
 from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
                                  verify_hopf_axioms)
@@ -80,6 +82,22 @@ def test_conjugation_action_rejections():
     with pytest.raises(ActionError):
         conjugation_action(
             g, Mat2([[INV_SQRT2, -INV_SQRT2], [INV_SQRT2, INV_SQRT2]]))
+
+
+def test_hand_made_action_is_checked_when_built():
+    vt = build_vtilde()
+    g, ix = vt.group, vt.indices
+    swap = list(range(g.order))
+    swap[ix["s1"]], swap[ix["I"]] = ix["I"], ix["s1"]
+    with pytest.raises(ActionError, match="not an automorphism"):
+        ConjugationAction(g, U_ACT, swap)
+    cycle = list(range(g.order))
+    a, b, c = ix["s1"], ix["s2"], ix["s3"]
+    cycle[a], cycle[b], cycle[c] = b, c, a
+    with pytest.raises(ActionError, match="not an involution"):
+        ConjugationAction(g, U_ACT, cycle)
+    with pytest.raises(ActionError, match="not a permutation"):
+        ConjugationAction(g, U_ACT, list(range(g.order - 1)))
 
 
 def test_function_algebra_is_pointwise():
@@ -164,11 +182,29 @@ def test_transport_rejects_a_non_coalgebra_and_a_dependent_basis():
     target = MultiMatrixAlgebra((1, 1))
     # a *-subalgebra, but the coproduct of delta_e leaves its span
     with pytest.raises(SubalgebraError,
-                       match="^coproduct does not restrict to the span$"):
+                       match="^inclusion fails comultiplicative: "):
         subalgebra_hopf(sm.hopf, [d_e, amb.unit() - d_e], target)
     with pytest.raises(SubalgebraError,
                        match="^chosen elements are not linearly independent$"):
         subalgebra_hopf(sm.hopf, [d_e, d_e], target)
+
+
+def test_coset_basis_mutants_are_rejected():
+    """Seeded single-coefficient edits of the order-8 coset basis (+ 1, or
+    zero <-> z) never pass the transport, and never crash it."""
+    sm = build_smash()
+    target, basis = coset_basis(sm, build_vtilde().grading)
+    amb = sm.hopf.algebra
+    rng = random.Random(0)
+    for _ in range(40):
+        t, c = rng.randrange(len(basis)), rng.randrange(amb.dim)
+        coords = dict(basis[t].coords)
+        v = coords.get(c, ZERO)
+        coords[c] = v + ONE if rng.randrange(2) else (ZERO if v else ZETA)
+        edited = list(basis)
+        edited[t] = amb.element({k: x for k, x in coords.items() if x})
+        with pytest.raises((SubalgebraError, AxiomFailure)):
+            subalgebra_hopf(sm.hopf, edited, target)
 
 
 def sample_model() -> dict:
@@ -194,6 +230,13 @@ def test_duplicate_elements_are_rejected():
         FiniteMatrixGroup([I2, I2])
     g = generate_group([S1, S2], cap=16)
     assert len(set(g.names)) == g.order
+
+
+def test_non_closed_elements_are_rejected():
+    # S1 squares to -I, which is missing
+    with pytest.raises(GroupClosureError,
+                       match="^elements are not closed under multiplication$"):
+        FiniteMatrixGroup([I2, S1])
 
 
 def _sample_model_parts():

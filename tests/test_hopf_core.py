@@ -2,6 +2,7 @@
 
 import copy
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -122,6 +123,22 @@ def test_transpose_is_not_multiplicative():
     rep = check_hopf_morphism(LinearMap.from_images(alg, images), kp, kp)
     assert not rep.checks["multiplicative"]
     assert rep.witnesses["multiplicative"]
+
+
+def test_non_unitary_conjugation_is_not_a_star_map():
+    # conjugating the matrix block by diag(2, 1) is a unital algebra map
+    # that sends e12 -> 2 e12 and e21 -> e21 / 2
+    kp = build_kp().hopf
+    alg = kp.algebra
+    images = []
+    for p in range(alg.dim):
+        b, i, j = alg.decompose(p)
+        scale = Cyc.from_rational(Fraction(2) ** (j - i) if b == 4 else 1)
+        images.append(alg.basis_element(b, i, j).scale(scale))
+    rep = check_hopf_morphism(LinearMap.from_images(alg, images), kp, kp)
+    assert rep.checks["multiplicative"] and rep.checks["unital"]
+    assert rep.witnesses["star"] == "*-structure mismatch at m[0,1]"
+    assert "image" not in rep.ranks
 
 
 def test_morphism_endpoint_mismatch():

@@ -236,3 +236,17 @@ def test_basis_order_does_not_matter(perm):
     assert verify_hopf_axioms(moved).passed
     assert check_hopf_morphism(fwd, moved, kp, require="iso").passed
     assert one_dim_group(moved).order == 4
+
+
+def test_entered_table_mismatch_is_named(monkeypatch):
+    # flip the sign of the second matrix-sector term for alphap
+    quad = list(models._TWIST_QUADS[1])
+    i, j, k, l, c = quad[1]
+    quad[1] = (i, j, k, l, -c)
+    quads = list(models._TWIST_QUADS)
+    quads[1] = tuple(quad)
+    monkeypatch.setattr(models, "_TWIST_QUADS", tuple(quads))
+    with pytest.raises(models.ModelMismatchError, match=(
+            r"^coproduct of alphap differs from the entered table at "
+            r"m\[0,1\] \(x\) m\[0,1\]: computed 1/2, table says -1/2$")):
+        build_vtilde_twist.__wrapped__()
