@@ -368,38 +368,14 @@ def _assemble_group(found: list[AlgElement], unit: AlgElement) -> OneDimGroup:
 class FusionGraph:
     labels: list[str]
     dims: list[int]
-    fund_label: str
     multiplicities: list[list[int]]
     weights: list[list[Cyc]]
     complete: bool
     irreducible: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "labels": self.labels,
-            "dims": self.dims,
-            "fundamental": self.fund_label,
-            "multiplicities": self.multiplicities,
-            "weights": [[v.to_strings() for v in row] for row in self.weights],
-            "complete": self.complete,
-            "irreducible": self.irreducible,
-        }
-
-    def to_dot(self) -> str:
-        lines = ["digraph fusion {"]
-        for lbl, d in zip(self.labels, self.dims):
-            lines.append(f'  "{lbl}" [label="{lbl} (dim {d})"];')
-        for i, row in enumerate(self.multiplicities):
-            for j, mult in enumerate(row):
-                if mult:
-                    lines.append(f'  "{self.labels[i]}" -> "{self.labels[j]}" '
-                                 f'[label="{mult}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def fusion_graph(h: HopfAlgebra, fund: Corep, irreps: list[Corep],
-                 labels: list[str], fund_label: str) -> FusionGraph:
+                 labels: list[str]) -> FusionGraph:
     """Multiplicity graph of tensoring with fund, over the given irreps."""
     dims = [u.size for u in irreps]
     complete = sum(d * d for d in dims) == h.dim
@@ -413,4 +389,4 @@ def fusion_graph(h: HopfAlgebra, fund: Corep, irreps: list[Corep],
             raise ValueError("fusion multiplicities do not exhaust the tensor product")
     weights = [[Cyc.from_rational(Fraction(mult[i][j] * dims[j], dims[i]))
                 for j in range(len(irreps))] for i in range(len(irreps))]
-    return FusionGraph(labels, dims, fund_label, mult, weights, complete, irreducible)
+    return FusionGraph(labels, dims, mult, weights, complete, irreducible)

@@ -130,15 +130,6 @@ class Cyc:
     def is_rational(self) -> bool:
         return self._n[1] == self._n[2] == self._n[3] == 0
 
-    def rational_part(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self._n[0], self._d)
-
-    def is_real(self) -> bool:
-        # real subfield is spanned by 1 and z - z**3
-        return self._n[2] == 0 and self._n[1] == -self._n[3]
-
     def sort_key(self) -> tuple[Fraction, ...]:
         return self.coords
 

@@ -7,10 +7,13 @@ hand: they are solved for from the coproduct (entered tables), written in
 closed form from the group table (function algebras and their crossed
 products, group_twist), restricted from a verified ambient structure
 (group_twist.subalgebra_hopf), or read from a dump (hopf_from_dict).
-Whatever the source, verify_hopf_axioms accepts only the unique ones the
-coproduct determines, since a bialgebra has at most one counit and one
-antipode, so a typo in a coproduct table cannot be papered over by a
-matching typo in the antipode.
+Whatever the source, only the unique ones the coproduct determines are
+accepted, since a bialgebra has at most one counit and one antipode, so a
+typo in a coproduct table cannot be papered over by a matching typo in the
+antipode.  verify_hopf_axioms checks them on every structure but one kind:
+a restricted structure is accepted when check_hopf_morphism passes its
+inclusion into the verified ambient, which holds its counit and antipode to
+the ambient's (see subalgebra_hopf).
 """
 
 from __future__ import annotations
@@ -327,9 +330,18 @@ def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
     """
     if require not in ("hom", "surjective", "iso"):
         raise ValueError(f"unknown requirement {require!r}")
-    a1, a2 = h1.algebra, h2.algebra
-    if f.source != a1 or f.target != a2:
+    if f.source != h1.algebra or f.target != h2.algebra:
         raise ValueError("map endpoints do not match the Hopf algebras")
+    return _morphism_report(f, h1, h2, h2.coproduct.compose(f), require)
+
+
+def _morphism_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
+                     delta_f: LinearMap, require: Requirement = "hom",
+                     ) -> Report:
+    """check_hopf_morphism's checks, given delta_f = Delta_2 f, which a
+    caller that has already built it (group_twist.subalgebra_hopf) hands
+    over instead of composing it again."""
+    a1, a2 = h1.algebra, h2.algebra
     rep = Report()
     n = a1.dim
     imgs = [AlgElement(a2, col) for col in f.cols]
@@ -348,19 +360,18 @@ def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
                 if f.cols[a1.star_index(p)] != imgs[p].star().coords), "")
     rep.record("star", not wit, wit)
 
-    lhs = tensor_map(f, f).compose(h1.coproduct)
-    rhs = h2.coproduct.compose(f)
-    rep.record("comultiplicative", lhs == rhs, _diff_witness(a1, lhs, rhs))
-    lhs, rhs = h2.counit.compose(f), h1.counit
-    rep.record("counit", lhs == rhs, _diff_witness(a1, lhs, rhs))
+    for name, lhs, rhs in (
+            ("comultiplicative", tensor_map(f, f).compose(h1.coproduct),
+             delta_f),
+            ("counit", h2.counit.compose(f), h1.counit),
+            ("antipode", f.compose(h1.antipode), h2.antipode.compose(f))):
+        rep.record(name, lhs == rhs, _diff_witness(a1, lhs, rhs))
 
     if require in ("surjective", "iso"):
         rank = rep.ranks["image"] = exact_rank(f.cols)
         rep.record("surjective", rank == a2.dim)
         if require == "iso":
             rep.record("injective", rank == n and n == a2.dim)
-
-    rep.info["antipode_compatible"] = f.compose(h1.antipode) == h2.antipode.compose(f)
     return rep
 
 

@@ -557,7 +557,7 @@ def kp_fusion_graph() -> FusionGraph:
     fund = build_fundamental().ukp
     irreps = [Corep(kp.hopf, [[g]]) for g in ts.printed] + [fund]
     labels = ["u1", "u2", "u3", "u4", "fund"]
-    return fusion_graph(kp.hopf, fund, irreps, labels, "fund")
+    return fusion_graph(kp.hopf, fund, irreps, labels)
 
 
 def star_shape_checks(graph: FusionGraph) -> dict[str, bool]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cyclotomic import Cyc, ZERO, ONE
 from .linalg import Vector
@@ -110,20 +110,6 @@ class MultiMatrixAlgebra:
 
     def basis(self) -> list[AlgElement]:
         return [AlgElement(self, {p: ONE}) for p in range(self.dim)]
-
-    def from_blocks(self, blocks: Sequence[Sequence[Sequence[Scalar]]]) -> AlgElement:
-        if len(blocks) != len(self.block_sizes):
-            raise ValueError("one matrix per block")
-        coords: Vector = {}
-        for b, (n, mat) in enumerate(zip(self.block_sizes, blocks)):
-            if len(mat) != n or any(len(r) != n for r in mat):
-                raise ValueError(f"block {b} must be {n}x{n}")
-            for i in range(n):
-                for j in range(n):
-                    v = _cyc(mat[i][j])
-                    if v:
-                        coords[self.index(b, i, j)] = v
-        return AlgElement(self, coords)
 
 
 class AlgElement:
@@ -376,18 +362,6 @@ def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
                     col[row[s]] = fv * gv
             cols[sidx[p][q]] = col
     return LinearMap(src, tgt, cols)
-
-
-def mult_map(alg: MultiMatrixAlgebra) -> LinearMap:
-    """Multiplication as a linear map from the tensor square."""
-    ta, tidx = tensor_algebra(alg, alg)
-    cols: list[Vector] = [{} for _ in range(ta.dim)]
-    for p in range(alg.dim):
-        for q in range(alg.dim):
-            r = alg.mul_basis(p, q)
-            if r is not None:
-                cols[tidx[p][q]] = {r: ONE}
-    return LinearMap(ta, alg, cols)
 
 
 def flip_map(alg: MultiMatrixAlgebra) -> LinearMap:

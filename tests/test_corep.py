@@ -100,14 +100,11 @@ def test_one_dim_group_rejects_high_order_characters():
         one_dim_group(h)
 
 
-def test_fusion_graph_serialization():
+def test_fusion_graph_labels_and_flags():
     from hopfcheck.models import kp_fusion_graph
     g = kp_fusion_graph()
-    d = g.to_dict()
-    assert d["labels"] == ["u1", "u2", "u3", "u4", "fund"]
-    assert d["complete"] and d["irreducible"]
-    dot = g.to_dot()
-    assert "fund" in dot and "->" in dot
+    assert g.labels == ["u1", "u2", "u3", "u4", "fund"]
+    assert g.complete and g.irreducible
 
 
 # intertwiner spaces, randomized over tensor words in the irreducibles:

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.cyclotomic import Cyc, INV_SQRT2, ONE, ZERO, ZETA
-from hopfcheck.group_twist import (ActionError, AxiomFailure,
-                                   CentralGrading, ConjugationAction,
+from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO, ZETA
+from hopfcheck.group_twist import (ActionError, CentralGrading,
+                                   ConjugationAction,
                                    FiniteMatrixGroup, GradedTwist,
                                    GradingError, GroupClosureError, Mat2,
                                    SmashProduct, SubalgebraError,
@@ -20,7 +20,8 @@ from hopfcheck import linalg, multimatrix
 from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
                                  verify_hopf_axioms)
 from hopfcheck.linalg import exact_rank
-from hopfcheck.models import S1, S2, S3, U_ACT, build_smash, build_vtilde
+from hopfcheck.models import (S1, S2, S3, U_ACT, build_smash, build_vtilde,
+                              build_vtilde_twist)
 from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra
 
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
@@ -130,8 +131,7 @@ def test_smash_product_structure():
     k = vt.indices["s1"]
     moved = vt.action.perm[k]
     assert moved == vt.indices["-s2"]
-    assert lam * sm.embed_function(vt.fa.delta(k)) * lam \
-        == sm.embed_function(vt.fa.delta(moved))
+    assert lam * sm.delta_lambda(k, 0) * lam == sm.delta_lambda(moved, 0)
 
 
 def test_central_grading():
@@ -161,10 +161,23 @@ def test_trivial_grading_gives_back_the_function_algebra():
 
 
 def test_coset_twist_blocks_and_axioms():
+    """The transport proves a twist's axioms through its inclusion, and
+    verifies none of them itself; every twist the library transports must
+    pass them all here: the dictionary-basis and coset-basis order-8 twists,
+    the order-16 twist of <S1, S2, iI> and the sample model's."""
     vt = build_vtilde()
     tw = GradedTwist(vt.fa, vt.grading, vt.action)
     assert sorted(tw.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2]
-    assert verify_hopf_axioms(tw.hopf).passed
+    group = generate_group([S1, S2, Mat2([[IM, ZERO], [ZERO, IM]])], cap=32)
+    assert group.order == 16
+    order16 = GradedTwist(function_algebra(group),
+                          CentralGrading(group, group.index[-I2]),
+                          conjugation_action(group, U_ACT))
+    assert sorted(order16.hopf.algebra.block_sizes) == [1] * 8 + [2, 2]
+    for hopf in (build_vtilde_twist().hopf, tw.hopf, order16.hopf,
+                 twist_from_model_dict(sample_model()).hopf):
+        rep = verify_hopf_axioms(hopf)
+        assert rep.passed, rep.first_failure()
 
 
 def test_solver_rejects_elements_outside_the_twist():
@@ -203,7 +216,7 @@ def test_coset_basis_mutants_are_rejected():
         coords[c] = v + ONE if rng.randrange(2) else (ZERO if v else ZETA)
         edited = list(basis)
         edited[t] = amb.element({k: x for k, x in coords.items() if x})
-        with pytest.raises((SubalgebraError, AxiomFailure)):
+        with pytest.raises(SubalgebraError, match="^inclusion fails "):
             subalgebra_hopf(sm.hopf, edited, target)
 
 
@@ -288,10 +301,15 @@ def _wrap_everywhere(monkeypatch, fn, wrapper):
 def test_model_twist_builds_no_square_sized_objects(monkeypatch):
     """Building the sample model's twist solves for no counit or antipode,
     and its axiom checks build no map on the tensor square and rank no n^2
-    vectors (n = 8 is the smallest structure verified)."""
+    vectors (n = 8 is the smallest structure verified).  The axioms are
+    verified once, on the crossed product, and the crossed product's
+    coproduct is composed with the twist's inclusion once."""
     calls = {"solve": 0, "tensor_map": 0}
     ranked: list[int] = []
     inside = [0]
+    verified: list[HopfAlgebra] = []
+    composed: list[tuple[LinearMap, LinearMap]] = []
+    compose = LinearMap.compose
 
     def counting(key, fn, during_verify=False):
         def wrapper(*args, **kwargs):
@@ -301,6 +319,7 @@ def test_model_twist_builds_no_square_sized_objects(monkeypatch):
         return wrapper
 
     def verify(h):
+        verified.append(h)
         inside[0] += 1
         try:
             return verify_hopf_axioms(h)
@@ -311,14 +330,22 @@ def test_model_twist_builds_no_square_sized_objects(monkeypatch):
         ranked.append(len(vectors))
         return exact_rank(vectors)
 
+    def composing(f, g):
+        composed.append((f, g))
+        return compose(f, g)
+
     _wrap_everywhere(monkeypatch, solve_counit_antipode,
                      counting("solve", solve_counit_antipode))
     _wrap_everywhere(monkeypatch, verify_hopf_axioms, verify)
-    for fn in (multimatrix.tensor_map, multimatrix.mult_map):
-        _wrap_everywhere(monkeypatch, fn, counting("tensor_map", fn, True))
+    _wrap_everywhere(monkeypatch, multimatrix.tensor_map,
+                     counting("tensor_map", multimatrix.tensor_map, True))
     _wrap_everywhere(monkeypatch, linalg.exact_rank, rank)
+    monkeypatch.setattr(LinearMap, "compose", composing)
     tw = twist_from_model_dict(sample_model())
     assert tw.axiom_report.passed
     assert tw.smash.axiom_report.passed
     assert calls == {"solve": 0, "tensor_map": 0}
     assert all(k < 8 * 8 for k in ranked)
+    assert verified == [tw.smash.hopf]
+    delta = tw.smash.hopf.coproduct
+    assert [g.source for f, g in composed if f is delta] == [tw.hopf.algebra]

@@ -16,7 +16,7 @@ from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
 from hopfcheck.linalg import LinAlgError, exact_rank
 from hopfcheck.models import build_kp, build_smash
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
-                                   mult_map, tensor_algebra, tensor_map)
+                                   tensor_algebra, tensor_map)
 
 
 def two_point_hopf():
@@ -96,7 +96,25 @@ def test_identity_is_an_isomorphism():
     rep = check_hopf_morphism(LinearMap.identity(kp.algebra), kp, kp,
                               require="iso")
     assert rep.passed
-    assert rep.info["antipode_compatible"]
+    assert rep.checks["antipode"]
+
+
+def test_antipode_edit_fails_only_the_antipode_check():
+    # the identity onto kp with one antipode column edited keeps every
+    # algebra, coalgebra and rank condition; only f S == S' f can fail
+    kp = build_kp().hopf
+    alg = kp.algebra
+    cols = [dict(c) for c in kp.antipode.cols]
+    cols[5][6] = cols[5].get(6, ZERO) + ONE
+    edited = HopfAlgebra(alg, kp.coproduct, kp.counit,
+                         LinearMap(alg, alg, cols))
+    rep = check_hopf_morphism(LinearMap.identity(alg), kp, edited,
+                              require="iso")
+    assert [k for k, ok in rep.checks.items() if not ok] == ["antipode"]
+    assert rep.witnesses == {"antipode": (
+        f"images of {alg.basis_name(5)} differ: coefficient "
+        f"{kp.antipode.cols[5].get(6, ZERO)} vs {cols[5][6]} at "
+        f"{alg.basis_name(6)}")}
 
 
 def test_counit_section_is_a_hom_but_not_surjective():
@@ -240,6 +258,18 @@ def test_commutativity_flags_on_kp():
 
 
 # matrix-level reference ------------------------------------------------------
+
+def mult_map(alg):
+    """Multiplication as a linear map from the tensor square."""
+    ta, tidx = tensor_algebra(alg, alg)
+    cols = [{} for _ in range(ta.dim)]
+    for p in range(alg.dim):
+        for q in range(alg.dim):
+            r = alg.mul_basis(p, q)
+            if r is not None:
+                cols[tidx[p][q]] = {r: ONE}
+    return LinearMap(ta, alg, cols)
+
 
 def _reference_witness(alg, f, g):
     for j, (a, b) in enumerate(zip(f.cols, g.cols)):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hopfcheck.cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
                                   mat_mul)
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
-                                   flip_map, mult_map, tensor_algebra,
-                                   tensor_map, tensor_split)
+                                   flip_map, tensor_algebra, tensor_map,
+                                   tensor_split)
 
 A = MultiMatrixAlgebra((1, 2), labels=("s", "m"))
 B = MultiMatrixAlgebra((1, 1), labels=("p", "q"))
@@ -90,11 +90,6 @@ def test_product_is_the_blockwise_matrix_product(x, y):
     assert (x * y).blocks() == want
 
 
-def test_from_blocks_round_trip():
-    x = A.from_blocks([[[ZETA]], [[ONE, IM], [ZERO, -ONE]]])
-    assert x.blocks() == [[[ZETA]], [[ONE, IM], [ZERO, -ONE]]]
-
-
 def test_tensor_labels_follow_the_factors():
     xm = MultiMatrixAlgebra((1, 2), labels=("x", "m"))
     yn = MultiMatrixAlgebra((1, 2), labels=("y", "n"))
@@ -153,9 +148,9 @@ def test_map_matrix_round_trip():
 
 
 def test_mult_and_flip():
-    m = mult_map(A)
     x, y = A.basis_element(1, 0, 1), A.basis_element(1, 1, 1)
-    assert m(x.tensor(y)) == x * y
+    assert A.mul_basis(A.index(1, 0, 1), A.index(1, 1, 1)) == A.index(1, 0, 1)
+    assert x * y == x and y * x == A.zero()
     fl = flip_map(A)
     assert fl(x.tensor(y)) == y.tensor(x)
     assert fl.compose(fl) == LinearMap.identity(fl.source)
