@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary
+from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary, mat_mul
 from .linalg import LinAlgError, Vector, left_inverse
 from .hopf_core import (HopfAlgebra, Report, _morphism_report,
                         verify_hopf_axioms)
@@ -42,7 +42,7 @@ class SubalgebraError(Exception):
 
 class AxiomFailure(Exception):
     def __init__(self, what: str, report: Report):
-        super().__init__(f"{what}: failed {sorted(k for k, v in report.checks.items() if not v)}")
+        super().__init__(f"{what} fails {report.first_failure()}")
         self.report = report
 
 
@@ -64,9 +64,7 @@ class Mat2:
         return self.rows[ij[0]][ij[1]]
 
     def __mul__(self, other: Mat2) -> Mat2:
-        a, b = self.rows, other.rows
-        return Mat2([[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
-                     for i in range(2)])
+        return Mat2(mat_mul(self.rows, other.rows))
 
     def __neg__(self) -> Mat2:
         return Mat2([[-v for v in r] for r in self.rows])

@@ -147,7 +147,6 @@ def _require_same_coproduct(h: HopfAlgebra, table: LinearMap) -> None:
 class KPModel:
     hopf: HopfAlgebra
     handles: dict[str, AlgElement]
-    unitaries: dict[str, Mat2]
     axiom_report: Report
 
 
@@ -172,8 +171,7 @@ def build_kp() -> KPModel:
         "e21": alg.basis_element(4, 1, 0),
         "e22": alg.basis_element(4, 1, 1),
     }
-    unitaries = {"alpha": U_ALPHA, "beta": U_BETA, "gamma": U_GAMMA}
-    return KPModel(hopf, handles, unitaries, report)
+    return KPModel(hopf, handles, report)
 
 
 @dataclass
@@ -250,7 +248,6 @@ class TwistModel:
     hopf: HopfAlgebra
     handles: dict[str, AlgElement]
     dictionary: dict[str, AlgElement]
-    unitaries: dict[str, Mat2]
     vtilde: VtildeModel
     smash: SmashProduct
     axiom_report: Report
@@ -333,10 +330,8 @@ def build_vtilde_twist() -> TwistModel:
         "noncommutative": not is_comm,
         "noncocommutative": not is_cocomm,
     }
-    unitaries = {"w_alphap": W_ALPHAP, "w_betap": W_BETAP,
-                 "w_gammap": W_GAMMAP, "v": V_CONJ}
-    return TwistModel(hopf, handles, dictionary, unitaries, vt, sm,
-                      report, checks, solver)
+    return TwistModel(hopf, handles, dictionary, vt, sm, report, checks,
+                      solver)
 
 
 @dataclass

@@ -364,14 +364,4 @@ def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
     return LinearMap(src, tgt, cols)
 
 
-def flip_map(alg: MultiMatrixAlgebra) -> LinearMap:
-    """The tensor swap a tensor b -> b tensor a on the tensor square."""
-    ta, tidx = tensor_algebra(alg, alg)
-    cols: list[Vector] = [{} for _ in range(ta.dim)]
-    for p in range(alg.dim):
-        for q in range(alg.dim):
-            cols[tidx[p][q]] = {tidx[q][p]: ONE}
-    return LinearMap(ta, ta, cols)
-
-
 SCALARS = MultiMatrixAlgebra((1,), labels=("k",))

@@ -1,5 +1,6 @@
 """The command line interface, driven in process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,10 @@ from hopfcheck import cli
 from hopfcheck.hopf_core import hopf_from_dict, verify_hopf_axioms
 
 SAMPLE_MODEL = "tests/data/sample_model.json"
+# every verify --all --json record with the sample model, less elapsed_ms,
+# at tau = 1/2 and -1/2, and the sha256 of each export dump
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_verify.json")
+                    .read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -197,6 +202,26 @@ def test_export_round_trip(capsys, tmp_path):
         assert first.read_bytes() == second.read_bytes()
         h = hopf_from_dict(json.loads(first.read_text()))
         assert verify_hopf_axioms(h).passed
+
+
+@pytest.mark.parametrize("tau", sorted(GOLDEN["verify"]))
+def test_verify_all_matches_the_golden_records(capsys, tau):
+    code, out, _ = run(capsys, "verify", "--all", "--json", "--model",
+                       SAMPLE_MODEL, f"--tau={tau}")
+    assert code == 0
+    reports = json.loads(out)
+    for r in reports:
+        del r["elapsed_ms"]
+    assert reports == GOLDEN["verify"][tau]
+
+
+def test_exports_match_the_golden_hashes(capsys, tmp_path):
+    hashes = {}
+    for model_id in sorted(cli._EXPORTS):
+        path = tmp_path / f"{model_id}.json"
+        assert run(capsys, "export", model_id, str(path))[0] == 0
+        hashes[model_id] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert hashes == GOLDEN["export_sha256"]
 
 
 @pytest.mark.parametrize("parts", [("missing", "out.json"), ()],

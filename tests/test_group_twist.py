@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO, ZETA
-from hopfcheck.group_twist import (ActionError, CentralGrading,
+from hopfcheck.group_twist import (ActionError, AxiomFailure, CentralGrading,
                                    ConjugationAction,
                                    FiniteMatrixGroup, GradedTwist,
                                    GradingError, GroupClosureError, Mat2,
@@ -16,7 +16,7 @@ from hopfcheck.group_twist import (ActionError, CentralGrading,
                                    conjugation_action, coset_basis,
                                    function_algebra, generate_group,
                                    subalgebra_hopf, twist_from_model_dict)
-from hopfcheck import linalg, multimatrix
+from hopfcheck import hopf_core, linalg, multimatrix
 from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
                                  verify_hopf_axioms)
 from hopfcheck.linalg import exact_rank
@@ -268,25 +268,37 @@ def test_closed_forms_are_the_solved_maps(build):
         assert hopf.antipode == antipode
 
 
-def test_wrong_closed_form_antipode_is_caught():
+def test_wrong_closed_form_antipode_is_caught(monkeypatch):
     h = build_smash().hopf
     alg = h.algebra
     n = alg.dim
     cols = list(h.antipode.cols)
     cols[0] = cols[1]
+    ranks = []
+
+    def spy(vecs):
+        ranks.append(exact_rank(vecs))
+        return ranks[-1]
+
+    monkeypatch.setattr(hopf_core, "exact_rank", spy)
     rep = verify_hopf_axioms(HopfAlgebra(alg, h.coproduct, h.counit,
                                          LinearMap(alg, alg, cols)))
     assert not rep.checks["antipode_left"] and rep.witnesses["antipode_left"]
     assert not rep.checks["antipode_right"] and rep.witnesses["antipode_right"]
-    # the preimage identities fail, so the ranks come from elimination
+    # the preimage identities fail, so both ranks come from elimination,
+    # and the coproduct alone decides them
+    assert ranks == [n * n, n * n]
+    assert rep.checks["cancellation_left"] and rep.checks["cancellation_right"]
     ta = h.coproduct.target
     one = alg.unit()
     dcol = [ta.element(c) for c in h.coproduct.cols]
-    for side, factor in (("left", lambda b: b.tensor(one)),
-                         ("right", lambda b: one.tensor(b))):
+    for factor in (lambda b: b.tensor(one), lambda b: one.tensor(b)):
         vecs = [(factor(b) * dcol[q]).coords
                 for b in alg.basis() for q in range(n)]
-        assert rep.ranks[f"cancellation_{side}"] == exact_rank(vecs)
+        assert exact_rank(vecs) == n * n
+    # the failure a builder raises names the first failing check's witness
+    assert str(AxiomFailure("crossed product", rep)) == (
+        f"crossed product fails antipode_left: {rep.witnesses['antipode_left']}")
 
 
 def _wrap_everywhere(monkeypatch, fn, wrapper):

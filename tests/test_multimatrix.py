@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hopfcheck.cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
                                   mat_mul)
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
-                                   flip_map, tensor_algebra, tensor_map,
-                                   tensor_split)
+                                   tensor_algebra, tensor_map, tensor_split)
 
 A = MultiMatrixAlgebra((1, 2), labels=("s", "m"))
 B = MultiMatrixAlgebra((1, 1), labels=("p", "q"))
@@ -145,6 +144,16 @@ def test_map_matrix_round_trip():
                                       for j in range(A.dim)]
                                      for i in range(B.dim)])
     assert LinearMap.from_matrix(A, B, f.matrix()) == f
+
+
+def flip_map(alg):
+    """The tensor swap a tensor b -> b tensor a on the tensor square."""
+    ta, tidx = tensor_algebra(alg, alg)
+    cols = [{} for _ in range(ta.dim)]
+    for p in range(alg.dim):
+        for q in range(alg.dim):
+            cols[tidx[p][q]] = {tidx[q][p]: ONE}
+    return LinearMap(ta, ta, cols)
 
 
 def test_mult_and_flip():
