@@ -6,9 +6,11 @@ product by Z/2, and inside that crossed product the twisted algebra spanned
 by even functions together with odd functions times the group-like of the
 acting Z/2.  Each Hopf structure is verified once, and nothing is trusted
 from its construction alone: the function algebra and the crossed product
-pass every axiom of verify_hopf_axioms, and the twist is accepted when its
-inclusion into the crossed product passes check_hopf_morphism, which proves
-its axioms from the crossed product's (see subalgebra_hopf).
+on its groupoid basis delta_h lam^k pass every axiom of verify_hopf_axioms,
+in integer arithmetic; the crossed product's blocks are that structure
+carried through a checked *-isomorphism; and the twist is accepted when its
+inclusion into the blocks passes check_hopf_morphism, which proves its
+axioms from the crossed product's (see SmashProduct and subalgebra_hopf).
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from typing import Callable, Sequence
 
 from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary, mat_mul
 from .linalg import LinAlgError, Vector, left_inverse
-from .hopf_core import (HopfAlgebra, Report, _morphism_report,
-                        verify_hopf_axioms)
-from .multimatrix import (SCALARS, AlgElement, LinearMap, MultiMatrixAlgebra,
-                          Scalar, _cyc, tensor_algebra, tensor_map)
+from .hopf_core import (HopfAlgebra, Report, _morphism_report, _partners,
+                        _star_algebra_map, verify_hopf_axioms)
+from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
+                          MultiMatrixAlgebra, Scalar, _cyc, tensor_algebra,
+                          tensor_compose)
 
 
 class GroupClosureError(Exception):
@@ -263,12 +266,25 @@ class SmashProduct:
     """Crossed product of a function algebra by an order-2 action.
 
     Basis elements delta_h * lam**k with lam the order-2 group-like of the
-    acting Z/2 and lam * f == theta(f) * lam.  Fixed points h contribute two
-    1x1 blocks spanned by (delta_h +- delta_h lam)/2; a 2-orbit {h, h'}
-    contributes a full 2x2 block with delta_h lam and delta_h' lam as the
-    off-diagonal matrix units.  The action is a Hopf *-automorphism of C(G)
-    by construction (see ConjugationAction); checked here are the block
-    model's products and star, and every Hopf axiom of the result.
+    acting Z/2 and lam * f == theta(f) * lam.  On that basis the crossed
+    product is the algebra of the action groupoid of Z/2 on G (Renault, A
+    Groupoid Approach to C*-Algebras, LNM 793, 1980): delta_a lam^k *
+    delta_b lam^l = [b = theta^k(a)] delta_a lam^(k+l), (delta_h lam^k)^* =
+    delta_{theta^k(h)} lam^k, and the unit is the sum of the delta_h.
+    Delta(delta_h lam^k) = sum over ab = h of delta_a lam^k (x) delta_b
+    lam^k, eps(delta_h lam^k) = [h = e] and S(delta_h lam^k) =
+    delta_{theta^k(h^-1)} lam^k (Majid, Foundations of Quantum Group
+    Theory, 1.6) have coefficients 0 and 1, and groupoid_hopf is verified
+    once, in integers; axiom_report is its report.  The action is a Hopf
+    *-automorphism of C(G) by construction (see ConjugationAction).
+
+    hopf is the same structure on blocks: fixed points h give two 1x1
+    blocks spanned by (delta_h +- delta_h lam)/2, a 2-orbit {h, h'} a 2x2
+    block with delta_h lam and delta_h' lam off the diagonal.  The block
+    model dl is checked to be a unital *-homomorphism with a left inverse,
+    so a *-isomorphism, and hopf is (dl (x) dl) Delta dl^-1, eps dl^-1 and
+    dl S dl^-1.  It is not verified again: through dl, each of its axioms
+    is the verified one.
     """
 
     def __init__(self, fa: FunctionHopf, action: ConjugationAction):
@@ -277,82 +293,69 @@ class SmashProduct:
         self.fa = fa
         self.action = action
         group = fa.group
-        n = group.order
+        n, names = group.order, group.names
         perm = action.perm
 
+        # delta_h lam^k has index 2h + k; right[i] is the object theta^k(h)
+        # that its right factor must start at
+        keys = [(h, k) for h in range(n) for k in (0, 1)]
+        right = [perm[h] if k else h for h, k in keys]
+        dlam = GroupoidAlgebra(
+            2 * n, lambda i, j: i ^ (j & 1) if j >> 1 == right[i] else None,
+            lambda i: 2 * right[i] + (i & 1),
+            lambda i: f"d{names[i >> 1]}" + "*lam" * (i & 1),
+            range(0, 2 * n, 2))
+        dd, didx = tensor_algebra(dlam, dlam)
+        inv, table = group.inverse, group.table
+        gh = self.groupoid_hopf = HopfAlgebra(
+            dlam,
+            LinearMap(dlam, dd, [{didx[2 * a + k][2 * table[inv[a]][h] + k]: ONE
+                                  for a in range(n)} for h, k in keys]),
+            LinearMap(dlam, SCALARS, [{0: ONE} if h == group.identity_index
+                                      else {} for h, k in keys]),
+            LinearMap(dlam, dlam, [{2 * (perm[inv[h]] if k else inv[h]) + k: ONE}
+                                   for h, k in keys]))
+        self.axiom_report = verify_hopf_axioms(gh)
+        if not self.axiom_report.passed:
+            raise AxiomFailure("crossed product", self.axiom_report)
+
+        # dl: column 2h + k is delta_h lam^k in block coordinates; the fixed
+        # points' 1x1 blocks come first
         sizes: list[int] = []
         labels: list[str] = []
-        fixed = [k for k in range(n) if perm[k] == k]
-        pairs = [(k, perm[k]) for k in range(n) if k < perm[k]]
-        for k in fixed:
-            sizes += [1, 1]
-            labels += [f"p+({group.names[k]})", f"p-({group.names[k]})"]
-        for a, b in pairs:
-            sizes.append(2)
-            labels.append(f"m({group.names[a]},{group.names[b]})")
-        alg = MultiMatrixAlgebra(tuple(sizes), labels=tuple(labels))
-
-        # delta_h lam**k in block coordinates
-        dl: dict[tuple[int, int], AlgElement] = {}
-        blk = 0
-        for k in fixed:
-            p_plus = alg.basis_element(blk, 0, 0)
-            p_minus = alg.basis_element(blk + 1, 0, 0)
-            dl[(k, 0)] = p_plus + p_minus
-            dl[(k, 1)] = p_plus - p_minus
-            blk += 2
-        for a, b in pairs:
-            dl[(a, 0)] = alg.basis_element(blk, 0, 0)
-            dl[(b, 0)] = alg.basis_element(blk, 1, 1)
-            dl[(a, 1)] = alg.basis_element(blk, 0, 1)
-            dl[(b, 1)] = alg.basis_element(blk, 1, 0)
-            blk += 1
-        self._dl = dl
-
-        # the block model must reproduce the crossed product's structure
-        for (a, k), x in dl.items():
-            for (b, l), y in dl.items():
-                bb = b if k == 0 else perm[b]
-                want = dl[(a, (k + l) % 2)] if a == bb else alg.zero()
-                if x * y != want:
-                    raise SubalgebraError("block model breaks the crossed product")
-            want = dl[(perm[a], k)] if k else dl[(a, 0)]
-            if x.star() != want:
-                raise SubalgebraError("block model breaks the *-structure")
-
-        # the structure maps are written on the basis delta_h lam^k of the
-        # vector space free, and carried to the blocks by the inverse of dl:
-        # Delta(delta_h lam^k) = sum over ab = h of delta_a lam^k (x)
-        # delta_b lam^k; eps(delta_h lam^k) = [h = e] and
-        # S(delta_h lam^k) = delta_{theta^k(h^-1)} lam^k (Majid, Foundations
-        # of Quantum Group Theory, 1.6)
-        keys = [(h, k) for h in range(n) for k in (0, 1)]
-        free = MultiMatrixAlgebra((1,) * len(keys))
+        cols: list[Vector] = [{} for _ in keys]
+        for h in range(n):
+            if perm[h] == h:
+                d = len(sizes)
+                sizes += [1, 1]
+                labels += [f"p+({names[h]})", f"p-({names[h]})"]
+                cols[2 * h] = {d: ONE, d + 1: ONE}
+                cols[2 * h + 1] = {d: ONE, d + 1: -ONE}
+        for a, b in enumerate(perm):
+            if a < b:
+                d = sum(m * m for m in sizes)
+                sizes.append(2)
+                labels.append(f"m({names[a]},{names[b]})")
+                for i, c in enumerate((2 * a, 2 * a + 1, 2 * b + 1, 2 * b)):
+                    cols[c] = {d + i: ONE}
+        alg = MultiMatrixAlgebra(sizes, labels)
+        self.dl = dl = LinearMap(dlam, alg, cols)
+        rep = Report()
+        _star_algebra_map(rep, "", dlam, dlam.unit().coords, cols,
+                          _partners(alg), alg.star_index, alg.unit().coords)
+        if not rep.passed:
+            raise SubalgebraError(f"block model fails {rep.first_failure()}")
         try:
-            to_free = LinearMap(alg, free, left_inverse(
-                [dl[key].coords for key in keys], alg.dim))
+            inverse = LinearMap(alg, dlam, left_inverse(cols, alg.dim))
         except LinAlgError as exc:
-            raise SubalgebraError("block model breaks the crossed product") from exc
-        ta, _ = tensor_algebra(alg, alg)
-        inv = group.inverse
-        delta = LinearMap(free, ta, [
-            sum((dl[(a, k)].tensor(dl[(group.table[inv[a]][h], k)])
-                 for a in range(n)), ta.zero()).coords
-            for h, k in keys]).compose(to_free)
-        counit = LinearMap(free, SCALARS, [
-            {0: ONE} if h == group.identity_index else {}
-            for h, k in keys]).compose(to_free)
-        antipode = LinearMap(free, alg, [
-            dl[(perm[inv[h]] if k else inv[h], k)].coords
-            for h, k in keys]).compose(to_free)
-        self.hopf = HopfAlgebra(alg, delta, counit, antipode)
-        report = verify_hopf_axioms(self.hopf)
-        if not report.passed:
-            raise AxiomFailure("crossed product", report)
-        self.axiom_report = report
+            raise SubalgebraError("block model is not injective") from exc
+        self.hopf = HopfAlgebra(
+            alg, tensor_compose(dl, dl, gh.coproduct).compose(inverse),
+            gh.counit.compose(inverse), dl.compose(gh.antipode).compose(inverse))
 
     def delta_lambda(self, element_index: int, lam_power: int) -> AlgElement:
-        return self._dl[(element_index, lam_power % 2)]
+        return AlgElement(self.dl.target,
+                          self.dl.cols[2 * element_index + lam_power % 2])
 
 
 @dataclass
@@ -513,7 +516,7 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
         return y
 
     delta_b = ambient.coproduct.compose(incl)
-    hopf = HopfAlgebra(target, tensor_map(left, left).compose(delta_b),
+    hopf = HopfAlgebra(target, tensor_compose(left, left, delta_b),
                        ambient.counit.compose(incl),
                        left.compose(ambient.antipode).compose(incl))
     report = _morphism_report(incl, hopf, ambient, delta_b)

@@ -1,8 +1,11 @@
-"""Hopf *-algebra verification on multimatrix algebras.
+"""Hopf *-algebra verification on algebras given by a basis table.
 
-A Hopf structure is a coproduct, counit and antipode as linear maps; every
-axiom is checked as an exact identity of sparse linear maps or of elements,
-and failures carry witnesses.  The counit and antipode are never entered by
+The algebra is a multimatrix or a groupoid algebra (multimatrix), read only
+through its basis table: a product of basis elements is one basis element
+or zero, and star permutes the basis.  A Hopf structure is a coproduct,
+counit and antipode as linear maps; every axiom is checked as an exact
+identity of sparse vectors, in integers when all coefficients are, and
+failures carry witnesses.  The counit and antipode are never entered by
 hand: they are solved for from the coproduct (entered tables), written in
 closed form from the group table (function algebras and their crossed
 products, group_twist), restricted from a verified ambient structure
@@ -10,10 +13,12 @@ products, group_twist), restricted from a verified ambient structure
 Whatever the source, only the unique ones the coproduct determines are
 accepted, since a bialgebra has at most one counit and one antipode, so a
 typo in a coproduct table cannot be papered over by a matching typo in the
-antipode.  verify_hopf_axioms checks them on every structure but one kind:
-a restricted structure is accepted when check_hopf_morphism passes its
-inclusion into the verified ambient, which holds its counit and antipode to
-the ambient's (see subalgebra_hopf).
+antipode.  verify_hopf_axioms checks them on every structure but the
+transported ones: a restricted structure is accepted when
+check_hopf_morphism passes its inclusion into the verified ambient, which
+holds its counit and antipode to the ambient's (see subalgebra_hopf), and a
+crossed product's blocks are its groupoid basis seen through a checked
+*-isomorphism (see group_twist.SmashProduct).
 
 The coproduct, the counit and a Hopf *-morphism are unital *-algebra maps
 (A -> A (x) A, A -> k and A -> B), and one routine checks that for all three.
@@ -28,13 +33,14 @@ from typing import Literal
 
 from .cyclotomic import Cyc, ONE, ZERO
 from .linalg import Vector, exact_rank, solve_unique
-from .multimatrix import (SCALARS, AlgElement, LinearMap, MultiMatrixAlgebra,
-                          tensor_algebra, tensor_map, tensor_split)
+from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
+                          MultiMatrixAlgebra, _cyc, tensor_algebra,
+                          tensor_compose, tensor_split)
 
 
 @dataclass(frozen=True)
 class HopfAlgebra:
-    algebra: MultiMatrixAlgebra
+    algebra: MultiMatrixAlgebra | GroupoidAlgebra
     coproduct: LinearMap          # A -> A tensor A
     counit: LinearMap             # A -> scalars
     antipode: LinearMap           # A -> A
@@ -149,31 +155,52 @@ def _diff_witness(alg, f: LinearMap, g: LinearMap) -> str:
     return ""
 
 
-def _star_algebra_map(rep: Report, prefix: str, f: LinearMap) -> None:
+def _partners(alg) -> list[list[tuple[int, int]]]:
+    """For each basis index a, the pairs (c, r) with e_a e_c = e_r."""
+    n, mul = alg.dim, alg.mul_basis
+    return [[(c, r) for c in range(n) if (r := mul(a, c)) is not None]
+            for a in range(n)]
+
+
+def _conj(v):
+    # an int coefficient is its own conjugate
+    return v if type(v) is int else v.conj()
+
+
+def _star_algebra_map(rep: Report, prefix: str, alg, unit: Vector,
+                      imgs: list[Vector], partners, star, tunit: Vector,
+                      ) -> None:
     """Record <prefix>multiplicative, <prefix>unital and <prefix>star: that
-    f(e_p e_q) = f(e_p) f(e_q) for all basis vectors, f(1) = 1 and
-    f(e_p^*) = f(e_p)^*.  A witness names basis elements of f's source."""
-    a1, a2 = f.source, f.target
-    n = a1.dim
-    imgs = [AlgElement(a2, col) for col in f.cols]
-    zero = a2.zero()
+    f: e_p -> imgs[p] has f(e_p e_q) = f(e_p) f(e_q) for all basis vectors,
+    f(1) = tunit (1 = unit in alg) and f(e_p^*) = f(e_p)^*.  In the target,
+    partners[k] lists the (l, m) with e_k e_l = e_m and star(k) indexes
+    e_k^*.  A witness names basis elements of alg."""
+    n, mul = alg.dim, alg.mul_basis
+    # reach[p]: the basis elements that f(e_p) multiplies to nonzero on
+    # the right; f(e_p) f(e_q) = 0 unless f(e_q) meets it
+    reach = [{l for k in x for l, _ in partners[k]} for x in imgs]
 
     def product_differs(p: int, q: int) -> bool:
-        # the counit vanishes on most of the basis: skip products with 0
-        x, y, r = imgs[p], imgs[q], a1.mul_basis(p, q)
-        return ((x * y if x and y else zero)
-                != (imgs[r] if r is not None else zero))
+        x, y, r = imgs[p], imgs[q], mul(p, q)
+        want = imgs[r] if r is not None else {}
+        if reach[p].isdisjoint(y):
+            return bool(want)
+        return want != _sum_terms((m, v * w) for k, v in x.items()
+                                  for l, m in partners[k] if (w := y.get(l)))
 
-    wit = next((f"image of {a1.basis_name(p)} * {a1.basis_name(q)} is not "
+    wit = next((f"image of {alg.basis_name(p)} * {alg.basis_name(q)} is not "
                 "the product of images"
                 for p in range(n) for q in range(n) if product_differs(p, q)),
                "")
     rep.record(f"{prefix}multiplicative", not wit, wit)
-    rep.record(f"{prefix}unital", f(a1.unit()) == a2.unit(),
+    rep.record(f"{prefix}unital",
+               _sum_terms((k, c * v) for u, c in unit.items()
+                          for k, v in imgs[u].items()) == tunit,
                "image of the unit is not the unit")
-    wit = next((f"*-structure mismatch at {a1.basis_name(p)}"
+    wit = next((f"*-structure mismatch at {alg.basis_name(p)}"
                 for p in range(n)
-                if f.cols[a1.star_index(p)] != imgs[p].star().coords), "")
+                if imgs[alg.star_index(p)]
+                != {star(k): _conj(v) for k, v in imgs[p].items()}), "")
     rep.record(f"{prefix}star", not wit, wit)
 
 
@@ -189,33 +216,48 @@ def _sum_terms(terms) -> Vector:
 def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     """Check every Hopf *-algebra axiom of h exactly, with witnesses.
 
-    The coalgebra, counit and antipode laws are checked one basis column at
+    Only the algebra's basis table is read (dim, mul_basis, star_index,
+    unit, basis_name, and its tensor square's index and names).  The
+    coalgebra, counit and antipode laws are checked one basis column at
     a time from the (p, q) terms of the coproduct, so no map on the tensor
     square or cube is built; a witness names the first failing column in the
     basis of the composite's target (A (x) A (x) A, k (x) A, A (x) k or A).
-    Cancellation asks that the Galois maps a (x) b -> (a (x) 1) Delta(b) and
-    b (x) a -> (1 (x) a) Delta(b) be bijective, i.e. that their n^2 images
-    span A (x) A.  Each map is linear over one tensor factor of A acting by
-    left multiplication, so it is onto once 1 (x) e_j (resp. e_j (x) 1) has
-    a preimage for every j; the candidates S(x1) (x) x2 and
+    After these laws, Delta and eps are checked to be unital *-algebra maps
+    (coproduct_* and counit_*), products in A (x) A taken factorwise through
+    mul_basis.  Cancellation asks that the Galois maps a (x) b -> (a (x) 1)
+    Delta(b) and b (x) a -> (1 (x) a) Delta(b) be bijective, i.e. that their
+    n^2 images span A (x) A.  Each map is linear over one tensor factor of A
+    acting by left multiplication, so it is onto once 1 (x) e_j (resp.
+    e_j (x) 1) has a preimage for every j; the candidates S(x1) (x) x2 and
     x1 (x) *S*(x2) (Schauenburg, Hopf-Galois and bi-Galois extensions, 2004)
     are checked exactly, and only when one fails is the rank of the n^2
-    images computed.  After these laws, Delta and eps are checked to be
-    unital *-algebra maps (coproduct_* and counit_*).
+    images computed.
+
+    When every coefficient of Delta, eps, S and the unit is a rational
+    integer (C(G), a crossed product's groupoid basis), the same laws run
+    on ints: exact, since Z is a subring of Q(z), and an int compares and
+    prints like the equal Cyc, so checks and witnesses do not change.
     """
     alg = h.algebra
     n = alg.dim
-    delta, scols = h.coproduct, h.antipode.cols
-    ta, tidx = tensor_algebra(alg, alg)
-    rep = Report()
-    record = rep.record
     mul, star = alg.mul_basis, alg.star_index
     split = tensor_split(alg)
+    unit = alg.unit().coords
+    coeffs = {ZERO, ONE, *unit.values(),
+              *(v for f in (h.coproduct, h.counit, h.antipode)
+                for col in f.cols for v in col.values())}
+    ints = {v: int(v.coords[0]) for v in coeffs
+            if v.is_rational() and v.coords[0].denominator == 1}
+    num = ints.__getitem__ if len(ints) == len(coeffs) else (lambda v: v)
     # terms[j]: Delta(e_j) as (p, q, coefficient of e_p (x) e_q)
-    terms = [[(*split[t], v) for t, v in col.items()] for col in delta.cols]
-    eps = [h.counit.cols[p].get(0, ZERO) for p in range(n)]
-    one = alg.unit()
-    unit = one.coords
+    terms = [[(*split[t], num(v)) for t, v in col.items()]
+             for col in h.coproduct.cols]
+    eps = [num(col.get(0, ZERO)) for col in h.counit.cols]
+    scols = [{r: num(v) for r, v in col.items()} for col in h.antipode.cols]
+    unit = {u: num(c) for u, c in unit.items()}
+    one = num(ONE)
+    rep = Report()
+    record = rep.record
 
     def law(name, image, want, target=alg, relabel=None):
         """Record image(j) == want(j) for every basis vector e_j; a witness
@@ -232,6 +274,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     # coassociativity, keyed (p * n + q) * n + r for e_p (x) e_q (x) e_r;
     # the tensor cube's own basis table is built only for a witness
     def to_cube(*vecs: Vector):
+        ta, tidx = tensor_algebra(alg, alg)
         cube, cidx = tensor_algebra(ta, alg)
         return (cube, *({cidx[tidx[k // (n * n)][k // n % n]][k % n]: v
                          for k, v in vec.items()} for vec in vecs))
@@ -243,7 +286,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                              for p, q, v in terms[j] for a, b, w in terms[q]),
         relabel=to_cube)
 
-    ident = [{j: ONE} for j in range(n)]
+    ident = [{j: one} for j in range(n)]
     law("counit_left",
         lambda j: _sum_terms((q, v * eps[p]) for p, q, v in terms[j] if eps[p]),
         ident.__getitem__, tensor_algebra(SCALARS, alg)[0])
@@ -264,9 +307,18 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                              if (t := mul(p, r)) is not None),
         eta_eps.__getitem__)
 
-    # Delta and eps are unital *-algebra maps
-    _star_algebra_map(rep, "coproduct_", delta)
-    _star_algebra_map(rep, "counit_", h.counit)
+    # Delta and eps are unital *-algebra maps; e_a (x) e_b is keyed a * n + b
+    part = _partners(alg)
+    dimgs = [{a * n + b: v for a, b, v in col} for col in terms]
+    tpart = {k: [(c * n + d, r * n + s) for c, r in part[k // n]
+                 for d, s in part[k % n]] for col in dimgs for k in col}
+    _star_algebra_map(rep, "coproduct_", alg, unit, dimgs, tpart,
+                      lambda k: star(k // n) * n + star(k % n),
+                      {u * n + w: c * d for u, c in unit.items()
+                       for w, d in unit.items()})
+    _star_algebra_map(rep, "counit_", alg, unit,
+                      [{0: e} if e else {} for e in eps], [[(0, 0)]],
+                      lambda k: k, {0: one})
 
     # cancellation, keyed a * n + b for e_a (x) e_b
     def galois_left(j: int) -> Vector:
@@ -276,7 +328,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                           for a, b, w in terms[k % n]
                           if (t := mul(k // n, a)) is not None)
 
-    sprime = [{star(r): s.conj() for r, s in scols[star(q)].items()}
+    sprime = [{star(r): _conj(s) for r, s in scols[star(q)].items()}
               for q in range(n)]
 
     def galois_right(j: int) -> Vector:
@@ -286,20 +338,25 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                           for a, b, w in terms[k // n]
                           if (t := mul(k % n, b)) is not None)
 
-    basis = alg.basis()
-    for side, galois, want, factor in (
+    # (e_p (x) 1) Delta(e_q) and (1 (x) e_p) Delta(e_q), keyed a * n + b
+    def left_span(p: int, q: int) -> Vector:
+        return _sum_terms((t * n + b, _cyc(v)) for a, b, v in terms[q]
+                          if (t := mul(p, a)) is not None)
+
+    def right_span(p: int, q: int) -> Vector:
+        return _sum_terms((a * n + t, _cyc(v)) for a, b, v in terms[q]
+                          if (t := mul(p, b)) is not None)
+
+    for side, galois, want, span in (
             ("left", galois_left,
-             lambda j: {u * n + j: c for u, c in unit.items()},
-             lambda p: basis[p].tensor(one)),
+             lambda j: {u * n + j: c for u, c in unit.items()}, left_span),
             ("right", galois_right,
-             lambda j: {j * n + u: c for u, c in unit.items()},
-             lambda p: one.tensor(basis[p]))):
+             lambda j: {j * n + u: c for u, c in unit.items()}, right_span)):
         if all(galois(j) == want(j) for j in range(n)):
             rank = n * n
         else:
-            dcol = [AlgElement(ta, col) for col in delta.cols]
-            rank = exact_rank([(factor(p) * dcol[q]).coords
-                               for p in range(n) for q in range(n)])
+            rank = exact_rank([span(p, q) for p in range(n)
+                               for q in range(n)])
         record(f"cancellation_{side}", rank == n * n,
                f"{side} cancellation span has rank {rank}, expected {n * n}")
     return rep
@@ -331,10 +388,10 @@ def _morphism_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
     over instead of composing it again."""
     a1, a2 = h1.algebra, h2.algebra
     rep = Report()
-    _star_algebra_map(rep, "", f)
+    _star_algebra_map(rep, "", a1, a1.unit().coords, f.cols, _partners(a2),
+                      a2.star_index, a2.unit().coords)
     for name, lhs, rhs in (
-            ("comultiplicative", tensor_map(f, f).compose(h1.coproduct),
-             delta_f),
+            ("comultiplicative", tensor_compose(f, f, h1.coproduct), delta_f),
             ("counit", h2.counit.compose(f), h1.counit),
             ("antipode", f.compose(h1.antipode), h2.antipode.compose(f))):
         rep.record(name, lhs == rhs, _diff_witness(a1, lhs, rhs))

@@ -1,9 +1,11 @@
-"""Finite-dimensional multimatrix *-algebras over Q(z).
+"""Finite-dimensional multimatrix and groupoid *-algebras over Q(z).
 
-An algebra is a direct sum of full matrix blocks; its canonical basis is the
-matrix units ordered block-major, row-major inside each block.  Elements
-carry sparse coordinate dicts against that basis, so products of basis
-elements are again basis elements (coefficient one) or zero.
+A multimatrix algebra is a direct sum of full matrix blocks; its canonical
+basis is the matrix units ordered block-major, row-major inside each block.
+A groupoid algebra has the arrows of a finite groupoid as its basis.  Both
+have a basis table: the product of two basis elements is a basis element
+(coefficient one) or zero, and star permutes the basis.  Elements carry
+sparse coordinate dicts against that basis.
 
 Linear maps store one sparse column per source basis vector.  Dense matrices
 are produced only at the serialization boundary.
@@ -11,9 +13,10 @@ are produced only at the serialization boundary.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cyclotomic import Cyc, ZERO, ONE
 from .linalg import Vector
@@ -110,6 +113,27 @@ class MultiMatrixAlgebra:
 
     def basis(self) -> list[AlgElement]:
         return [AlgElement(self, {p: ONE}) for p in range(self.dim)]
+
+
+@dataclass(frozen=True, eq=False)
+class GroupoidAlgebra:
+    """The algebra of a finite groupoid on its basis of arrows.
+
+    mul_basis(p, q) is the index of the composite arrow, or None when p and
+    q do not compose; star_index(p) is the inverse arrow and units lists the
+    identity arrows, whose sum is the unit.  The table is these functions,
+    so a tensor product (the product groupoid's algebra) needs none.  A
+    multimatrix algebra is the algebra of a union of pair groupoids, but a
+    GroupoidAlgebra equals only itself.
+    """
+    dim: int
+    mul_basis: Callable[[int, int], int | None]
+    star_index: Callable[[int], int]
+    basis_name: Callable[[int], str]
+    units: Sequence[int]
+
+    def unit(self) -> AlgElement:
+        return AlgElement(self, dict.fromkeys(self.units, ONE))
 
 
 class AlgElement:
@@ -240,6 +264,8 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     matrix Kronecker products.  Returns (algebra, table) with
     table[p][q] == index of e_p tensor e_q.
     """
+    if type(a) is not MultiMatrixAlgebra or type(b) is not MultiMatrixAlgebra:
+        return _product_groupoid(a, b)
     key = (a.block_sizes, a.labels, b.block_sizes, b.labels)
     hit = _TENSOR_CACHE.get(key)
     if hit is not None:
@@ -264,8 +290,28 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     return ta, entry[0]
 
 
-def tensor_split(alg: MultiMatrixAlgebra) -> dict[int, tuple[int, int]]:
+def _product_groupoid(a, b) -> tuple[GroupoidAlgebra, list[range]]:
+    """a tensor b for factors with a basis table, one of them a groupoid
+    algebra: e_p tensor e_q has index p * b.dim + q."""
+    nb = b.dim
+    amul, bmul = a.mul_basis, b.mul_basis
+
+    def mul(s: int, t: int) -> int | None:
+        p, q = amul(s // nb, t // nb), bmul(s % nb, t % nb)
+        return None if p is None or q is None else p * nb + q
+
+    ta = GroupoidAlgebra(
+        a.dim * nb, mul,
+        lambda s: a.star_index(s // nb) * nb + b.star_index(s % nb),
+        lambda s: f"{a.basis_name(s // nb)}(x){b.basis_name(s % nb)}",
+        [u * nb + w for u in a.unit().coords for w in b.unit().coords])
+    return ta, [range(p * nb, p * nb + nb) for p in range(a.dim)]
+
+
+def tensor_split(alg) -> dict[int, tuple[int, int]]:
     """Reverse of the tensor-square table: index of e_p tensor e_q -> (p, q)."""
+    if type(alg) is not MultiMatrixAlgebra:
+        return {t: divmod(t, alg.dim) for t in range(alg.dim ** 2)}
     tensor_algebra(alg, alg)
     entry = _TENSOR_TABLES[(alg.block_sizes,) * 2]
     if entry[1] is None:
@@ -348,20 +394,29 @@ class LinearMap:
         return cls(source, target, cols)
 
 
+def tensor_compose(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
+    """(f tensor g) after h, applied to one column of h at a time, so that
+    f tensor g is never built."""
+    _, sidx = tensor_algebra(f.source, g.source)
+    tgt, tidx = tensor_algebra(f.target, g.target)
+    split = {t: (p, q) for p, row in enumerate(sidx) for q, t in enumerate(row)}
+    cols: list[Vector] = []
+    for hcol in h.cols:
+        acc: Vector = {}
+        for t, v in hcol.items():
+            p, q = split[t]
+            for r, x in f.cols[p].items():
+                vx, row = v * x, tidx[r]
+                for s, y in g.cols[q].items():
+                    acc[row[s]] = acc.get(row[s], ZERO) + vx * y
+        cols.append(acc)
+    return LinearMap(h.source, tgt, cols)
+
+
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
     """f tensor g, materialized column by column (stays sparse)."""
-    src, sidx = tensor_algebra(f.source, g.source)
-    tgt, tidx = tensor_algebra(f.target, g.target)
-    cols: list[Vector] = [{} for _ in range(src.dim)]
-    for p, fcol in enumerate(f.cols):
-        for q, gcol in enumerate(g.cols):
-            col: Vector = {}
-            for r, fv in fcol.items():
-                row = tidx[r]
-                for s, gv in gcol.items():
-                    col[row[s]] = fv * gv
-            cols[sidx[p][q]] = col
-    return LinearMap(src, tgt, cols)
+    src, _ = tensor_algebra(f.source, g.source)
+    return tensor_compose(f, g, LinearMap.identity(src))
 
 
 SCALARS = MultiMatrixAlgebra((1,), labels=("k",))

@@ -104,6 +104,26 @@ def test_model_check_with_sample(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("field", ["action_unitary", "central_element"])
+def test_sample_model_with_an_identity_field_passes(capsys, tmp_path, field):
+    # the identity action fixes every object, so the crossed product and the
+    # twist are commutative; the identity central element is the trivial
+    # grading, whose twist is C(G) itself, verified in integer arithmetic
+    with open(SAMPLE_MODEL, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data[field] = [[["1", "0", "0", "0"], ["0"] * 4],
+                   [["0"] * 4, ["1", "0", "0", "0"]]]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--check", "model.twist-axioms",
+                       "--json", "--model", str(path))
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "pass"
+    assert record["witness"] == (
+        "user model verified; twist blocks (1, 1, 1, 1, 1, 1, 1, 1)")
+
+
 def test_broken_model_fails_with_witness(capsys, tmp_path):
     # well formed, but the central element is not in the generated group
     with open(SAMPLE_MODEL, encoding="utf-8") as fh:

@@ -120,6 +120,16 @@ def test_smash_product_structure():
     sm = SmashProduct(vt.fa, vt.action)
     assert sorted(sm.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2, 2, 2]
     assert sm.axiom_report.passed
+    # the verified structure is the groupoid algebra on delta_h lam^k, whose
+    # product is not the commutative one of sixteen 1x1 blocks
+    dlam = sm.groupoid_hopf.algebra
+    assert dlam != MultiMatrixAlgebra((1,) * 16)
+    assert MultiMatrixAlgebra((1,) * 16) != dlam
+    assert [dlam.basis_name(i) for i in (0, 1, 5)] == ["dI", "dI*lam",
+                                                       "ds1*lam"]
+    s1, s1_lam = 2 * vt.indices["s1"], 2 * vt.indices["s1"] + 1
+    assert dlam.mul_basis(s1_lam, s1) is None
+    assert dlam.mul_basis(s1_lam, 2 * vt.indices["-s2"]) == s1_lam
     n = vt.group.order
     unit = sm.hopf.algebra.unit()
     lam = sm.delta_lambda(0, 1)
@@ -314,8 +324,9 @@ def test_model_twist_builds_no_square_sized_objects(monkeypatch):
     """Building the sample model's twist solves for no counit or antipode,
     and its axiom checks build no map on the tensor square and rank no n^2
     vectors (n = 8 is the smallest structure verified).  The axioms are
-    verified once, on the crossed product, and the crossed product's
-    coproduct is composed with the twist's inclusion once."""
+    verified once, on the crossed product's groupoid basis and not on its
+    blocks, and the block coproduct is composed with the twist's inclusion
+    once."""
     calls = {"solve": 0, "tensor_map": 0}
     ranked: list[int] = []
     inside = [0]
@@ -358,6 +369,7 @@ def test_model_twist_builds_no_square_sized_objects(monkeypatch):
     assert tw.smash.axiom_report.passed
     assert calls == {"solve": 0, "tensor_map": 0}
     assert all(k < 8 * 8 for k in ranked)
-    assert verified == [tw.smash.hopf]
+    assert verified == [tw.smash.groupoid_hopf]
+    assert tw.smash.hopf not in verified
     delta = tw.smash.hopf.coproduct
     assert [g.source for f, g in composed if f is delta] == [tw.hopf.algebra]

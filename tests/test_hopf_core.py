@@ -14,7 +14,7 @@ from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                                  hopf_to_dict, solve_counit_antipode,
                                  verify_hopf_axioms)
 from hopfcheck.linalg import LinAlgError, exact_rank
-from hopfcheck.models import build_kp, build_smash
+from hopfcheck.models import build_kp, build_smash, build_vtilde
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                                    tensor_algebra, tensor_map)
 
@@ -364,6 +364,40 @@ def mutant(h, which, j, k, mode):
     cols[j][k] = v + ONE if mode == "plus" else (ZERO if v else ZETA)
     parts[which] = LinearMap(f.source, f.target, cols)
     return HopfAlgebra(h.algebra, **parts)
+
+
+@pytest.mark.parametrize("which, j, k, mode", [
+    (which, j, k, mode)
+    for which, j, k in random.Random(7).sample(
+        [("coproduct", j, k) for j in range(8) for k in range(64)]
+        + [("counit", j, 0) for j in range(8)]
+        + [("antipode", j, k) for j in range(8) for k in range(8)], 12)
+    for mode in ("plus", "swap")])
+def test_function_algebra_mutants_match_the_matrix_level_form(which, j, k,
+                                                              mode):
+    # + 1 keeps C(G) integral, so its laws run on ints; z makes them Q(z)
+    fa = build_vtilde().fa.hopf
+    rep = assert_matches_reference(mutant(fa, which, j, k, mode))
+    assert not rep.passed
+    assert set(rep.witnesses) == {k for k, ok in rep.checks.items() if not ok}
+
+
+def test_integral_structures_do_no_q_z_arithmetic(monkeypatch):
+    # every coefficient of C(G) and of the crossed product on its groupoid
+    # basis is 0 or 1, so their laws run on ints
+    structures = [build_vtilde().fa.hopf, build_smash().groupoid_hopf]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counting(*args, op=getattr(Cyc, name)):
+            calls.append(op)
+            return op(*args)
+
+        monkeypatch.setattr(Cyc, name, counting)
+    assert ONE + ONE and calls    # the counter sees an operation
+    calls.clear()
+    for h in structures:
+        assert verify_hopf_axioms(h).passed
+    assert not calls
 
 
 @st.composite

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck.cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
                                   mat_mul)
-from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
-                                   tensor_algebra, tensor_map, tensor_split)
+from hopfcheck.multimatrix import (SCALARS, AlgElement, GroupoidAlgebra,
+                                   LinearMap, MultiMatrixAlgebra,
+                                   tensor_algebra, tensor_compose, tensor_map,
+                                   tensor_split)
 
 A = MultiMatrixAlgebra((1, 2), labels=("s", "m"))
 B = MultiMatrixAlgebra((1, 1), labels=("p", "q"))
@@ -112,6 +114,26 @@ def test_tensor_split_inverts_the_table():
                for p in range(A.dim) for q in range(A.dim))
 
 
+def test_groupoid_tensor_products():
+    # the group Z/2 = {e, g} as a one-object groupoid, and a 2x2 block as a
+    # pair groupoid: their tensor product is the product groupoid's algebra
+    z2 = GroupoidAlgebra(2, lambda p, q: p ^ q, lambda p: p, "eg".__getitem__,
+                         [0])
+    ta, tidx = tensor_algebra(z2, C)
+    assert ta.dim == 8 and list(ta.units) == [0, 3]
+    assert ta.basis_name(tidx[1][2]) == "g(x)n[1,0]"
+    # (g (x) e21)(g (x) e12) = e (x) e22, and e21 e21 = 0
+    assert ta.mul_basis(tidx[1][2], tidx[1][1]) == tidx[0][3]
+    assert ta.mul_basis(tidx[1][2], tidx[0][2]) is None
+    assert ta.star_index(tidx[1][1]) == tidx[1][2]
+    assert tensor_algebra(SCALARS, z2)[0].basis_name(1) == "k(x)g"
+    split = tensor_split(z2)
+    sq, sidx = tensor_algebra(z2, z2)
+    assert all(split[sidx[p][q]] == (p, q) for p in range(2) for q in range(2))
+    assert z2 != MultiMatrixAlgebra((1, 1))
+    assert ta.unit().coords == {0: ONE, 3: ONE}
+
+
 def test_tensor_algebra_shape():
     ta, tidx = tensor_algebra(A, C)
     assert ta.dim == A.dim * C.dim
@@ -212,6 +234,7 @@ def test_tensor_map_composes(f1, f2, g1, g2):
     lhs = tensor_map(f2, g2).compose(tensor_map(f1, g1))
     rhs = tensor_map(f2.compose(f1), g2.compose(g1))
     assert lhs == rhs
+    assert tensor_compose(f2, g2, tensor_map(f1, g1)) == lhs
 
 
 def test_tensor_of_identities():

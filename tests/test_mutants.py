@@ -5,6 +5,7 @@ or crash the check.  The census assertions record which check catches a
 mutant when it is the only one to do so.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -13,11 +14,12 @@ import pytest
 from hopfcheck import cli
 from hopfcheck.category_checks import ty
 from hopfcheck.cyclotomic import HALF, ONE, ZERO, ZETA
-from hopfcheck.hopf_core import check_hopf_morphism, hopf_from_dict, \
-    hopf_to_dict
-from hopfcheck.models import build_kp, build_phi_and_verify, \
+from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
+    hopf_from_dict, hopf_to_dict, verify_hopf_axioms
+from hopfcheck.linalg import left_inverse
+from hopfcheck.models import build_kp, build_phi_and_verify, build_smash, \
     build_vtilde_twist
-from hopfcheck.multimatrix import LinearMap
+from hopfcheck.multimatrix import LinearMap, tensor_compose
 
 
 def test_every_phi_mutant_is_rejected_with_a_witness():
@@ -88,3 +90,40 @@ def test_labels_are_names_that_a_load_keeps():
     back = hopf_from_dict(data)
     assert back.algebra.labels == tuple(reversed(kp.algebra.labels))
     assert back.coproduct.cols == kp.coproduct.cols
+
+
+def test_groupoid_basis_mutants_fail_as_their_block_transports():
+    # one coefficient of the crossed product's closed-form Delta, eps or S on
+    # the basis delta_h lam^k, + 1 (the structure stays integral) or zero
+    # <-> z (it needs Q(z)); carried to the blocks through the block model
+    # dl, the mutant must fail the same checks there
+    sm = build_smash()
+    gh = sm.groupoid_hopf
+    dlam, alg = gh.algebra, sm.hopf.algebra
+    dl = sm.dl
+    inv = LinearMap(alg, dlam, left_inverse(dl.cols, alg.dim))
+
+    def to_blocks(h):
+        return HopfAlgebra(
+            alg, tensor_compose(dl, dl, h.coproduct).compose(inv),
+            h.counit.compose(inv), dl.compose(h.antipode).compose(inv))
+
+    assert to_blocks(gh) == sm.hopf
+    rng = random.Random(13)
+    for i in range(24):
+        which = rng.choice(["coproduct", "counit", "antipode"])
+        f = getattr(gh, which)
+        j = rng.randrange(f.source.dim)
+        # about half of the edits hit a nonzero coefficient
+        k = (rng.choice(sorted(f.cols[j])) if f.cols[j] and rng.randrange(2)
+             else rng.randrange(f.target.dim))
+        cols = [dict(c) for c in f.cols]
+        v = cols[j].get(k, ZERO)
+        cols[j][k] = v + ONE if i % 2 else (ZERO if v else ZETA)
+        h = dataclasses.replace(gh, **{which: LinearMap(f.source, f.target,
+                                                         cols)})
+        rep, blocks = verify_hopf_axioms(h), verify_hopf_axioms(to_blocks(h))
+        failing = [name for name, ok in rep.checks.items() if not ok]
+        assert failing and rep.witnesses.get(failing[0]), (which, j, k)
+        assert failing == [name for name, ok in blocks.checks.items()
+                           if not ok], (which, j, k)
