@@ -7,21 +7,22 @@ by even functions together with odd functions times the group-like of the
 acting Z/2.  Each Hopf structure is verified once, and nothing is trusted
 from its construction alone: the function algebra and the crossed product
 on its groupoid basis delta_h lam^k pass every axiom of verify_hopf_axioms,
-in integer arithmetic; the crossed product's blocks are that structure
-carried through a checked *-isomorphism; and the twist is accepted when its
-inclusion into the blocks passes check_hopf_morphism, which proves its
-axioms from the crossed product's (see SmashProduct and subalgebra_hopf).
+in integer arithmetic.  The crossed product's blocks and the twist are
+restrictions of that one structure, each accepted when its inclusion passes
+check_hopf_morphism, which proves its axioms from the crossed product's
+(see SmashProduct and subalgebra_hopf).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary, mat_mul
 from .linalg import LinAlgError, Vector, left_inverse
-from .hopf_core import (HopfAlgebra, Report, _morphism_report, _partners,
-                        _star_algebra_map, verify_hopf_axioms)
+from .hopf_core import (HopfAlgebra, Report, _morphism_report,
+                        verify_hopf_axioms)
 from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
                           MultiMatrixAlgebra, Scalar, _cyc, tensor_algebra,
                           tensor_compose)
@@ -278,13 +279,10 @@ class SmashProduct:
     once, in integers; axiom_report is its report.  The action is a Hopf
     *-automorphism of C(G) by construction (see ConjugationAction).
 
-    hopf is the same structure on blocks: fixed points h give two 1x1
-    blocks spanned by (delta_h +- delta_h lam)/2, a 2-orbit {h, h'} a 2x2
-    block with delta_h lam and delta_h' lam off the diagonal.  The block
-    model dl is checked to be a unital *-homomorphism with a left inverse,
-    so a *-isomorphism, and hopf is (dl (x) dl) Delta dl^-1, eps dl^-1 and
-    dl S dl^-1.  It is not verified again: through dl, each of its axioms
-    is the verified one.
+    hopf is the same structure on the blocks of block_basis, restricted
+    from groupoid_hopf by subalgebra_hopf when it is first read (by the
+    smash export and the block sizes); a twist restricts groupoid_hopf
+    itself and never builds the blocks.
     """
 
     def __init__(self, fa: FunctionHopf, action: ConjugationAction):
@@ -319,43 +317,42 @@ class SmashProduct:
         if not self.axiom_report.passed:
             raise AxiomFailure("crossed product", self.axiom_report)
 
-        # dl: column 2h + k is delta_h lam^k in block coordinates; the fixed
-        # points' 1x1 blocks come first
-        sizes: list[int] = []
-        labels: list[str] = []
-        cols: list[Vector] = [{} for _ in keys]
-        for h in range(n):
-            if perm[h] == h:
-                d = len(sizes)
-                sizes += [1, 1]
-                labels += [f"p+({names[h]})", f"p-({names[h]})"]
-                cols[2 * h] = {d: ONE, d + 1: ONE}
-                cols[2 * h + 1] = {d: ONE, d + 1: -ONE}
-        for a, b in enumerate(perm):
-            if a < b:
-                d = sum(m * m for m in sizes)
-                sizes.append(2)
-                labels.append(f"m({names[a]},{names[b]})")
-                for i, c in enumerate((2 * a, 2 * a + 1, 2 * b + 1, 2 * b)):
-                    cols[c] = {d + i: ONE}
-        alg = MultiMatrixAlgebra(sizes, labels)
-        self.dl = dl = LinearMap(dlam, alg, cols)
-        rep = Report()
-        _star_algebra_map(rep, "", dlam, dlam.unit().coords, cols,
-                          _partners(alg), alg.star_index, alg.unit().coords)
-        if not rep.passed:
-            raise SubalgebraError(f"block model fails {rep.first_failure()}")
-        try:
-            inverse = LinearMap(alg, dlam, left_inverse(cols, alg.dim))
-        except LinAlgError as exc:
-            raise SubalgebraError("block model is not injective") from exc
-        self.hopf = HopfAlgebra(
-            alg, tensor_compose(dl, dl, gh.coproduct).compose(inverse),
-            gh.counit.compose(inverse), dl.compose(gh.antipode).compose(inverse))
+    @cached_property
+    def hopf(self) -> HopfAlgebra:
+        target, basis = block_basis(self)
+        return subalgebra_hopf(self.groupoid_hopf, basis, target)[0]
 
     def delta_lambda(self, element_index: int, lam_power: int) -> AlgElement:
-        return AlgElement(self.dl.target,
-                          self.dl.cols[2 * element_index + lam_power % 2])
+        return AlgElement(self.groupoid_hopf.algebra,
+                          {2 * element_index + lam_power % 2: ONE})
+
+
+def block_basis(smash: SmashProduct,
+                ) -> tuple[MultiMatrixAlgebra, list[AlgElement]]:
+    """The crossed product's block basis on delta_h lam^k, and its algebra.
+
+    A fixed point h gives two 1x1 blocks p+- = (delta_h +- delta_h lam)/2,
+    and these come first; a 2-orbit {a, b} with a < b gives one 2x2 block
+    with matrix units delta_a, delta_a lam, delta_b lam and delta_b.
+    """
+    perm = smash.action.perm
+    names = smash.fa.group.names
+    dl = smash.delta_lambda
+    sizes: list[int] = []
+    labels: list[str] = []
+    basis_els: list[AlgElement] = []
+    for h, image in enumerate(perm):
+        if image == h:
+            sizes += [1, 1]
+            labels += [f"p+({names[h]})", f"p-({names[h]})"]
+            basis_els += [(dl(h, 0) + dl(h, 1)).scale(HALF),
+                          (dl(h, 0) - dl(h, 1)).scale(HALF)]
+    for a, b in enumerate(perm):
+        if a < b:
+            sizes.append(2)
+            labels.append(f"m({names[a]},{names[b]})")
+            basis_els += [dl(a, 0), dl(a, 1), dl(b, 1), dl(b, 0)]
+    return MultiMatrixAlgebra(sizes, labels), basis_els
 
 
 @dataclass
@@ -385,7 +382,7 @@ class CentralGrading:
 
 def coset_basis(smash: SmashProduct, grading: CentralGrading,
                 ) -> tuple[MultiMatrixAlgebra, list[AlgElement]]:
-    """The twist's coset-block basis in the crossed product, and its algebra.
+    """The twist's coset-block basis on delta_h lam^k, and its algebra.
 
     The twist is spanned by even functions e_C = delta_h + delta_zh and odd
     multiples o_C lam = (delta_h - delta_zh) lam.  Coset fixed pointwise by
@@ -469,7 +466,7 @@ class GradedTwist:
         self.smash = SmashProduct(fa, action)
         target, basis = coset_basis(self.smash, grading)
         self.hopf, self._solver, self.axiom_report = subalgebra_hopf(
-            self.smash.hopf, basis, target)
+            self.smash.groupoid_hopf, basis, target)
 
     def to_twist(self, x: AlgElement) -> AlgElement:
         """Coordinates of an ambient element in the twist, if it lies there."""
@@ -482,7 +479,8 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
                                Report]:
     """Transport the ambient Hopf structure onto a multimatrix basis.
 
-    basis_els[t] plays the role of target basis vector t.  With B the
+    basis_els[t], an element of the ambient algebra, plays the role of
+    target basis vector t.  With B the
     inclusion of their span and L one exact left inverse of B, the coproduct
     is (L (x) L) Delta B, the counit eps B and the antipode L S B.  The
     transport is accepted only when B passes check_hopf_morphism, and
@@ -500,9 +498,11 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     Returns (hopf, solver, report): solver expresses ambient elements in
     the chosen basis, report is the passing morphism report of B.
     """
+    amb = ambient.algebra
+    if any(x.parent != amb for x in basis_els):
+        raise SubalgebraError("chosen elements do not lie in the ambient algebra")
     if len(basis_els) != target.dim:
         raise SubalgebraError("basis length does not match the target algebra")
-    amb = ambient.algebra
     incl = LinearMap(target, amb, [x.coords for x in basis_els])
     try:
         left = LinearMap(amb, target, left_inverse(incl.cols, amb.dim))

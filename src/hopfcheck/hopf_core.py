@@ -14,11 +14,10 @@ Whatever the source, only the unique ones the coproduct determines are
 accepted, since a bialgebra has at most one counit and one antipode, so a
 typo in a coproduct table cannot be papered over by a matching typo in the
 antipode.  verify_hopf_axioms checks them on every structure but the
-transported ones: a restricted structure is accepted when
-check_hopf_morphism passes its inclusion into the verified ambient, which
-holds its counit and antipode to the ambient's (see subalgebra_hopf), and a
-crossed product's blocks are its groupoid basis seen through a checked
-*-isomorphism (see group_twist.SmashProduct).
+restricted ones (a graded twist, a crossed product's blocks): those are
+accepted when check_hopf_morphism passes their inclusion into the verified
+ambient, which holds their counit and antipode to the ambient's (see
+group_twist.subalgebra_hopf).
 
 The coproduct, the counit and a Hopf *-morphism are unital *-algebra maps
 (A -> A (x) A, A -> k and A -> B), and one routine checks that for all three.
@@ -34,7 +33,7 @@ from typing import Literal
 from .cyclotomic import Cyc, ONE, ZERO
 from .linalg import Vector, exact_rank, solve_unique
 from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
-                          MultiMatrixAlgebra, _cyc, tensor_algebra,
+                          MultiMatrixAlgebra, _cyc, partners, tensor_algebra,
                           tensor_compose, tensor_split)
 
 
@@ -153,13 +152,6 @@ def _diff_witness(alg, f: LinearMap, g: LinearMap) -> str:
         if a != b:
             return _column_witness(alg, j, a, b, f.target)
     return ""
-
-
-def _partners(alg) -> list[list[tuple[int, int]]]:
-    """For each basis index a, the pairs (c, r) with e_a e_c = e_r."""
-    n, mul = alg.dim, alg.mul_basis
-    return [[(c, r) for c in range(n) if (r := mul(a, c)) is not None]
-            for a in range(n)]
 
 
 def _conj(v):
@@ -308,7 +300,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
         eta_eps.__getitem__)
 
     # Delta and eps are unital *-algebra maps; e_a (x) e_b is keyed a * n + b
-    part = _partners(alg)
+    part = partners(alg)
     dimgs = [{a * n + b: v for a, b, v in col} for col in terms]
     tpart = {k: [(c * n + d, r * n + s) for c, r in part[k // n]
                  for d, s in part[k % n]] for col in dimgs for k in col}
@@ -388,7 +380,7 @@ def _morphism_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
     over instead of composing it again."""
     a1, a2 = h1.algebra, h2.algebra
     rep = Report()
-    _star_algebra_map(rep, "", a1, a1.unit().coords, f.cols, _partners(a2),
+    _star_algebra_map(rep, "", a1, a1.unit().coords, f.cols, partners(a2),
                       a2.star_index, a2.unit().coords)
     for name, lhs, rhs in (
             ("comultiplicative", tensor_compose(f, f, h1.coproduct), delta_f),

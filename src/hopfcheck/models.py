@@ -297,7 +297,7 @@ def build_vtilde_twist() -> TwistModel:
     target = MultiMatrixAlgebra((1, 1, 1, 1, 2),
                                 labels=("eps", "alphap", "betap", "gammap", "m"))
     basis = [dictionary[n] for n in order]
-    hopf, solver, report = subalgebra_hopf(sm.hopf, basis, target)
+    hopf, solver, report = subalgebra_hopf(sm.groupoid_hopf, basis, target)
     _require_same_coproduct(
         hopf, _table_coproduct(target, _TWIST_QUADS, _TWIST_CONJUGATORS))
 
@@ -402,7 +402,7 @@ def build_fundamental() -> FundamentalResult:
     tw = build_vtilde_twist()
     sm = tw.smash
     group = tw.vtilde.group
-    zero = sm.hopf.algebra.zero()
+    zero = AlgElement(sm.groupoid_hopf.algebra, {})
     raw = [[zero, zero], [zero, zero]]
     for k, h in enumerate(group.elements):
         lam = sm.delta_lambda(k, 1)

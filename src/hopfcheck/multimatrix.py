@@ -13,7 +13,7 @@ are produced only at the serialization boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -29,9 +29,10 @@ def _cyc(x: Scalar) -> Cyc:
 
 
 @lru_cache(maxsize=None)
-def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple, tuple]:
-    """Dimension, block starts and index -> (block, i, j) table of a block
-    size tuple, shared by every algebra of that shape."""
+def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple, tuple, dict]:
+    """Dimension, block starts, index -> (block, i, j) table and the cache
+    of derived tables (see partners, tensor_algebra) of a block size tuple,
+    shared by every algebra of that shape."""
     starts = []
     acc = 0
     for n in sizes:
@@ -39,13 +40,14 @@ def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple, tuple]:
         acc += n * n
     decomp = tuple((b, i, j) for b, n in enumerate(sizes)
                    for i in range(n) for j in range(n))
-    return acc, tuple(starts), decomp
+    return acc, tuple(starts), decomp, {}
 
 
 class MultiMatrixAlgebra:
     """Direct sum of matrix algebras M_{n_1} + ... + M_{n_r}."""
 
-    __slots__ = ("block_sizes", "labels", "dim", "_starts", "_decomp")
+    __slots__ = ("block_sizes", "labels", "dim", "_starts", "_decomp",
+                 "_tables")
 
     def __init__(self, block_sizes: Sequence[int], labels: Sequence[str] | None = None):
         sizes = tuple(int(n) for n in block_sizes)
@@ -56,7 +58,7 @@ class MultiMatrixAlgebra:
         self.block_sizes = sizes
         self.labels = tuple(labels) if labels is not None else tuple(
             f"b{k}" for k in range(len(sizes)))
-        self.dim, self._starts, self._decomp = _layout(sizes)
+        self.dim, self._starts, self._decomp, self._tables = _layout(sizes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiMatrixAlgebra):
@@ -124,13 +126,15 @@ class GroupoidAlgebra:
     identity arrows, whose sum is the unit.  The table is these functions,
     so a tensor product (the product groupoid's algebra) needs none.  A
     multimatrix algebra is the algebra of a union of pair groupoids, but a
-    GroupoidAlgebra equals only itself.
+    GroupoidAlgebra equals only itself, and the tables derived from it are
+    cached on it, so they live as long as it does.
     """
     dim: int
     mul_basis: Callable[[int, int], int | None]
     star_index: Callable[[int], int]
     basis_name: Callable[[int], str]
     units: Sequence[int]
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def unit(self) -> AlgElement:
         return AlgElement(self, dict.fromkeys(self.units, ONE))
@@ -152,12 +156,12 @@ class AlgElement:
         return self.parent == other.parent and self.coords == other.coords
 
     def __hash__(self) -> int:
-        return hash((self.parent.block_sizes, tuple(sorted(self.coords.items()))))
+        return hash((self.parent, tuple(sorted(self.coords.items()))))
 
     def __add__(self, other: AlgElement) -> AlgElement:
         # != compares block sizes only; the pointer compare settles most calls
         if other.parent is not self.parent and other.parent != self.parent:
-            raise ValueError("operands lie in algebras of different block sizes")
+            raise ValueError("operands lie in different algebras")
         coords = dict(self.coords)
         for p, v in other.coords.items():
             nv = coords.get(p, ZERO) + v
@@ -182,34 +186,14 @@ class AlgElement:
     def __mul__(self, other: AlgElement) -> AlgElement:
         # != compares block sizes only; the pointer compare settles most calls
         if other.parent is not self.parent and other.parent != self.parent:
-            raise ValueError("operands lie in algebras of different block sizes")
-        alg = self.parent
-        decomp, starts, sizes = alg._decomp, alg._starts, alg.block_sizes
-        # e_(b,i,j) e_(b,j,k) = e_(b,i,k): bucket the right factor by
-        # (block, row) so each left term meets only the terms it multiplies
-        rows: dict[tuple[int, int], list[tuple[int, Cyc]]] = {}
-        for q, y in other.coords.items():
-            b, i, k = decomp[q]
-            bucket = rows.get((b, i))
-            if bucket is None:
-                rows[(b, i)] = [(k, y)]
-            else:
-                bucket.append((k, y))
-        acc: Vector = {}
+            raise ValueError("operands lie in different algebras")
+        part, y, acc = partners(self.parent), other.coords, {}
         for p, x in self.coords.items():
-            b, i, j = decomp[p]
-            bucket = rows.get((b, j))
-            if bucket is None:
-                continue
-            base = starts[b] + i * sizes[b]
-            for k, y in bucket:
-                r = base + k
-                nv = acc.get(r, ZERO) + x * y
-                if nv:
-                    acc[r] = nv
-                else:
-                    acc.pop(r, None)
-        return AlgElement(alg, acc)
+            for c, r in part[p]:
+                w = y.get(c)
+                if w is not None:
+                    acc[r] = acc[r] + x * w if r in acc else x * w
+        return AlgElement(self.parent, acc)
 
     def star(self) -> AlgElement:
         alg = self.parent
@@ -247,12 +231,50 @@ class AlgElement:
         return f"<{self.describe()}>"
 
 
-# keyed on the labels too, so a tensor algebra is named after its own
-# factors; each entry is (algebra, [table, reverse index]).  The list is
-# shared by all factors of the same block sizes, as is the algebra's layout,
-# and tensor_split fills in its reverse index on first use.
-_TENSOR_CACHE: dict[tuple, tuple] = {}
-_TENSOR_TABLES: dict[tuple, list] = {}
+def partners(alg) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The product table of alg: for each basis index a, the pairs (c, r)
+    with e_a e_c = e_r.  Cached on alg (see _layout, GroupoidAlgebra)."""
+    tables = alg._tables
+    if "partners" not in tables:
+        n, mul = alg.dim, alg.mul_basis
+        tables["partners"] = tuple(
+            tuple((c, r) for c in range(n) if (r := mul(a, c)) is not None)
+            for a in range(n))
+    return tables["partners"]
+
+
+def _tensor_entry(a, b) -> tuple:
+    """(a tensor b, [table, reverse index or None]), cached on a groupoid
+    factor when there is one and on a's block sizes otherwise.  The key
+    holds the labels too, so a tensor algebra is named after its own
+    factors; the list is shared by all multimatrix factors of the same block
+    sizes, as is the algebra's layout, and tensor_split fills in its reverse
+    index on first use."""
+    tables = (b if type(b) is GroupoidAlgebra else a)._tables
+    key = (a, getattr(a, "labels", None), b, getattr(b, "labels", None))
+    if key in tables:
+        return tables[key]
+    if type(a) is not MultiMatrixAlgebra or type(b) is not MultiMatrixAlgebra:
+        ta, table = _product_groupoid(a, b)
+        tables[key] = (ta, [table, None])
+        return tables[key]
+    ta = MultiMatrixAlgebra(
+        [n1 * n2 for n1 in a.block_sizes for n2 in b.block_sizes],
+        [f"{l1}(x){l2}" for l1 in a.labels for l2 in b.labels])
+    entry = tables.get(b.block_sizes)
+    if entry is None:
+        nb = len(b.block_sizes)
+        table = [[0] * b.dim for _ in range(a.dim)]
+        for p in range(a.dim):
+            b1, i1, j1 = a.decompose(p)
+            for q in range(b.dim):
+                b2, i2, j2 = b.decompose(q)
+                n2 = b.block_sizes[b2]
+                table[p][q] = ta.index(b1 * nb + b2, i1 * n2 + i2,
+                                       j1 * n2 + j2)
+        entry = tables[b.block_sizes] = [table, None]
+    tables[key] = (ta, entry)
+    return tables[key]
 
 
 def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
@@ -262,31 +284,10 @@ def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
     Block (b1, b2) pairs run in lex order; inside a block the Kronecker
     convention pairs row (i1, i2) -> i1 * n2 + i2, so index chasing matches
     matrix Kronecker products.  Returns (algebra, table) with
-    table[p][q] == index of e_p tensor e_q.
+    table[p][q] == index of e_p tensor e_q.  The same factors give the same
+    algebra, so maps into it compare equal.
     """
-    if type(a) is not MultiMatrixAlgebra or type(b) is not MultiMatrixAlgebra:
-        return _product_groupoid(a, b)
-    key = (a.block_sizes, a.labels, b.block_sizes, b.labels)
-    hit = _TENSOR_CACHE.get(key)
-    if hit is not None:
-        return hit[0], hit[1][0]
-    ta = MultiMatrixAlgebra(
-        [n1 * n2 for n1 in a.block_sizes for n2 in b.block_sizes],
-        [f"{l1}(x){l2}" for l1 in a.labels for l2 in b.labels])
-    entry = _TENSOR_TABLES.get((a.block_sizes, b.block_sizes))
-    if entry is None:
-        nb = len(b.block_sizes)
-        table = [[0] * b.dim for _ in range(a.dim)]
-        for p in range(a.dim):
-            b1, i1, j1 = a.decompose(p)
-            n1 = a.block_sizes[b1]
-            for q in range(b.dim):
-                b2, i2, j2 = b.decompose(q)
-                n2 = b.block_sizes[b2]
-                table[p][q] = ta.index(b1 * nb + b2, i1 * n2 + i2,
-                                       j1 * n2 + j2)
-        entry = _TENSOR_TABLES[(a.block_sizes, b.block_sizes)] = [table, None]
-    _TENSOR_CACHE[key] = (ta, entry)
+    ta, entry = _tensor_entry(a, b)
     return ta, entry[0]
 
 
@@ -308,12 +309,10 @@ def _product_groupoid(a, b) -> tuple[GroupoidAlgebra, list[range]]:
     return ta, [range(p * nb, p * nb + nb) for p in range(a.dim)]
 
 
-def tensor_split(alg) -> dict[int, tuple[int, int]]:
-    """Reverse of the tensor-square table: index of e_p tensor e_q -> (p, q)."""
-    if type(alg) is not MultiMatrixAlgebra:
-        return {t: divmod(t, alg.dim) for t in range(alg.dim ** 2)}
-    tensor_algebra(alg, alg)
-    entry = _TENSOR_TABLES[(alg.block_sizes,) * 2]
+def tensor_split(a, b=None) -> dict[int, tuple[int, int]]:
+    """Reverse of the table of a tensor b (b = a by default): index of
+    e_p tensor e_q -> (p, q)."""
+    entry = _tensor_entry(a, a if b is None else b)[1]
     if entry[1] is None:
         entry[1] = {t: (p, q) for p, row in enumerate(entry[0])
                     for q, t in enumerate(row)}
@@ -397,9 +396,8 @@ class LinearMap:
 def tensor_compose(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
     """(f tensor g) after h, applied to one column of h at a time, so that
     f tensor g is never built."""
-    _, sidx = tensor_algebra(f.source, g.source)
+    split = tensor_split(f.source, g.source)
     tgt, tidx = tensor_algebra(f.target, g.target)
-    split = {t: (p, q) for p, row in enumerate(sidx) for q, t in enumerate(row)}
     cols: list[Vector] = []
     for hcol in h.cols:
         acc: Vector = {}

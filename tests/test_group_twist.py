@@ -1,8 +1,10 @@
 """Matrix groups, function algebras, crossed products, graded twists."""
 
+import gc
 import json
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from hopfcheck.group_twist import (ActionError, AxiomFailure, CentralGrading,
                                    FiniteMatrixGroup, GradedTwist,
                                    GradingError, GroupClosureError, Mat2,
                                    SmashProduct, SubalgebraError,
-                                   conjugation_action, coset_basis,
+                                   block_basis, conjugation_action, coset_basis,
                                    function_algebra, generate_group,
                                    subalgebra_hopf, twist_from_model_dict)
 from hopfcheck import hopf_core, linalg, multimatrix
@@ -22,7 +24,7 @@ from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
 from hopfcheck.linalg import exact_rank
 from hopfcheck.models import (S1, S2, S3, U_ACT, build_smash, build_vtilde,
                               build_vtilde_twist)
-from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra
+from hopfcheck.multimatrix import AlgElement, LinearMap, MultiMatrixAlgebra
 
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 ROT = Mat2([[ZERO, -ONE], [ONE, ZERO]])
@@ -131,7 +133,7 @@ def test_smash_product_structure():
     assert dlam.mul_basis(s1_lam, s1) is None
     assert dlam.mul_basis(s1_lam, 2 * vt.indices["-s2"]) == s1_lam
     n = vt.group.order
-    unit = sm.hopf.algebra.unit()
+    unit = dlam.unit()
     lam = sm.delta_lambda(0, 1)
     for k in range(1, n):
         lam = lam + sm.delta_lambda(k, 1)
@@ -142,6 +144,21 @@ def test_smash_product_structure():
     moved = vt.action.perm[k]
     assert moved == vt.indices["-s2"]
     assert lam * sm.delta_lambda(k, 0) * lam == sm.delta_lambda(moved, 0)
+    # delta lam elements hash by their algebra and coordinates
+    assert len({lam, lam * unit, unit, sm.delta_lambda(k, 0)}) == 3
+
+
+def test_tables_of_a_crossed_product_go_with_it():
+    # its tensor square, reverse index and product table are cached on the
+    # groupoid algebra, so a process that builds many keeps none of them
+    vt = build_vtilde()
+    sm = SmashProduct(vt.fa, vt.action)
+    unit = sm.groupoid_hopf.algebra.unit()
+    assert unit * unit == unit and sm.hopf.algebra.dim == 16
+    ref = weakref.ref(sm.groupoid_hopf.algebra)
+    del sm, unit
+    gc.collect()
+    assert ref() is None
 
 
 def test_central_grading():
@@ -200,34 +217,57 @@ def test_solver_rejects_elements_outside_the_twist():
 
 def test_transport_rejects_a_non_coalgebra_and_a_dependent_basis():
     sm = build_smash()
-    amb = sm.hopf.algebra
+    gh = sm.groupoid_hopf
     d_e = sm.delta_lambda(sm.fa.group.identity_index, 0)
     target = MultiMatrixAlgebra((1, 1))
     # a *-subalgebra, but the coproduct of delta_e leaves its span
     with pytest.raises(SubalgebraError,
                        match="^inclusion fails comultiplicative: "):
-        subalgebra_hopf(sm.hopf, [d_e, amb.unit() - d_e], target)
+        subalgebra_hopf(gh, [d_e, gh.algebra.unit() - d_e], target)
     with pytest.raises(SubalgebraError,
                        match="^chosen elements are not linearly independent$"):
-        subalgebra_hopf(sm.hopf, [d_e, d_e], target)
+        subalgebra_hopf(gh, [d_e, d_e], target)
+
+
+def test_transport_rejects_elements_of_another_algebra():
+    # the blocks and sixteen 1x1 blocks share dimension 16 with delta_h
+    # lam^k; coordinates of one algebra read in another prove nothing
+    sm = build_smash()
+    blocks = sm.hopf.algebra
+    lines = MultiMatrixAlgebra((1,) * 16)
+    one = MultiMatrixAlgebra((1,))
+    for ambient, unit in ((sm.hopf, lines.element(blocks.unit().coords)),
+                          (sm.hopf, sm.groupoid_hopf.algebra.unit()),
+                          (sm.groupoid_hopf, blocks.unit())):
+        with pytest.raises(SubalgebraError, match="^chosen elements do not "
+                                                  "lie in the ambient algebra$"):
+            subalgebra_hopf(ambient, [unit], one)
+    # the unit in its own algebra is a Hopf subalgebra
+    assert subalgebra_hopf(sm.hopf, [blocks.unit()], one)[2].passed
 
 
 def test_coset_basis_mutants_are_rejected():
-    """Seeded single-coefficient edits of the order-8 coset basis (+ 1, or
-    zero <-> z) never pass the transport, and never crash it."""
+    """Seeded single-coefficient edits of the order-8 coset basis and of the
+    crossed product's block basis (+ 1, or zero <-> z) never pass the
+    transport, and never crash it.  A block basis element is a single
+    delta_h lam^k on a 2-orbit, which zero <-> z can make zero."""
     sm = build_smash()
-    target, basis = coset_basis(sm, build_vtilde().grading)
-    amb = sm.hopf.algebra
-    rng = random.Random(0)
-    for _ in range(40):
-        t, c = rng.randrange(len(basis)), rng.randrange(amb.dim)
-        coords = dict(basis[t].coords)
-        v = coords.get(c, ZERO)
-        coords[c] = v + ONE if rng.randrange(2) else (ZERO if v else ZETA)
-        edited = list(basis)
-        edited[t] = amb.element({k: x for k, x in coords.items() if x})
-        with pytest.raises(SubalgebraError, match="^inclusion fails "):
-            subalgebra_hopf(sm.hopf, edited, target)
+    gh = sm.groupoid_hopf
+    amb = gh.algebra
+    for (target, basis), rejected in (
+            (coset_basis(sm, build_vtilde().grading), "^inclusion fails "),
+            (block_basis(sm), "^(inclusion fails |chosen elements are not "
+                              "linearly independent$)")):
+        rng = random.Random(0)
+        for _ in range(40):
+            t, c = rng.randrange(len(basis)), rng.randrange(amb.dim)
+            coords = dict(basis[t].coords)
+            v = coords.get(c, ZERO)
+            coords[c] = v + ONE if rng.randrange(2) else (ZERO if v else ZETA)
+            edited = list(basis)
+            edited[t] = AlgElement(amb, coords)
+            with pytest.raises(SubalgebraError, match=rejected):
+                subalgebra_hopf(gh, edited, target)
 
 
 def sample_model() -> dict:
@@ -324,8 +364,8 @@ def test_model_twist_builds_no_square_sized_objects(monkeypatch):
     """Building the sample model's twist solves for no counit or antipode,
     and its axiom checks build no map on the tensor square and rank no n^2
     vectors (n = 8 is the smallest structure verified).  The axioms are
-    verified once, on the crossed product's groupoid basis and not on its
-    blocks, and the block coproduct is composed with the twist's inclusion
+    verified once, on the crossed product's groupoid basis; its blocks are
+    never built, and its coproduct is composed with the twist's inclusion
     once."""
     calls = {"solve": 0, "tensor_map": 0}
     ranked: list[int] = []
@@ -369,7 +409,8 @@ def test_model_twist_builds_no_square_sized_objects(monkeypatch):
     assert tw.smash.axiom_report.passed
     assert calls == {"solve": 0, "tensor_map": 0}
     assert all(k < 8 * 8 for k in ranked)
-    assert verified == [tw.smash.groupoid_hopf]
-    assert tw.smash.hopf not in verified
-    delta = tw.smash.hopf.coproduct
-    assert [g.source for f, g in composed if f is delta] == [tw.hopf.algebra]
+    gh = tw.smash.groupoid_hopf
+    assert verified == [gh]
+    assert "hopf" not in vars(tw.smash)
+    assert [g.source for f, g in composed
+            if f is gh.coproduct] == [tw.hopf.algebra]

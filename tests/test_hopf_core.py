@@ -100,6 +100,16 @@ def test_identity_is_an_isomorphism():
     assert rep.checks["antipode"]
 
 
+def test_identity_is_a_morphism_of_the_groupoid_structure():
+    # (f (x) f) Delta lands in the tensor square of a groupoid algebra,
+    # which must be the same algebra as the target of Delta f
+    gh = build_smash().groupoid_hopf
+    dlam = gh.algebra
+    assert tensor_algebra(dlam, dlam)[0] is gh.coproduct.target
+    rep = check_hopf_morphism(LinearMap.identity(dlam), gh, gh)
+    assert rep.passed, rep.first_failure()
+
+
 def test_antipode_edit_fails_only_the_antipode_check():
     # the identity onto kp with one antipode column edited keeps every
     # algebra, coalgebra and rank condition; only f S == S' f can fail

@@ -14,6 +14,7 @@ import pytest
 from hopfcheck import cli
 from hopfcheck.category_checks import ty
 from hopfcheck.cyclotomic import HALF, ONE, ZERO, ZETA
+from hopfcheck.group_twist import block_basis
 from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     hopf_from_dict, hopf_to_dict, verify_hopf_axioms
 from hopfcheck.linalg import left_inverse
@@ -95,18 +96,18 @@ def test_labels_are_names_that_a_load_keeps():
 def test_groupoid_basis_mutants_fail_as_their_block_transports():
     # one coefficient of the crossed product's closed-form Delta, eps or S on
     # the basis delta_h lam^k, + 1 (the structure stays integral) or zero
-    # <-> z (it needs Q(z)); carried to the blocks through the block model
-    # dl, the mutant must fail the same checks there
+    # <-> z (it needs Q(z)); carried to the blocks through the left inverse
+    # dl of the block basis, the mutant must fail the same checks there
     sm = build_smash()
     gh = sm.groupoid_hopf
-    dlam, alg = gh.algebra, sm.hopf.algebra
-    dl = sm.dl
-    inv = LinearMap(alg, dlam, left_inverse(dl.cols, alg.dim))
+    alg, basis = block_basis(sm)
+    incl = LinearMap(alg, gh.algebra, [x.coords for x in basis])
+    dl = LinearMap(gh.algebra, alg, left_inverse(incl.cols, gh.algebra.dim))
 
     def to_blocks(h):
         return HopfAlgebra(
-            alg, tensor_compose(dl, dl, h.coproduct).compose(inv),
-            h.counit.compose(inv), dl.compose(h.antipode).compose(inv))
+            alg, tensor_compose(dl, dl, h.coproduct).compose(incl),
+            h.counit.compose(incl), dl.compose(h.antipode).compose(incl))
 
     assert to_blocks(gh) == sm.hopf
     rng = random.Random(13)
