@@ -144,7 +144,7 @@ def fusion_ring_match(rules: dict) -> dict:
     multiplicities of the two-dimensional simple in its products, as
     produced by the model layer.  A match is a bijection of the
     invertibles onto the group fixing the unit and turning the table into
-    xor; every relabeling of the three nontrivial elements should work.
+    xor; every permutation of the three nontrivial elements should work.
     """
     table = rules["table"]
     found = []

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cyclotomic import Cyc, ONE, ZERO, ROOTS_OF_UNITY_8, cyc_sqrt
 from .hopf_core import HopfAlgebra, Report
 from .linalg import LinAlgError, Vector, exact_nullspace, solve_unique
-from .multimatrix import AlgElement, tensor_split
+from .multimatrix import AlgElement
 
 
 class UnsupportedProfile(Exception):
@@ -212,7 +212,6 @@ def one_dim_group(h: HopfAlgebra) -> OneDimGroup:
             f"block profile {alg.block_sizes} is out of scope for the search")
     oneidx = [alg.index(b, 0, 0) for b in ones]
     pos_of = {p: s for s, p in enumerate(oneidx)}
-    rev = tensor_split(alg)
 
     # group law on 1x1 blocks: Delta(e_r) must restrict to sum of e_s x e_t
     # with coefficient one, each (s, t) claimed exactly once
@@ -220,7 +219,7 @@ def one_dim_group(h: HopfAlgebra) -> OneDimGroup:
     table = [[-1] * m for _ in range(m)]
     for r, p_r in enumerate(oneidx):
         for c, v in h.coproduct.cols[p_r].items():
-            p, q = rev[c]
+            p, q = divmod(c, alg.dim)
             s, t = pos_of.get(p), pos_of.get(q)
             if s is None or t is None:
                 continue
@@ -243,7 +242,7 @@ def one_dim_group(h: HopfAlgebra) -> OneDimGroup:
     found: list[AlgElement] = []
     for chi in chars:
         scalar_part = alg.element({p: chi[s] for s, p in enumerate(oneidx)})
-        for g in _complete_group_like(h, scalar_part, twos, rev):
+        for g in _complete_group_like(h, scalar_part, twos):
             if (h.coproduct(g) == g.tensor(g) and h.counit_value(g) == ONE
                     and g * g.star() == unit and g.star() * g == unit
                     and g not in found):
@@ -251,8 +250,8 @@ def one_dim_group(h: HopfAlgebra) -> OneDimGroup:
     return _assemble_group(found, unit)
 
 
-def _complete_group_like(h: HopfAlgebra, scalar_part: AlgElement, twos: list[int],
-                         rev: dict[int, tuple[int, int]]) -> list[AlgElement]:
+def _complete_group_like(h: HopfAlgebra, scalar_part: AlgElement,
+                         twos: list[int]) -> list[AlgElement]:
     """Candidates g == scalar_part + Y with Delta(g) == g tensor g.
 
     The coordinates of that identity which are linear in Y pin Y up to one
@@ -278,7 +277,7 @@ def _complete_group_like(h: HopfAlgebra, scalar_part: AlgElement, twos: list[int
     sys_rhs: list[Cyc] = []
     quad_coords: list[int] = []
     for c in sorted(set(dy) | set(dconst)):
-        p, q = rev[c]
+        p, q = divmod(c, alg.dim)
         kp_, kq = mpos.get(p), mpos.get(q)
         if kp_ is not None and kq is not None:
             quad_coords.append(c)
@@ -323,7 +322,7 @@ def _complete_group_like(h: HopfAlgebra, scalar_part: AlgElement, twos: list[int
         # t**2 (y0 x y0)|_c - t <linear form, y0> - const|_c == 0
         ys = []
         for c in quad_coords:
-            p, q = rev[c]
+            p, q = divmod(c, alg.dim)
             quad = y0[mpos[p]] * y0[mpos[q]]
             if not quad:
                 continue

@@ -23,6 +23,12 @@ The coproduct, the counit and a Hopf *-morphism are unital *-algebra maps
 (A -> A (x) A, A -> k and A -> B), and one routine checks that for all three.
 A Report holds named checks and a witness for each failing one; a failing
 rank condition gives its rank there.
+
+A (x) A has e_p (x) e_q at index p * n + q, and A (x) A (x) A has
+e_a (x) e_b (x) e_c at (a * n + b) * n + c (multimatrix.tensor_algebra), so
+every law below keys its vectors by these indices and a witness names
+them as <e_p>(x)<e_q>.  Only a dump (hopf_to_dict, hopf_from_dict) lists
+the rows of A (x) A in another order, the Kronecker order of the blocks.
 """
 
 from __future__ import annotations
@@ -32,14 +38,14 @@ from typing import Literal
 
 from .cyclotomic import Cyc, ONE, ZERO
 from .linalg import Vector, exact_rank, solve_unique
-from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
+from .multimatrix import (SCALARS, AlgElement, Algebra, LinearMap,
                           MultiMatrixAlgebra, _cyc, partners, tensor_algebra,
-                          tensor_compose, tensor_split)
+                          tensor_compose)
 
 
 @dataclass(frozen=True)
 class HopfAlgebra:
-    algebra: MultiMatrixAlgebra | GroupoidAlgebra
+    algebra: Algebra
     coproduct: LinearMap          # A -> A tensor A
     counit: LinearMap             # A -> scalars
     antipode: LinearMap           # A -> A
@@ -75,7 +81,7 @@ class Report:
         return f"{name}: {witness}" if witness else name
 
 
-def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
+def solve_counit_antipode(alg: Algebra, coproduct: LinearMap,
                           ) -> tuple[LinearMap, LinearMap]:
     """Unique counit and antipode for the given coproduct.
 
@@ -83,7 +89,6 @@ def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
     them, which is itself a useful verdict for a defective table.
     """
     n = alg.dim
-    rev = tensor_split(alg)
 
     # counit: (eps tensor id) Delta == id gives, per source j and target q,
     # sum_p Delta_j[p, q] eps_p == delta_{jq}
@@ -92,7 +97,7 @@ def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
     for j in range(n):
         eq: dict[int, Vector] = {}
         for tindex, v in coproduct.cols[j].items():
-            p, q = rev[tindex]
+            p, q = divmod(tindex, n)
             row = eq.setdefault(q, {})
             row[p] = row.get(p, ZERO) + v
         for q in range(n):
@@ -109,7 +114,7 @@ def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
     for j in range(n):
         eq = {}
         for tindex, v in coproduct.cols[j].items():
-            p, q = rev[tindex]
+            p, q = divmod(tindex, n)
             for r in range(n):
                 t = alg.mul_basis(r, q)
                 if t is None:
@@ -137,7 +142,7 @@ def solve_counit_antipode(alg: MultiMatrixAlgebra, coproduct: LinearMap,
 
 
 def _column_witness(alg, j: int, a: Vector, b: Vector,
-                    target: MultiMatrixAlgebra) -> str:
+                    target: Algebra) -> str:
     """Witness for differing images a, b of basis vector j of alg: the first
     index of a, then of b, at which they differ, named in target."""
     keys = sorted(set(a) | set(b), key=lambda k: (k not in a, k))
@@ -209,11 +214,12 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     """Check every Hopf *-algebra axiom of h exactly, with witnesses.
 
     Only the algebra's basis table is read (dim, mul_basis, star_index,
-    unit, basis_name, and its tensor square's index and names).  The
-    coalgebra, counit and antipode laws are checked one basis column at
-    a time from the (p, q) terms of the coproduct, so no map on the tensor
-    square or cube is built; a witness names the first failing column in the
-    basis of the composite's target (A (x) A (x) A, k (x) A, A (x) k or A).
+    unit and basis_name).  The coalgebra, counit and antipode laws are
+    checked one basis column at a time from the (p, q) terms of the
+    coproduct, keyed by their own indices in the tensor square and cube, so
+    no map on them is built; a witness names the first failing column in
+    the basis of the composite's target (A (x) A (x) A, k (x) A, A (x) k or
+    A), which is built only then.
     After these laws, Delta and eps are checked to be unital *-algebra maps
     (coproduct_* and counit_*), products in A (x) A taken factorwise through
     mul_basis.  Cancellation asks that the Galois maps a (x) b -> (a (x) 1)
@@ -233,7 +239,6 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     alg = h.algebra
     n = alg.dim
     mul, star = alg.mul_basis, alg.star_index
-    split = tensor_split(alg)
     unit = alg.unit().coords
     coeffs = {ZERO, ONE, *unit.values(),
               *(v for f in (h.coproduct, h.counit, h.antipode)
@@ -242,7 +247,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
             if v.is_rational() and v.coords[0].denominator == 1}
     num = ints.__getitem__ if len(ints) == len(coeffs) else (lambda v: v)
     # terms[j]: Delta(e_j) as (p, q, coefficient of e_p (x) e_q)
-    terms = [[(*split[t], num(v)) for t, v in col.items()]
+    terms = [[(*divmod(t, n), num(v)) for t, v in col.items()]
              for col in h.coproduct.cols]
     eps = [num(col.get(0, ZERO)) for col in h.counit.cols]
     scols = [{r: num(v) for r, v in col.items()} for col in h.antipode.cols]
@@ -251,40 +256,32 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     rep = Report()
     record = rep.record
 
-    def law(name, image, want, target=alg, relabel=None):
+    def law(name, image, want, target=lambda: alg):
         """Record image(j) == want(j) for every basis vector e_j; a witness
-        names the first failing column, its keys passed through relabel."""
+        names the first failing column in the algebra target() builds."""
         for j in range(n):
             got, exp = image(j), want(j)
             if got != exp:
-                if relabel is not None:
-                    target, got, exp = relabel(got, exp)
-                record(name, False, _column_witness(alg, j, got, exp, target))
+                record(name, False,
+                       _column_witness(alg, j, got, exp, target()))
                 return
         record(name, True)
-
-    # coassociativity, keyed (p * n + q) * n + r for e_p (x) e_q (x) e_r;
-    # the tensor cube's own basis table is built only for a witness
-    def to_cube(*vecs: Vector):
-        ta, tidx = tensor_algebra(alg, alg)
-        cube, cidx = tensor_algebra(ta, alg)
-        return (cube, *({cidx[tidx[k // (n * n)][k // n % n]][k % n]: v
-                         for k, v in vec.items()} for vec in vecs))
 
     law("coassociative",
         lambda j: _sum_terms(((a * n + b) * n + q, v * w)
                              for p, q, v in terms[j] for a, b, w in terms[p]),
         lambda j: _sum_terms(((p * n + a) * n + b, v * w)
                              for p, q, v in terms[j] for a, b, w in terms[q]),
-        relabel=to_cube)
+        lambda: tensor_algebra(tensor_algebra(alg, alg)[0], alg)[0])
 
+    # k (x) A and A (x) k have the indices of A
     ident = [{j: one} for j in range(n)]
     law("counit_left",
         lambda j: _sum_terms((q, v * eps[p]) for p, q, v in terms[j] if eps[p]),
-        ident.__getitem__, tensor_algebra(SCALARS, alg)[0])
+        ident.__getitem__, lambda: tensor_algebra(SCALARS, alg)[0])
     law("counit_right",
         lambda j: _sum_terms((p, v * eps[q]) for p, q, v in terms[j] if eps[q]),
-        ident.__getitem__, tensor_algebra(alg, SCALARS)[0])
+        ident.__getitem__, lambda: tensor_algebra(alg, SCALARS)[0])
 
     eta_eps = [{t: eps[j] * u for t, u in unit.items()} if eps[j] else {}
                for j in range(n)]
@@ -299,7 +296,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                              if (t := mul(p, r)) is not None),
         eta_eps.__getitem__)
 
-    # Delta and eps are unital *-algebra maps; e_a (x) e_b is keyed a * n + b
+    # Delta and eps are unital *-algebra maps
     part = partners(alg)
     dimgs = [{a * n + b: v for a, b, v in col} for col in terms]
     tpart = {k: [(c * n + d, r * n + s) for c, r in part[k // n]
@@ -312,7 +309,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                       [{0: e} if e else {} for e in eps], [[(0, 0)]],
                       lambda k: k, {0: one})
 
-    # cancellation, keyed a * n + b for e_a (x) e_b
+    # cancellation
     def galois_left(j: int) -> Vector:
         pre = _sum_terms((r * n + q, v * s) for p, q, v in terms[j]
                          for r, s in scols[p].items())
@@ -330,7 +327,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                           for a, b, w in terms[k // n]
                           if (t := mul(k % n, b)) is not None)
 
-    # (e_p (x) 1) Delta(e_q) and (1 (x) e_p) Delta(e_q), keyed a * n + b
+    # (e_p (x) 1) Delta(e_q) and (1 (x) e_p) Delta(e_q)
     def left_span(p: int, q: int) -> Vector:
         return _sum_terms((t * n + b, _cyc(v)) for a, b, v in terms[q]
                           if (t := mul(p, a)) is not None)
@@ -399,35 +396,56 @@ def _morphism_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
 
 
 def commutativity_flags(h: HopfAlgebra) -> tuple[bool, bool, dict[str, str]]:
-    """(commutative, cocommutative) with witnesses for whichever fails."""
+    """(commutative, cocommutative) with witnesses for whichever fails,
+    read from the basis table and the flip e_p (x) e_q -> e_q (x) e_p."""
     alg = h.algebra
+    n, mul, name = alg.dim, alg.mul_basis, alg.basis_name
     witnesses: dict[str, str] = {}
-    commutative = all(n == 1 for n in alg.block_sizes)
-    if not commutative:
-        b = next(k for k, n in enumerate(alg.block_sizes) if n > 1)
-        x, y = alg.basis_element(b, 0, 1), alg.basis_element(b, 1, 0)
+
+    def product(p: int, q: int) -> str:
+        r = mul(p, q)
+        return "0" if r is None else name(r)
+
+    pair = next(((p, q) for p in range(n) for q in range(p + 1, n)
+                 if mul(p, q) != mul(q, p)), None)
+    if pair is not None:
+        p, q = pair
         witnesses["commutative"] = (
-            f"{x.describe()} * {y.describe()} = {(x * y).describe()} but "
-            f"{y.describe()} * {x.describe()} = {(y * x).describe()}")
-    _, tidx = tensor_algebra(alg, alg)
-    swap = {t: tidx[q][p] for t, (p, q) in tensor_split(alg).items()}
+            f"{name(p)} * {name(q)} = {product(p, q)} but "
+            f"{name(q)} * {name(p)} = {product(q, p)}")
     j = next((j for j, col in enumerate(h.coproduct.cols)
-              if {swap[t]: v for t, v in col.items()} != col), None)
-    cocommutative = j is None
-    if not cocommutative:
+              if {t % n * n + t // n: v for t, v in col.items()} != col), None)
+    if j is not None:
         witnesses["cocommutative"] = (
-            f"coproduct of {alg.basis_name(j)} is not flip-invariant")
-    return commutative, cocommutative, witnesses
+            f"coproduct of {name(j)} is not flip-invariant")
+    return pair is None, j is None, witnesses
 
 
 # serialization ---------------------------------------------------------------
 
+def _dump_order(alg: MultiMatrixAlgebra) -> list[int]:
+    """The index p * dim + q of the e_p (x) e_q on each coproduct row of a
+    dump, which lists A (x) A in the Kronecker order of its blocks: blocks
+    (b1, b2) in lex order, each of size n1 * n2 and row-major, with row
+    (i1, i2) at i1 * n2 + i2 and column (j1, j2) at j1 * n2 + j2."""
+    index, dim = alg.index, alg.dim
+    return [index(b1, i1, j1) * dim + index(b2, i2, j2)
+            for b1, n1 in enumerate(alg.block_sizes)
+            for b2, n2 in enumerate(alg.block_sizes)
+            for i1 in range(n1) for i2 in range(n2)
+            for j1 in range(n1) for j2 in range(n2)]
+
+
 def hopf_to_dict(h: HopfAlgebra) -> dict:
+    """The dump of a structure on a multimatrix algebra: its block sizes,
+    labels and the dense matrices of its maps, the coproduct's rows in the
+    order of _dump_order."""
+    coproduct = h.coproduct.matrix()
     return {
         "block_sizes": list(h.algebra.block_sizes),
         "labels": list(h.algebra.labels),
-        "coproduct_matrix": [[v.to_strings() for v in row]
-                             for row in h.coproduct.matrix()],
+        "coproduct_matrix": [[v.to_strings() for v in coproduct[t]]
+                             for t in _dump_order(h.algebra)],
         "counit_matrix": [[v.to_strings() for v in row]
                           for row in h.counit.matrix()],
         "antipode_matrix": [[v.to_strings() for v in row]
@@ -442,10 +460,12 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     bounded by its own size: block sizes must be ints >= 1, labels (when
     present) one str per block, and each matrix must have the shape the
     block sizes fix, with a list of four coordinate strings in every cell.
-    The stored maps must then pass verify_hopf_axioms, which holds only for
-    the unique counit and antipode of the stored coproduct.  Anything else
-    raises ValueError, naming the malformed field or the first failing
-    check, so a returned structure is a verified one.
+    The coproduct's rows are read in the order of _dump_order, the
+    Kronecker order of the blocks of A (x) A; nowhere else is that order
+    used.  The stored maps must then pass verify_hopf_axioms, which holds
+    only for the unique counit and antipode of the stored coproduct.
+    Anything else raises ValueError, naming the malformed field or the
+    first failing check, so a returned structure is a verified one.
     """
     try:
         sizes, labels = data["block_sizes"], data.get("labels")
@@ -471,6 +491,10 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
         raise ValueError(f"malformed dump: {exc!r}") from exc
     alg = MultiMatrixAlgebra(sizes, labels)
     ta, _ = tensor_algebra(alg, alg)
+    coproduct = mats[0][:]
+    for row, t in zip(mats[0], _dump_order(alg)):
+        coproduct[t] = row
+    mats[0] = coproduct
     h = HopfAlgebra(alg, *(LinearMap.from_matrix(alg, target, mat)
                            for target, mat in zip((ta, SCALARS, alg), mats)))
     report = verify_hopf_axioms(h)

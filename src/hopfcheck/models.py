@@ -31,7 +31,7 @@ from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                         verify_hopf_axioms)
 from .linalg import exact_rank
 from .multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
-                          tensor_algebra, tensor_split)
+                          tensor_algebra)
 
 
 class ModelMismatchError(Exception):
@@ -126,7 +126,6 @@ def _table_coproduct(alg: MultiMatrixAlgebra, quads, mats) -> LinearMap:
 
 def _require_same_coproduct(h: HopfAlgebra, table: LinearMap) -> None:
     alg = h.algebra
-    rev = tensor_split(alg)
     for t in range(alg.dim):
         got = h.coproduct.cols[t]
         want = table.cols[t]
@@ -136,7 +135,7 @@ def _require_same_coproduct(h: HopfAlgebra, table: LinearMap) -> None:
             g = got.get(c, ZERO)
             w = want.get(c, ZERO)
             if g != w:
-                p, q = rev[c]
+                p, q = divmod(c, alg.dim)
                 raise ModelMismatchError(
                     f"coproduct of {alg.basis_name(t)} differs from the "
                     f"entered table at {alg.basis_name(p)} (x) "
@@ -349,7 +348,7 @@ class PhiResult:
 def build_phi_and_verify() -> PhiResult:
     """The base-change isomorphism from the twist onto the direct model.
 
-    Scalars map by the cyclic relabeling (counital fixed, the other three
+    Scalars map by a cyclic permutation (counital fixed, the other three
     rotated); the matrix block is conjugated by the fixed 2x2 unitary.  The
     same unitary must also align the three coproduct conjugators.
     """

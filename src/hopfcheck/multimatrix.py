@@ -7,6 +7,9 @@ have a basis table: the product of two basis elements is a basis element
 (coefficient one) or zero, and star permutes the basis.  Elements carry
 sparse coordinate dicts against that basis.
 
+Every tensor product A (x) B has one layout: the product groupoid's algebra,
+with e_p (x) e_q at index p * dim(B) + q, so no reverse index is kept.
+
 Linear maps store one sparse column per source basis vector.  Dense matrices
 are produced only at the serialization boundary.
 """
@@ -43,7 +46,26 @@ def _layout(sizes: tuple[int, ...]) -> tuple[int, tuple, tuple, dict]:
     return acc, tuple(starts), decomp, {}
 
 
-class MultiMatrixAlgebra:
+class _BasisAlgebra:
+    """The element constructors of an algebra with a basis table; the
+    unit is the sum of the basis elements listed in units."""
+
+    __slots__ = ()
+
+    def element(self, coords: Vector) -> AlgElement:
+        return AlgElement(self, coords)
+
+    def zero(self) -> AlgElement:
+        return AlgElement(self, {})
+
+    def unit(self) -> AlgElement:
+        return AlgElement(self, dict.fromkeys(self.units, ONE))
+
+    def basis(self) -> list[AlgElement]:
+        return [AlgElement(self, {p: ONE}) for p in range(self.dim)]
+
+
+class MultiMatrixAlgebra(_BasisAlgebra):
     """Direct sum of matrix algebras M_{n_1} + ... + M_{n_r}."""
 
     __slots__ = ("block_sizes", "labels", "dim", "_starts", "_decomp",
@@ -97,37 +119,27 @@ class MultiMatrixAlgebra:
             return self.labels[b]
         return f"{self.labels[b]}[{i},{j}]"
 
-    # element constructors
-
-    def element(self, coords: Vector) -> AlgElement:
-        return AlgElement(self, coords)
-
-    def zero(self) -> AlgElement:
-        return AlgElement(self, {})
-
-    def unit(self) -> AlgElement:
-        coords = {self.index(b, i, i): ONE
-                  for b, n in enumerate(self.block_sizes) for i in range(n)}
-        return AlgElement(self, coords)
+    @property
+    def units(self) -> list[int]:
+        """The diagonal matrix units, whose sum is the unit."""
+        return [self.index(b, i, i)
+                for b, n in enumerate(self.block_sizes) for i in range(n)]
 
     def basis_element(self, block: int, i: int, j: int) -> AlgElement:
         return AlgElement(self, {self.index(block, i, j): ONE})
 
-    def basis(self) -> list[AlgElement]:
-        return [AlgElement(self, {p: ONE}) for p in range(self.dim)]
-
 
 @dataclass(frozen=True, eq=False)
-class GroupoidAlgebra:
+class GroupoidAlgebra(_BasisAlgebra):
     """The algebra of a finite groupoid on its basis of arrows.
 
     mul_basis(p, q) is the index of the composite arrow, or None when p and
     q do not compose; star_index(p) is the inverse arrow and units lists the
     identity arrows, whose sum is the unit.  The table is these functions,
-    so a tensor product (the product groupoid's algebra) needs none.  A
-    multimatrix algebra is the algebra of a union of pair groupoids, but a
-    GroupoidAlgebra equals only itself, and the tables derived from it are
-    cached on it, so they live as long as it does.
+    so a tensor product (the product groupoid's algebra, see tensor_algebra)
+    stores none.  A multimatrix algebra is the algebra of a union of pair
+    groupoids, but a GroupoidAlgebra equals only itself, and the tables
+    derived from it are cached on it, so they live as long as it does.
     """
     dim: int
     mul_basis: Callable[[int, int], int | None]
@@ -136,14 +148,17 @@ class GroupoidAlgebra:
     units: Sequence[int]
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
-    def unit(self) -> AlgElement:
-        return AlgElement(self, dict.fromkeys(self.units, ONE))
+
+Algebra = MultiMatrixAlgebra | GroupoidAlgebra
 
 
 class AlgElement:
+    """An element of a multimatrix or groupoid algebra, by its sparse
+    coordinates against the basis."""
+
     __slots__ = ("parent", "coords")
 
-    def __init__(self, parent: MultiMatrixAlgebra, coords: Vector):
+    def __init__(self, parent: Algebra, coords: Vector):
         self.parent = parent
         self.coords = {p: v for p, v in coords.items() if v}
 
@@ -201,13 +216,11 @@ class AlgElement:
                                 for p, v in self.coords.items()})
 
     def tensor(self, other: AlgElement) -> AlgElement:
-        ta, tidx = tensor_algebra(self.parent, other.parent)
-        coords: Vector = {}
-        for p, x in self.coords.items():
-            row = tidx[p]
-            for q, y in other.coords.items():
-                coords[row[q]] = x * y
-        return AlgElement(ta, coords)
+        ta, _ = tensor_algebra(self.parent, other.parent)
+        nb = other.parent.dim
+        return AlgElement(ta, {p * nb + q: x * y
+                               for p, x in self.coords.items()
+                               for q, y in other.coords.items()})
 
     def blocks(self) -> list[list[list[Cyc]]]:
         out = [[[ZERO] * n for _ in range(n)] for n in self.parent.block_sizes]
@@ -243,88 +256,45 @@ def partners(alg) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tables["partners"]
 
 
-def _tensor_entry(a, b) -> tuple:
-    """(a tensor b, [table, reverse index or None]), cached on a groupoid
-    factor when there is one and on a's block sizes otherwise.  The key
-    holds the labels too, so a tensor algebra is named after its own
-    factors; the list is shared by all multimatrix factors of the same block
-    sizes, as is the algebra's layout, and tensor_split fills in its reverse
-    index on first use."""
+def tensor_algebra(a: Algebra, b: Algebra,
+                   ) -> tuple[GroupoidAlgebra, list[range]]:
+    """The tensor product of a and b and its basis index table.
+
+    A tensor product is the algebra of the product groupoid (Renault, A
+    Groupoid Approach to C*-Algebras, LNM 793, 1980): e_p tensor e_q has
+    index p * b.dim + q and is named <e_p>(x)<e_q>, and table[p][q] is
+    that index, so a caller splits an index t as divmod(t, b.dim).  Both
+    are cached on a groupoid factor when there is one and on a's layout
+    otherwise.  The key holds the labels, so the names follow the factors,
+    and the same factors give the same algebra, so maps into it compare
+    equal.
+    """
     tables = (b if type(b) is GroupoidAlgebra else a)._tables
     key = (a, getattr(a, "labels", None), b, getattr(b, "labels", None))
-    if key in tables:
-        return tables[key]
-    if type(a) is not MultiMatrixAlgebra or type(b) is not MultiMatrixAlgebra:
-        ta, table = _product_groupoid(a, b)
-        tables[key] = (ta, [table, None])
-        return tables[key]
-    ta = MultiMatrixAlgebra(
-        [n1 * n2 for n1 in a.block_sizes for n2 in b.block_sizes],
-        [f"{l1}(x){l2}" for l1 in a.labels for l2 in b.labels])
-    entry = tables.get(b.block_sizes)
-    if entry is None:
-        nb = len(b.block_sizes)
-        table = [[0] * b.dim for _ in range(a.dim)]
-        for p in range(a.dim):
-            b1, i1, j1 = a.decompose(p)
-            for q in range(b.dim):
-                b2, i2, j2 = b.decompose(q)
-                n2 = b.block_sizes[b2]
-                table[p][q] = ta.index(b1 * nb + b2, i1 * n2 + i2,
-                                       j1 * n2 + j2)
-        entry = tables[b.block_sizes] = [table, None]
-    tables[key] = (ta, entry)
+    if key not in tables:
+        nb = b.dim
+        amul, bmul = a.mul_basis, b.mul_basis
+
+        def mul(s: int, t: int) -> int | None:
+            p, q = amul(s // nb, t // nb), bmul(s % nb, t % nb)
+            return None if p is None or q is None else p * nb + q
+
+        ta = GroupoidAlgebra(
+            a.dim * nb, mul,
+            lambda s: a.star_index(s // nb) * nb + b.star_index(s % nb),
+            lambda s: f"{a.basis_name(s // nb)}(x){b.basis_name(s % nb)}",
+            [u * nb + w for u in a.units for w in b.units])
+        tables[key] = ta, [range(p * nb, p * nb + nb) for p in range(a.dim)]
     return tables[key]
 
 
-def tensor_algebra(a: MultiMatrixAlgebra, b: MultiMatrixAlgebra,
-                   ) -> tuple[MultiMatrixAlgebra, list[list[int]]]:
-    """Tensor product algebra and the basis index table.
-
-    Block (b1, b2) pairs run in lex order; inside a block the Kronecker
-    convention pairs row (i1, i2) -> i1 * n2 + i2, so index chasing matches
-    matrix Kronecker products.  Returns (algebra, table) with
-    table[p][q] == index of e_p tensor e_q.  The same factors give the same
-    algebra, so maps into it compare equal.
-    """
-    ta, entry = _tensor_entry(a, b)
-    return ta, entry[0]
-
-
-def _product_groupoid(a, b) -> tuple[GroupoidAlgebra, list[range]]:
-    """a tensor b for factors with a basis table, one of them a groupoid
-    algebra: e_p tensor e_q has index p * b.dim + q."""
-    nb = b.dim
-    amul, bmul = a.mul_basis, b.mul_basis
-
-    def mul(s: int, t: int) -> int | None:
-        p, q = amul(s // nb, t // nb), bmul(s % nb, t % nb)
-        return None if p is None or q is None else p * nb + q
-
-    ta = GroupoidAlgebra(
-        a.dim * nb, mul,
-        lambda s: a.star_index(s // nb) * nb + b.star_index(s % nb),
-        lambda s: f"{a.basis_name(s // nb)}(x){b.basis_name(s % nb)}",
-        [u * nb + w for u in a.unit().coords for w in b.unit().coords])
-    return ta, [range(p * nb, p * nb + nb) for p in range(a.dim)]
-
-
-def tensor_split(a, b=None) -> dict[int, tuple[int, int]]:
-    """Reverse of the table of a tensor b (b = a by default): index of
-    e_p tensor e_q -> (p, q)."""
-    entry = _tensor_entry(a, a if b is None else b)[1]
-    if entry[1] is None:
-        entry[1] = {t: (p, q) for p, row in enumerate(entry[0])
-                    for q, t in enumerate(row)}
-    return entry[1]
-
-
 class LinearMap:
-    """Linear map between multimatrix algebras, stored as sparse columns."""
+    """Linear map between algebras with a basis table (multimatrix or
+    groupoid), stored as sparse columns."""
 
     __slots__ = ("source", "target", "cols")
 
-    def __init__(self, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
+    def __init__(self, source: Algebra, target: Algebra,
                  cols: Sequence[Vector]):
         if len(cols) != source.dim:
             raise ValueError("one column per source basis vector")
@@ -333,11 +303,11 @@ class LinearMap:
         self.cols = [{p: v for p, v in col.items() if v} for col in cols]
 
     @classmethod
-    def identity(cls, alg: MultiMatrixAlgebra) -> LinearMap:
+    def identity(cls, alg: Algebra) -> LinearMap:
         return cls(alg, alg, [{p: ONE} for p in range(alg.dim)])
 
     @classmethod
-    def from_images(cls, source: MultiMatrixAlgebra,
+    def from_images(cls, source: Algebra,
                     images: Sequence[AlgElement]) -> LinearMap:
         if not images:
             raise ValueError("empty image list")
@@ -380,7 +350,7 @@ class LinearMap:
         return out
 
     @classmethod
-    def from_matrix(cls, source: MultiMatrixAlgebra, target: MultiMatrixAlgebra,
+    def from_matrix(cls, source: Algebra, target: Algebra,
                     mat: Sequence[Sequence[Scalar]]) -> LinearMap:
         if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
             raise ValueError("matrix shape mismatch")
@@ -396,17 +366,17 @@ class LinearMap:
 def tensor_compose(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
     """(f tensor g) after h, applied to one column of h at a time, so that
     f tensor g is never built."""
-    split = tensor_split(f.source, g.source)
-    tgt, tidx = tensor_algebra(f.target, g.target)
+    tgt, _ = tensor_algebra(f.target, g.target)
+    nb, nt = g.source.dim, g.target.dim
     cols: list[Vector] = []
     for hcol in h.cols:
         acc: Vector = {}
         for t, v in hcol.items():
-            p, q = split[t]
+            p, q = divmod(t, nb)
             for r, x in f.cols[p].items():
-                vx, row = v * x, tidx[r]
+                vx, row = v * x, r * nt
                 for s, y in g.cols[q].items():
-                    acc[row[s]] = acc.get(row[s], ZERO) + vx * y
+                    acc[row + s] = acc.get(row + s, ZERO) + vx * y
         cols.append(acc)
     return LinearMap(h.source, tgt, cols)
 

@@ -7,9 +7,16 @@ instead of one test.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -29,3 +36,18 @@ def test_traced_names_are_bound():
     models = importlib.import_module("hopfcheck.models")
     for name in tracer.BUILDERS:
         assert name in vars(models), f"hopfcheck.models.{name}"
+
+
+@pytest.mark.parametrize("mode", ["timed", "full"])
+def test_a_traced_cli_child_runs(tmp_path, mode):
+    # the names being bound is not enough: a wrapper that installs but
+    # breaks the call it wraps would fail every benchmark repetition
+    trace = tmp_path / "trace.json"
+    child = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "cli", mode,
+         str(trace), "verify", "--check", "model.twist-axioms", "--model",
+         str(ROOT / "tests" / "data" / "sample_model.json"), "--json"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert json.loads(trace.read_text())

@@ -9,8 +9,7 @@ from hopfcheck.cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
                                   mat_mul)
 from hopfcheck.multimatrix import (SCALARS, AlgElement, GroupoidAlgebra,
                                    LinearMap, MultiMatrixAlgebra,
-                                   tensor_algebra, tensor_compose, tensor_map,
-                                   tensor_split)
+                                   tensor_algebra, tensor_compose, tensor_map)
 
 A = MultiMatrixAlgebra((1, 2), labels=("s", "m"))
 B = MultiMatrixAlgebra((1, 1), labels=("p", "q"))
@@ -92,26 +91,31 @@ def test_product_is_the_blockwise_matrix_product(x, y):
 
 
 def test_tensor_labels_follow_the_factors():
+    # e_p (x) e_q is named after the factors' own basis elements
     xm = MultiMatrixAlgebra((1, 2), labels=("x", "m"))
     yn = MultiMatrixAlgebra((1, 2), labels=("y", "n"))
-    xa, xtable = tensor_algebra(xm, xm)
+    xa, _ = tensor_algebra(xm, xm)
     ta, table = tensor_algebra(yn, yn)
-    assert ta.labels == ("y(x)y", "y(x)n", "n(x)y", "n(x)n")
+    assert ta.dim == yn.dim ** 2
     assert ta.basis_name(1) == "y(x)n[0,0]"
-    assert xa.labels != ta.labels
-    # a label-only variant shares the layout, the table and the reverse index
-    assert table is xtable
-    assert ta._decomp is xa._decomp and ta._starts is xa._starts
-    assert xm._decomp is yn._decomp
-    assert tensor_split(xm) is tensor_split(yn)
+    assert ta.basis_name(table[3][0]) == "n[1,0](x)y"
+    assert xa.basis_name(1) == "x(x)m[0,0]"
+    # the same factors give the same algebra
+    assert tensor_algebra(yn, yn)[0] is ta
+    assert tensor_algebra(MultiMatrixAlgebra((1, 2), labels=("y", "n")),
+                          yn)[0] is ta
 
 
 def test_tensor_split_inverts_the_table():
-    _, tidx = tensor_algebra(A, A)
-    split = tensor_split(A)
-    assert len(split) == A.dim * A.dim
-    assert all(split[tidx[p][q]] == (p, q)
-               for p in range(A.dim) for q in range(A.dim))
+    # e_p (x) e_q has index p * dim + q, so divmod splits it
+    z2 = GroupoidAlgebra(2, lambda p, q: p ^ q, lambda p: p, "eg".__getitem__,
+                         [0])
+    for alg in (A, z2):
+        _, tidx = tensor_algebra(alg, alg)
+        assert sorted(t for row in tidx for t in row) == list(
+            range(alg.dim * alg.dim))
+        assert all(divmod(tidx[p][q], alg.dim) == (p, q)
+                   for p in range(alg.dim) for q in range(alg.dim))
 
 
 def test_groupoid_tensor_products():
@@ -127,9 +131,6 @@ def test_groupoid_tensor_products():
     assert ta.mul_basis(tidx[1][2], tidx[0][2]) is None
     assert ta.star_index(tidx[1][1]) == tidx[1][2]
     assert tensor_algebra(SCALARS, z2)[0].basis_name(1) == "k(x)g"
-    split = tensor_split(z2)
-    sq, sidx = tensor_algebra(z2, z2)
-    assert all(split[sidx[p][q]] == (p, q) for p in range(2) for q in range(2))
     assert z2 != MultiMatrixAlgebra((1, 1))
     assert ta.unit().coords == {0: ONE, 3: ONE}
 
