@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cyclotomic import Cyc, ONE, ZERO, ROOTS_OF_UNITY_8, cyc_sqrt
 from .hopf_core import HopfAlgebra, Report
 from .linalg import LinAlgError, Vector, exact_nullspace, solve_unique
-from .multimatrix import AlgElement
+from .multimatrix import AlgElement, MultiMatrixAlgebra
 
 
 class UnsupportedProfile(Exception):
@@ -198,13 +198,17 @@ def _abelianization_order(table: list[list[int]], identity: int) -> int:
 def one_dim_group(h: HopfAlgebra) -> OneDimGroup:
     """The group of unitary group-like elements, for supported block profiles.
 
-    Supported: all blocks 1x1, or exactly one 2x2 block.  The coproduct
-    restricted to the 1x1 sector must be dual to a finite group; candidate
-    characters are taken with values in the eighth roots of unity, and the
-    2x2 component is forced by a linear system plus one quadratic scale.
-    Anything else raises UnsupportedProfile.
+    Supported: a multimatrix algebra with all blocks 1x1, or with exactly
+    one 2x2 block.  The coproduct restricted to the 1x1 sector must be dual
+    to a finite group; candidate characters are taken with values in the
+    eighth roots of unity, and the 2x2 component is forced by a linear
+    system plus one quadratic scale.  Anything else raises
+    UnsupportedProfile.
     """
     alg = h.algebra
+    if not isinstance(alg, MultiMatrixAlgebra):
+        raise UnsupportedProfile("the search reads block sizes, which only a "
+                                 "multimatrix algebra has")
     ones = [b for b, n in enumerate(alg.block_sizes) if n == 1]
     twos = [b for b, n in enumerate(alg.block_sizes) if n == 2]
     if len(twos) > 1 or any(n > 2 for n in alg.block_sizes):

@@ -6,13 +6,11 @@ Equality and hashing compare that canonical form, so every operation returns
 it.  The public constructor validates its input; the operators build their
 results from ints alone through _make, with no Fraction on the way.
 The defining relation is z**4 == -1, so z**2 is the imaginary unit and
-z - z**3 is sqrt(2).  All arithmetic is exact; floats only ever appear in
-the display embedding to_complex.
+z - z**3 is sqrt(2).  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import re
@@ -122,10 +120,6 @@ class Cyc:
 
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coords]
-
-    def to_complex(self) -> complex:
-        w = cmath.exp(1j * cmath.pi / 4)
-        return sum(float(Fraction(n, self._d)) * w**k for k, n in enumerate(self._n))
 
     def is_rational(self) -> bool:
         return self._n[1] == self._n[2] == self._n[3] == 0

@@ -81,10 +81,6 @@ class Mat2:
     def conj_entries(self) -> Mat2:
         return Mat2([[v.conj() for v in r] for r in self.rows])
 
-    def det(self) -> Cyc:
-        a = self.rows
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-
     def is_unitary(self) -> bool:
         return is_unitary(self.rows)
 
@@ -249,11 +245,11 @@ def function_algebra(group: FiniteMatrixGroup) -> FunctionHopf:
     n = group.order
     alg = MultiMatrixAlgebra((1,) * n,
                              labels=tuple(f"d{nm}" for nm in group.names))
-    ta, tidx = tensor_algebra(alg, alg)
+    ta = tensor_algebra(alg, alg)
     cols: list[Vector] = [{} for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            cols[group.table[a][b]][tidx[a][b]] = ONE
+            cols[group.table[a][b]][a * n + b] = ONE
     delta = LinearMap(alg, ta, cols)
     counit = LinearMap(alg, SCALARS, [{0: ONE} if k == group.identity_index
                                       else {} for k in range(n)])
@@ -303,12 +299,12 @@ class SmashProduct:
             lambda i: 2 * right[i] + (i & 1),
             lambda i: f"d{names[i >> 1]}" + "*lam" * (i & 1),
             range(0, 2 * n, 2))
-        dd, didx = tensor_algebra(dlam, dlam)
+        dd = tensor_algebra(dlam, dlam)    # e_i (x) e_j at index i * 2n + j
         inv, table = group.inverse, group.table
         gh = self.groupoid_hopf = HopfAlgebra(
             dlam,
-            LinearMap(dlam, dd, [{didx[2 * a + k][2 * table[inv[a]][h] + k]: ONE
-                                  for a in range(n)} for h, k in keys]),
+            LinearMap(dlam, dd, [{(2 * a + k) * 2 * n + 2 * table[inv[a]][h] + k:
+                                  ONE for a in range(n)} for h, k in keys]),
             LinearMap(dlam, SCALARS, [{0: ONE} if h == group.identity_index
                                       else {} for h, k in keys]),
             LinearMap(dlam, dlam, [{2 * (perm[inv[h]] if k else inv[h]) + k: ONE}
@@ -492,9 +488,7 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     (B (x) B) Delta' = Delta B, eps' = eps B and B S' = S B, so each Hopf
     law of the result, applied through B, B (x) B or B (x) B (x) B, becomes
     the same law of the verified ambient, and injectivity carries it back.
-    Cancellation follows from the antipode: the Galois maps of a bialgebra
-    with a bijective antipode are invertible, and in finite dimension the
-    antipode is bijective (Larson and Sweedler, Amer. J. Math. 91, 1969).
+    Cancellation follows from those laws (see verify_hopf_axioms).
     Returns (hopf, solver, report): solver expresses ambient elements in
     the chosen basis, report is the passing morphism report of B.
     """

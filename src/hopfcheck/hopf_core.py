@@ -39,7 +39,7 @@ from typing import Literal
 from .cyclotomic import Cyc, ONE, ZERO
 from .linalg import Vector, exact_rank, solve_unique
 from .multimatrix import (SCALARS, AlgElement, Algebra, LinearMap,
-                          MultiMatrixAlgebra, _cyc, partners, tensor_algebra,
+                          MultiMatrixAlgebra, partners, tensor_algebra,
                           tensor_compose)
 
 
@@ -222,14 +222,18 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     A), which is built only then.
     After these laws, Delta and eps are checked to be unital *-algebra maps
     (coproduct_* and counit_*), products in A (x) A taken factorwise through
-    mul_basis.  Cancellation asks that the Galois maps a (x) b -> (a (x) 1)
-    Delta(b) and b (x) a -> (1 (x) a) Delta(b) be bijective, i.e. that their
-    n^2 images span A (x) A.  Each map is linear over one tensor factor of A
-    acting by left multiplication, so it is onto once 1 (x) e_j (resp.
-    e_j (x) 1) has a preimage for every j; the candidates S(x1) (x) x2 and
-    x1 (x) *S*(x2) (Schauenburg, Hopf-Galois and bi-Galois extensions, 2004)
-    are checked exactly, and only when one fails is the rank of the n^2
-    images computed.
+    mul_basis.
+
+    Cancellation, that the Galois maps a (x) b -> (a (x) 1) Delta(b) and
+    b (x) a -> (1 (x) a) Delta(b) are bijective, is a theorem of these
+    checks and is not checked again.  a (x) b -> a S(b1) (x) b2 inverts the
+    left map by coassociative, counit_left, counit_right, antipode_left and
+    antipode_right; b (x) a -> b1 (x) a S^-1(b2) inverts the right map,
+    where S^-1 = *S* once coproduct_multiplicative, coproduct_unital and
+    coproduct_star hold too (Schauenburg, Hopf-Galois and bi-Galois
+    extensions, 2004; in finite dimension S is bijective in any case,
+    Larson and Sweedler, Amer. J. Math. 91, 1969).  So a structure that
+    passes every recorded check has both cancellation laws.
 
     When every coefficient of Delta, eps, S and the unit is a rational
     integer (C(G), a crossed product's groupoid basis), the same laws run
@@ -272,16 +276,16 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
                              for p, q, v in terms[j] for a, b, w in terms[p]),
         lambda j: _sum_terms(((p * n + a) * n + b, v * w)
                              for p, q, v in terms[j] for a, b, w in terms[q]),
-        lambda: tensor_algebra(tensor_algebra(alg, alg)[0], alg)[0])
+        lambda: tensor_algebra(tensor_algebra(alg, alg), alg))
 
     # k (x) A and A (x) k have the indices of A
     ident = [{j: one} for j in range(n)]
     law("counit_left",
         lambda j: _sum_terms((q, v * eps[p]) for p, q, v in terms[j] if eps[p]),
-        ident.__getitem__, lambda: tensor_algebra(SCALARS, alg)[0])
+        ident.__getitem__, lambda: tensor_algebra(SCALARS, alg))
     law("counit_right",
         lambda j: _sum_terms((p, v * eps[q]) for p, q, v in terms[j] if eps[q]),
-        ident.__getitem__, lambda: tensor_algebra(alg, SCALARS)[0])
+        ident.__getitem__, lambda: tensor_algebra(alg, SCALARS))
 
     eta_eps = [{t: eps[j] * u for t, u in unit.items()} if eps[j] else {}
                for j in range(n)]
@@ -308,46 +312,6 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     _star_algebra_map(rep, "counit_", alg, unit,
                       [{0: e} if e else {} for e in eps], [[(0, 0)]],
                       lambda k: k, {0: one})
-
-    # cancellation
-    def galois_left(j: int) -> Vector:
-        pre = _sum_terms((r * n + q, v * s) for p, q, v in terms[j]
-                         for r, s in scols[p].items())
-        return _sum_terms((t * n + b, c * w) for k, c in pre.items()
-                          for a, b, w in terms[k % n]
-                          if (t := mul(k // n, a)) is not None)
-
-    sprime = [{star(r): _conj(s) for r, s in scols[star(q)].items()}
-              for q in range(n)]
-
-    def galois_right(j: int) -> Vector:
-        pre = _sum_terms((p * n + r, v * s) for p, q, v in terms[j]
-                         for r, s in sprime[q].items())
-        return _sum_terms((a * n + t, c * w) for k, c in pre.items()
-                          for a, b, w in terms[k // n]
-                          if (t := mul(k % n, b)) is not None)
-
-    # (e_p (x) 1) Delta(e_q) and (1 (x) e_p) Delta(e_q)
-    def left_span(p: int, q: int) -> Vector:
-        return _sum_terms((t * n + b, _cyc(v)) for a, b, v in terms[q]
-                          if (t := mul(p, a)) is not None)
-
-    def right_span(p: int, q: int) -> Vector:
-        return _sum_terms((a * n + t, _cyc(v)) for a, b, v in terms[q]
-                          if (t := mul(p, b)) is not None)
-
-    for side, galois, want, span in (
-            ("left", galois_left,
-             lambda j: {u * n + j: c for u, c in unit.items()}, left_span),
-            ("right", galois_right,
-             lambda j: {j * n + u: c for u, c in unit.items()}, right_span)):
-        if all(galois(j) == want(j) for j in range(n)):
-            rank = n * n
-        else:
-            rank = exact_rank([span(p, q) for p in range(n)
-                               for q in range(n)])
-        record(f"cancellation_{side}", rank == n * n,
-               f"{side} cancellation span has rank {rank}, expected {n * n}")
     return rep
 
 
@@ -439,7 +403,12 @@ def _dump_order(alg: MultiMatrixAlgebra) -> list[int]:
 def hopf_to_dict(h: HopfAlgebra) -> dict:
     """The dump of a structure on a multimatrix algebra: its block sizes,
     labels and the dense matrices of its maps, the coproduct's rows in the
-    order of _dump_order."""
+    order of _dump_order.  A structure on a groupoid algebra has no block
+    sizes, and raises TypeError (smash exports the crossed product's blocks).
+    """
+    if not isinstance(h.algebra, MultiMatrixAlgebra):
+        raise TypeError("a dump needs a multimatrix algebra; smash exports "
+                        "the crossed product's block structure")
     coproduct = h.coproduct.matrix()
     return {
         "block_sizes": list(h.algebra.block_sizes),
@@ -490,7 +459,7 @@ def hopf_from_dict(data: dict) -> HopfAlgebra:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed dump: {exc!r}") from exc
     alg = MultiMatrixAlgebra(sizes, labels)
-    ta, _ = tensor_algebra(alg, alg)
+    ta = tensor_algebra(alg, alg)
     coproduct = mats[0][:]
     for row, t in zip(mats[0], _dump_order(alg)):
         coproduct[t] = row

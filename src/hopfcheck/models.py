@@ -101,7 +101,7 @@ def _table_coproduct(alg: MultiMatrixAlgebra, quads, mats) -> LinearMap:
     unitaries conjugating the matrix block in the legs of the non-counital
     scalars.
     """
-    ta, _ = tensor_algebra(alg, alg)
+    ta = tensor_algebra(alg, alg)
     scal = [alg.basis_element(r, 0, 0) for r in range(4)]
     cols = []
     for r in range(4):

@@ -216,7 +216,7 @@ class AlgElement:
                                 for p, v in self.coords.items()})
 
     def tensor(self, other: AlgElement) -> AlgElement:
-        ta, _ = tensor_algebra(self.parent, other.parent)
+        ta = tensor_algebra(self.parent, other.parent)
         nb = other.parent.dim
         return AlgElement(ta, {p * nb + q: x * y
                                for p, x in self.coords.items()
@@ -256,18 +256,16 @@ def partners(alg) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tables["partners"]
 
 
-def tensor_algebra(a: Algebra, b: Algebra,
-                   ) -> tuple[GroupoidAlgebra, list[range]]:
-    """The tensor product of a and b and its basis index table.
+def tensor_algebra(a: Algebra, b: Algebra) -> GroupoidAlgebra:
+    """The tensor product of a and b.
 
     A tensor product is the algebra of the product groupoid (Renault, A
     Groupoid Approach to C*-Algebras, LNM 793, 1980): e_p tensor e_q has
-    index p * b.dim + q and is named <e_p>(x)<e_q>, and table[p][q] is
-    that index, so a caller splits an index t as divmod(t, b.dim).  Both
-    are cached on a groupoid factor when there is one and on a's layout
-    otherwise.  The key holds the labels, so the names follow the factors,
-    and the same factors give the same algebra, so maps into it compare
-    equal.
+    index p * b.dim + q and is named <e_p>(x)<e_q>, so a caller splits an
+    index t as divmod(t, b.dim).  It is cached on a groupoid factor when
+    there is one and on a's layout otherwise.  The key holds the labels, so
+    the names follow the factors, and the same factors give the same
+    algebra, so maps into it compare equal.
     """
     tables = (b if type(b) is GroupoidAlgebra else a)._tables
     key = (a, getattr(a, "labels", None), b, getattr(b, "labels", None))
@@ -279,12 +277,11 @@ def tensor_algebra(a: Algebra, b: Algebra,
             p, q = amul(s // nb, t // nb), bmul(s % nb, t % nb)
             return None if p is None or q is None else p * nb + q
 
-        ta = GroupoidAlgebra(
+        tables[key] = GroupoidAlgebra(
             a.dim * nb, mul,
             lambda s: a.star_index(s // nb) * nb + b.star_index(s % nb),
             lambda s: f"{a.basis_name(s // nb)}(x){b.basis_name(s % nb)}",
             [u * nb + w for u in a.units for w in b.units])
-        tables[key] = ta, [range(p * nb, p * nb + nb) for p in range(a.dim)]
     return tables[key]
 
 
@@ -366,7 +363,7 @@ class LinearMap:
 def tensor_compose(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
     """(f tensor g) after h, applied to one column of h at a time, so that
     f tensor g is never built."""
-    tgt, _ = tensor_algebra(f.target, g.target)
+    tgt = tensor_algebra(f.target, g.target)
     nb, nt = g.source.dim, g.target.dim
     cols: list[Vector] = []
     for hcol in h.cols:
@@ -383,7 +380,7 @@ def tensor_compose(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
 
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
     """f tensor g, materialized column by column (stays sparse)."""
-    src, _ = tensor_algebra(f.source, g.source)
+    src = tensor_algebra(f.source, g.source)
     return tensor_compose(f, g, LinearMap.identity(src))
 
 

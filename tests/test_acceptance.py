@@ -13,6 +13,7 @@ from hopfcheck.models import (build_fundamental, build_kp,
                               build_phi_and_verify, build_vtilde_twist,
                               kp_fusion_graph, kp_fusion_rules,
                               kp_tensor_square, star_shape_checks)
+from test_hopf_core import cancellation_ranks
 from test_multimatrix import flip_map
 
 HERE = pathlib.Path(__file__).parent
@@ -27,7 +28,8 @@ def test_criterion_1_direct_model_axioms():
     rep = kp.axiom_report
     assert rep.passed
     assert all(rep.checks.values())
-    assert rep.checks["cancellation_left"] and rep.checks["cancellation_right"]
+    # cancellation follows from the recorded checks; the spans confirm it
+    assert cancellation_ranks(kp.hopf) == (64, 64)
     report(1, "direct model satisfies every Hopf *-algebra axiom, "
               "cancellation on both sides")
 

@@ -89,6 +89,13 @@ def test_one_dim_group_rejects_two_big_blocks():
         one_dim_group(sm.hopf)
 
 
+def test_one_dim_group_rejects_a_groupoid_algebra():
+    # the search reads block sizes, which the crossed product on its
+    # groupoid basis does not have
+    with pytest.raises(UnsupportedProfile, match="multimatrix"):
+        one_dim_group(build_smash().groupoid_hopf)
+
+
 def test_one_dim_group_rejects_high_order_characters():
     # the matrix [[0, z], [1, 0]] has order 16; characters of the cyclic
     # group it generates do not all land in the eighth roots of unity, and

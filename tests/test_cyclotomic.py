@@ -99,12 +99,6 @@ def test_square_roots():
         assert r * r == Cyc.from_rational(Fraction(9, 4))
 
 
-def test_to_complex():
-    import cmath
-    assert abs(SQRT2.to_complex() - 2 ** 0.5) < 1e-12
-    assert abs(ZETA.to_complex() - cmath.exp(1j * cmath.pi / 4)) < 1e-12
-
-
 # field axioms, randomized: six properties at 200 examples each is 1200 cases
 
 @settings(max_examples=200)

@@ -15,6 +15,7 @@ from hopfcheck.models import (build_fundamental, build_kp,
                               kp_fusion_graph, kp_fusion_rules,
                               kp_tensor_square, star_shape_checks)
 from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra, tensor_map
+from test_hopf_core import cancellation_ranks
 
 IHALF = IM * INV_SQRT2
 
@@ -23,8 +24,7 @@ def test_kp_shape_and_axioms():
     kp = build_kp()
     assert kp.hopf.algebra.block_sizes == (1, 1, 1, 1, 2)
     assert kp.axiom_report.passed
-    assert kp.axiom_report.checks["cancellation_left"]
-    assert kp.axiom_report.checks["cancellation_right"]
+    assert cancellation_ranks(kp.hopf) == (64, 64)
     # S S = id and *S*S = id hold here, though no axiom asks for them
     s = kp.hopf.antipode
     assert s.compose(s) == LinearMap.identity(kp.hopf.algebra)

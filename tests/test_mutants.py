@@ -21,6 +21,7 @@ from hopfcheck.linalg import left_inverse
 from hopfcheck.models import build_kp, build_phi_and_verify, build_smash, \
     build_vtilde_twist
 from hopfcheck.multimatrix import LinearMap, tensor_compose
+from test_hopf_core import assert_matches_reference
 
 
 def test_every_phi_mutant_is_rejected_with_a_witness():
@@ -97,7 +98,9 @@ def test_groupoid_basis_mutants_fail_as_their_block_transports():
     # one coefficient of the crossed product's closed-form Delta, eps or S on
     # the basis delta_h lam^k, + 1 (the structure stays integral) or zero
     # <-> z (it needs Q(z)); carried to the blocks through the left inverse
-    # dl of the block basis, the mutant must fail the same checks there
+    # dl of the block basis, the mutant must fail the same checks there, and
+    # on delta_h lam^k it must match the matrix-level reference, whose
+    # cancellation ranks are computed
     sm = build_smash()
     gh = sm.groupoid_hopf
     alg, basis = block_basis(sm)
@@ -123,7 +126,8 @@ def test_groupoid_basis_mutants_fail_as_their_block_transports():
         cols[j][k] = v + ONE if i % 2 else (ZERO if v else ZETA)
         h = dataclasses.replace(gh, **{which: LinearMap(f.source, f.target,
                                                          cols)})
-        rep, blocks = verify_hopf_axioms(h), verify_hopf_axioms(to_blocks(h))
+        rep, blocks = assert_matches_reference(h), verify_hopf_axioms(
+            to_blocks(h))
         failing = [name for name, ok in rep.checks.items() if not ok]
         assert failing and rep.witnesses.get(failing[0]), (which, j, k)
         assert failing == [name for name, ok in blocks.checks.items()
