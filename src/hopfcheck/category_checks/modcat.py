@@ -14,6 +14,7 @@ no phase-only adjustment of the printed data could have worked.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -158,14 +159,17 @@ def global_phase_family() -> dict:
     g and its phase, so the 16 (g, phase) pairs are worked out once: the
     forced column and its hook verdict, the terms col[i] conj(col[j]) whose
     sum over g is m m* for the 4x4 matrix m of forced columns (the identity
-    is_unitary tests), and the group equation's terms.  Every assignment is
-    then checked exactly on its four sums.
+    is_unitary tests), and the group equation's terms.  The group is then
+    split into the pairs (e, a) and (b, c): an assignment passes when both
+    its halves pass their hooks and the sums of its left half equal the
+    targets minus the sums of its right half, compared exactly, so the
+    passing assignments are counted from the 16 + 16 half sums.
     """
     two = Cyc.from_rational(2)
     idx4 = list(product(range(4), repeat=2))
     idx2 = list(product(range(2), repeat=4))
-    unit = [ONE if i == j else ZERO for i, j in idx4]
-    delta = [two if (i == j and k == m) else ZERO for i, j, k, m in idx2]
+    target = ([ONE if i == j else ZERO for i, j in idx4]
+              + [two if (i == j and k == m) else ZERO for i, j, k, m in idx2])
     pairs = []
     for g in GROUP_LABELS:
         per_phase = []
@@ -174,17 +178,16 @@ def global_phase_family() -> dict:
             col = forced_column(psi)
             per_phase.append((
                 hook_equation(col, psi),
-                [col[i] * col[j].conj() for i, j in idx4],
-                [psi[j][m] * psi[i][k].conj() for i, j, k, m in idx2],
+                [col[i] * col[j].conj() for i, j in idx4]
+                + [psi[j][m] * psi[i][k].conj() for i, j, k, m in idx2],
             ))
         pairs.append(per_phase)
-    passing = 0
-    for terms in product(*pairs):
-        hooks, outers, groups = zip(*terms)
-        if (all(hooks)
-                and [a + b + c + d for a, b, c, d in zip(*outers)] == unit
-                and [a + b + c + d for a, b, c, d in zip(*groups)] == delta):
-            passing += 1
+    left, right = ([(h1 and h2, [a + b for a, b in zip(s1, s2)])
+                    for (h1, s1), (h2, s2) in product(*half)]
+                   for half in (pairs[:2], pairs[2:]))
+    wanted = Counter(tuple(sums) for hooks, sums in left if hooks)
+    passing = sum(wanted[tuple(t - s for t, s in zip(target, sums))]
+                  for hooks, sums in right if hooks)
     return {
         "assignments": 4 ** 4,
         "passing": passing,

@@ -4,6 +4,9 @@ The simples are the group elements 0..3 under xor plus one extra simple
 RHO.  Every fusion space is at most one-dimensional, so an associator is a
 table of scalar F-symbols in closed form, and the pentagon identity is
 checked exactly as the F-move equations over every quadruple of simples.
+Each scan reads the admissible F-symbols once, through the module global
+F, and evaluates each distinct identity once; nothing that depends on the
+scale or on F outlives the call.
 The normalization scale tau must be a square root of 1/4 for the pentagon
 to close; tau == 1 is kept around as a negative control, as is the
 misreading that drops the bicharacter from the middle associator.
@@ -12,7 +15,7 @@ misreading that drops the bicharacter from the middle associator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from ..cyclotomic import Cyc, HALF, ONE, ZERO, is_unitary
 
@@ -45,6 +48,10 @@ def fuse(s: int, t: int) -> list[int]:
     return [s ^ t]
 
 
+# fuse() as a table, the one piece of the scans fixed across calls
+_FUSE = tuple(tuple(tuple(fuse(s, t)) for t in SIMPLES) for s in SIMPLES)
+
+
 def F(x: int, y: int, z: int, u: int, v: int, t: int, tau: Cyc,
       literal_middle: bool = False) -> Cyc:
     """F-symbol: the coefficient of the associator from (x y -> u) z -> t
@@ -63,32 +70,42 @@ def F(x: int, y: int, z: int, u: int, v: int, t: int, tau: Cyc,
     return ONE
 
 
-def _pentagon_holds(w: int, x: int, y: int, z: int, tau: Cyc,
-                    literal_middle: bool) -> bool:
+def _f_table(tau: Cyc, literal_middle: bool) -> tuple[dict, list[Cyc]]:
+    """Every admissible F-symbol, read once through the module global F:
+    the labels (x, y, z, u, v, t) mapped to an index into the list of the
+    distinct values."""
+    index: dict[Cyc, int] = {}
+    table = {}
+    for x, y, z in product(SIMPLES, repeat=3):
+        for u in _FUSE[x][y]:
+            for v in _FUSE[y][z]:
+                for t in _FUSE[u][z]:
+                    if t in _FUSE[x][v]:
+                        value = F(x, y, z, u, v, t, tau, literal_middle)
+                        table[x, y, z, u, v, t] = index.setdefault(
+                            value, len(index))
+    return table, list(index)
+
+
+def _pentagon_identities(f: dict, w: int, x: int, y: int, z: int):
     """The F-move pentagon on ((w x -> a) y -> b) z -> t, read off at the
-    target w (x (y z -> c) -> d) -> t."""
-
-    def f(*labels: int) -> Cyc:
-        return F(*labels, tau, literal_middle)
-
-    for a in fuse(w, x):
-        for b in fuse(a, y):
-            for t in fuse(b, z):
-                for c in fuse(y, z):
-                    for d in fuse(x, c):
-                        if t not in fuse(w, d):
+    target w (x (y z -> c) -> d) -> t: one identity per (a, b, t, c, d),
+    as the value indices of its two-move product (None when a c cannot
+    reach t) and of each term of its three-move sum over e."""
+    for a in _FUSE[w][x]:
+        for b in _FUSE[a][y]:
+            for t in _FUSE[b][z]:
+                for c in _FUSE[y][z]:
+                    for d in _FUSE[x][c]:
+                        if t not in _FUSE[w][d]:
                             continue
-                        # no two-move path when a c cannot reach t
-                        two_moves = (f(a, y, z, b, c, t) * f(w, x, c, a, d, t)
-                                     if t in fuse(a, c) else ZERO)
-                        three_moves = sum(
-                            (f(w, x, y, a, e, b) * f(w, e, z, b, d, t)
-                             * f(x, y, z, e, c, d)
-                             for e in fuse(x, y)
-                             if b in fuse(w, e) and d in fuse(e, z)), ZERO)
-                        if two_moves != three_moves:
-                            return False
-    return True
+                        two = ((f[a, y, z, b, c, t], f[w, x, c, a, d, t])
+                               if t in _FUSE[a][c] else None)
+                        yield two, tuple(
+                            (f[w, x, y, a, e, b], f[w, e, z, b, d, t],
+                             f[x, y, z, e, c, d])
+                            for e in _FUSE[x][y]
+                            if b in _FUSE[w][e] and d in _FUSE[e][z])
 
 
 @dataclass
@@ -105,35 +122,47 @@ class PentagonReport:
 
 def pentagon_report(tau: Cyc, literal_middle: bool = False,
                     max_failures: int = 3) -> PentagonReport:
-    """Check the pentagon identity over all quadruples of simples."""
+    """Check the pentagon identity over all quadruples of simples; each
+    distinct identity of value indices is evaluated once, in Q(z)."""
+    f, values = _f_table(tau, literal_middle)
+    verdicts: dict[tuple, bool] = {}
+
+    def holds(identity: tuple) -> bool:
+        if identity not in verdicts:
+            two, three = identity
+            lhs = values[two[0]] * values[two[1]] if two else ZERO
+            rhs = sum((values[i] * values[j] * values[k]
+                       for i, j, k in three), ZERO)
+            verdicts[identity] = lhs == rhs
+        return verdicts[identity]
+
     failures: list[tuple[int, int, int, int]] = []
     count = 0
-    for w in SIMPLES:
-        for x in SIMPLES:
-            for y in SIMPLES:
-                for z in SIMPLES:
-                    count += 1
-                    if not _pentagon_holds(w, x, y, z, tau, literal_middle):
-                        failures.append((w, x, y, z))
-                        if len(failures) >= max_failures:
-                            return PentagonReport(tau, literal_middle,
-                                                  count, failures)
+    for quadruple in product(SIMPLES, repeat=4):
+        count += 1
+        if not all(map(holds, _pentagon_identities(f, *quadruple))):
+            failures.append(quadruple)
+            if len(failures) >= max_failures:
+                break
     return PentagonReport(tau, literal_middle, count, failures)
 
 
 def associator_unitarity(tau: Cyc) -> tuple[bool, tuple | None]:
     """Every simple associator must be unitary (the big block needs the
     right tau: it is one quarter of a real Hadamard pattern).  An associator
-    preserves the total t, so it is unitary when each u x v block is."""
-    for x in SIMPLES:
-        for y in SIMPLES:
-            for z in SIMPLES:
-                for t in SIMPLES:
-                    us = [u for u in fuse(x, y) if t in fuse(u, z)]
-                    vs = [v for v in fuse(y, z) if t in fuse(x, v)]
-                    if not is_unitary([[F(x, y, z, u, v, t, tau) for u in us]
-                                       for v in vs]):
-                        return False, (x, y, z)
+    preserves the total t, so it is unitary when each u x v block is; each
+    distinct block of value indices is tested once per call."""
+    f, values = _f_table(tau, False)
+    verdicts: dict[tuple, bool] = {}
+    for x, y, z, t in product(SIMPLES, repeat=4):
+        block = tuple(tuple(f[x, y, z, u, v, t] for u in _FUSE[x][y]
+                            if t in _FUSE[u][z])
+                      for v in _FUSE[y][z] if t in _FUSE[x][v])
+        if block not in verdicts:
+            verdicts[block] = is_unitary([[values[i] for i in row]
+                                          for row in block])
+        if not verdicts[block]:
+            return False, (x, y, z)
     return True, None
 
 

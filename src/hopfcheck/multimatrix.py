@@ -98,9 +98,6 @@ class MultiMatrixAlgebra(_BasisAlgebra):
     def index(self, block: int, i: int, j: int) -> int:
         return self._starts[block] + i * self.block_sizes[block] + j
 
-    def decompose(self, idx: int) -> tuple[int, int, int]:
-        return self._decomp[idx]
-
     def mul_basis(self, p: int, q: int) -> int | None:
         """Index of e_p * e_q, or None when the product vanishes."""
         b1, i1, j1 = self._decomp[p]
@@ -137,7 +134,7 @@ class GroupoidAlgebra(_BasisAlgebra):
     q do not compose; star_index(p) is the inverse arrow and units lists the
     identity arrows, whose sum is the unit.  The table is these functions,
     so a tensor product (the product groupoid's algebra, see tensor_algebra)
-    stores none.  A multimatrix algebra is the algebra of a union of pair
+    stores none; partners reads its product table off its factors'.  A multimatrix algebra is the algebra of a union of pair
     groupoids, but a GroupoidAlgebra equals only itself, and the tables
     derived from it are cached on it, so they live as long as it does.
     """
@@ -222,13 +219,6 @@ class AlgElement:
                                for p, x in self.coords.items()
                                for q, y in other.coords.items()})
 
-    def blocks(self) -> list[list[list[Cyc]]]:
-        out = [[[ZERO] * n for _ in range(n)] for n in self.parent.block_sizes]
-        for p, v in self.coords.items():
-            b, i, j = self.parent.decompose(p)
-            out[b][i][j] = v
-        return out
-
     def describe(self) -> str:
         if not self.coords:
             return "0"
@@ -246,13 +236,23 @@ class AlgElement:
 
 def partners(alg) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The product table of alg: for each basis index a, the pairs (c, r)
-    with e_a e_c = e_r.  Cached on alg (see _layout, GroupoidAlgebra)."""
+    with e_a e_c = e_r.  Cached on alg (see _layout, GroupoidAlgebra).  A
+    tensor product reads it off its factors' tables: e_(p,q) e_(c,d) is
+    e_(r,s) when e_p e_c = e_r and e_q e_d = e_s."""
     tables = alg._tables
     if "partners" not in tables:
-        n, mul = alg.dim, alg.mul_basis
-        tables["partners"] = tuple(
-            tuple((c, r) for c in range(n) if (r := mul(a, c)) is not None)
-            for a in range(n))
+        if "factors" in tables:
+            a, b = tables["factors"]
+            nb = b.dim
+            tables["partners"] = tuple(
+                tuple((c * nb + d, r * nb + s) for c, r in x for d, s in y)
+                for x in partners(a) for y in partners(b))
+        else:
+            n, mul = alg.dim, alg.mul_basis
+            tables["partners"] = tuple(
+                tuple((c, r) for c in range(n)
+                      if (r := mul(a, c)) is not None)
+                for a in range(n))
     return tables["partners"]
 
 
@@ -282,6 +282,7 @@ def tensor_algebra(a: Algebra, b: Algebra) -> GroupoidAlgebra:
             lambda s: a.star_index(s // nb) * nb + b.star_index(s % nb),
             lambda s: f"{a.basis_name(s // nb)}(x){b.basis_name(s % nb)}",
             [u * nb + w for u in a.units for w in b.units])
+        tables[key]._tables["factors"] = (a, b)
     return tables[key]
 
 

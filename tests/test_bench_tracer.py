@@ -26,6 +26,13 @@ def load_tracer():
     return tracer
 
 
+def run_child(tmp_path, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), *map(str, args)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+
+
 def test_traced_names_are_bound():
     tracer = load_tracer()
     for module, path, _ in tracer.SPANS + tracer.COUNTED:
@@ -43,11 +50,25 @@ def test_a_traced_cli_child_runs(tmp_path, mode):
     # the names being bound is not enough: a wrapper that installs but
     # breaks the call it wraps would fail every benchmark repetition
     trace = tmp_path / "trace.json"
-    child = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "child.py"), "cli", mode,
-         str(trace), "verify", "--check", "model.twist-axioms", "--model",
-         str(ROOT / "tests" / "data" / "sample_model.json"), "--json"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True, text=True, timeout=120)
+    child = run_child(tmp_path, "cli", mode, trace, "verify", "--check",
+                      "model.twist-axioms", "--model",
+                      ROOT / "tests" / "data" / "sample_model.json", "--json")
     assert child.returncode == 0, child.stdout + child.stderr
     assert json.loads(trace.read_text())
+
+
+def test_a_traced_category_child_runs(tmp_path, monkeypatch):
+    # the category child calls the five wrapped category functions by name;
+    # a wrong scale must give the facts the benchmark's gate expects
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)    # for its dataclasses
+    spec.loader.exec_module(run)
+    child = run_child(tmp_path, "category", "timed", tmp_path / "trace.json",
+                      "3/7", 0)
+    assert child.returncode == 0, child.stdout + child.stderr
+    reps = json.loads(child.stdout)["reps"]
+    assert reps and all(rep["facts"] == run.CATEGORY_FACTS for rep in reps)
+    assert "ty.pentagon_report#0" in reps[0]["pieces"]["pentagon_s"]

@@ -70,6 +70,101 @@ def test_full_negative_control_failure_sets():
         assert rep.failures == LITERAL_MIDDLE_FAILURES
 
 
+def _reference_pentagon_holds(w, x, y, z, tau, literal_middle):
+    # every equation of one quadruple evaluated from F calls, as the scan
+    # was first written
+    def f(*labels):
+        return ty.F(*labels, tau, literal_middle)
+
+    fuse = ty.fuse
+    for a in fuse(w, x):
+        for b in fuse(a, y):
+            for t in fuse(b, z):
+                for c in fuse(y, z):
+                    for d in fuse(x, c):
+                        if t not in fuse(w, d):
+                            continue
+                        two_moves = (f(a, y, z, b, c, t) * f(w, x, c, a, d, t)
+                                     if t in fuse(a, c) else ZERO)
+                        three_moves = sum(
+                            (f(w, x, y, a, e, b) * f(w, e, z, b, d, t)
+                             * f(x, y, z, e, c, d)
+                             for e in fuse(x, y)
+                             if b in fuse(w, e) and d in fuse(e, z)), ZERO)
+                        if two_moves != three_moves:
+                            return False
+    return True
+
+
+def _reference_pentagon(tau, literal_middle, max_failures):
+    failures, count = [], 0
+    for quadruple in product(ty.SIMPLES, repeat=4):
+        count += 1
+        if not _reference_pentagon_holds(*quadruple, tau, literal_middle):
+            failures.append(quadruple)
+            if len(failures) >= max_failures:
+                break
+    return count, failures
+
+
+def _reference_unitarity(tau):
+    # one F call per block entry, every block tested on its own
+    fuse = ty.fuse
+    for x, y, z, t in product(ty.SIMPLES, repeat=4):
+        us = [u for u in fuse(x, y) if t in fuse(u, z)]
+        vs = [v for v in fuse(y, z) if t in fuse(x, v)]
+        if not is_unitary([[ty.F(x, y, z, u, v, t, tau) for u in us]
+                           for v in vs]):
+            return False, (x, y, z)
+    return True, None
+
+
+SCALES = [pytest.param(Cyc.from_rational(q), id=str(q)) for q in (
+    Fraction(1, 2), Fraction(-1, 2), 1, Fraction(3, 7))] + [
+    pytest.param(ZETA * HALF, id="z/2")]
+
+
+@pytest.mark.parametrize("max_failures", [1, 3, 625])
+@pytest.mark.parametrize("literal_middle", [False, True])
+@pytest.mark.parametrize("tau", SCALES)
+def test_pentagon_matches_the_per_equation_loop(tau, literal_middle,
+                                                max_failures):
+    count, failures = _reference_pentagon(tau, literal_middle, max_failures)
+    rep = ty.pentagon_report(tau, literal_middle, max_failures)
+    assert (rep.quadruples, rep.failures) == (count, failures)
+
+
+@pytest.mark.parametrize("tau", SCALES)
+def test_unitarity_matches_the_per_block_loop(tau):
+    assert ty.associator_unitarity(tau) == _reference_unitarity(tau)
+
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    original = getattr(Cyc, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(Cyc, name, counted)
+    return calls
+
+
+def test_pentagon_evaluates_each_identity_once(monkeypatch):
+    # 5,008 products when every equation was evaluated from F calls
+    muls = _count_calls(monkeypatch, "__mul__")
+    assert ty.pentagon_report(HALF).holds
+    assert muls[0] <= 1000
+
+
+def test_gauge_family_sums_halves(monkeypatch):
+    # 24,640 additions when each of the 256 assignments summed its terms
+    adds = _count_calls(monkeypatch, "__add__")
+    assert modcat.global_phase_family()["passing"] == 256
+    assert adds[0] <= 2000
+
+
 def test_big_f_symbol_is_a_scaled_bicharacter():
     for u in ty.GROUP:
         for v in ty.GROUP:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hopfcheck.cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
                                   mat_mul)
 from hopfcheck.multimatrix import (SCALARS, AlgElement, GroupoidAlgebra,
-                                   LinearMap, MultiMatrixAlgebra,
+                                   LinearMap, MultiMatrixAlgebra, partners,
                                    tensor_algebra, tensor_compose, tensor_map)
 
 A = MultiMatrixAlgebra((1, 2), labels=("s", "m"))
@@ -17,6 +17,25 @@ C = MultiMatrixAlgebra((2,), labels=("n",))
 
 scalars = st.sampled_from((ZERO, ONE, -ONE, ZETA, IM, HALF, INV_SQRT2,
                            ONE + ZETA, -IM))
+
+
+def decompose(alg, p):
+    """(block, row, column) of basis index p of a multimatrix algebra,
+    from its block sizes alone."""
+    for b, n in enumerate(alg.block_sizes):
+        if p < n * n:
+            return (b, *divmod(p, n))
+        p -= n * n
+    raise IndexError(p)
+
+
+def blocks(x):
+    """The dense matrix blocks of a multimatrix element."""
+    out = [[[ZERO] * n for _ in range(n)] for n in x.parent.block_sizes]
+    for p, v in x.coords.items():
+        b, i, j = decompose(x.parent, p)
+        out[b][i][j] = v
+    return out
 
 
 def elements(alg):
@@ -35,7 +54,9 @@ def test_basis_indexing():
     assert A.dim == 5
     assert A.index(0, 0, 0) == 0
     assert A.index(1, 1, 0) == 3          # block-major, row-major inside
-    assert A.decompose(4) == (1, 1, 1)
+    assert decompose(A, 4) == (1, 1, 1)
+    assert [A.index(*decompose(A, p)) for p in range(A.dim)] == list(
+        range(A.dim))
     assert A.basis_name(0) == "s"
     assert A.basis_name(2) == "m[0,1]"
 
@@ -86,8 +107,8 @@ sparse_elements = st.dictionaries(st.integers(0, D.dim - 1), scalars,
 @settings(max_examples=300)
 @given(sparse_elements, sparse_elements)
 def test_product_is_the_blockwise_matrix_product(x, y):
-    want = [mat_mul(bx, by) for bx, by in zip(x.blocks(), y.blocks())]
-    assert (x * y).blocks() == want
+    want = [mat_mul(bx, by) for bx, by in zip(blocks(x), blocks(y))]
+    assert blocks(x * y) == want
 
 
 def test_tensor_labels_follow_the_factors():
@@ -118,6 +139,44 @@ def test_tensor_split_inverts_the_table():
             p, q = divmod(t, n)
             assert ta.basis_name(t) == f"{name(p)}(x){name(q)}"
             assert basis[p].tensor(basis[q]).coords == {t: ONE}
+
+
+def brute_partners(alg):
+    n = alg.dim
+    return tuple(tuple((c, r) for c in range(n)
+                       if (r := alg.mul_basis(a, c)) is not None)
+                 for a in range(n))
+
+
+def test_tensor_partners_come_from_the_factors(monkeypatch):
+    # a tensor product's table comes from its factors' tables, with no
+    # product taken in the square (dim^2 of them, two factor products each)
+    calls = 0
+    original = MultiMatrixAlgebra.mul_basis
+
+    def counted(self, p, q):
+        nonlocal calls
+        calls += 1
+        return original(self, p, q)
+
+    monkeypatch.setattr(MultiMatrixAlgebra, "mul_basis", counted)
+    # labels no other test uses, so the square is built here
+    alg = MultiMatrixAlgebra((1, 2, 3), labels=("u", "v", "w"))
+    square = tensor_algebra(alg, alg)
+    partners(alg)
+    calls = 0
+    part = partners(square)
+    assert calls == 0
+    monkeypatch.undo()
+    assert part == brute_partners(square)
+
+
+def test_tensor_partners_match_brute_force():
+    z3 = GroupoidAlgebra(3, lambda p, q: (p + q) % 3, lambda p: -p % 3,
+                         "egh".__getitem__, [0])
+    for a, b in ((A, A), (A, z3), (z3, C), (z3, tensor_algebra(C, z3))):
+        ta = tensor_algebra(a, b)
+        assert partners(ta) == brute_partners(ta)
 
 
 def test_groupoid_tensor_products():
