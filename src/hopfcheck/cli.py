@@ -20,7 +20,7 @@ from . import models
 from .category_checks import modcat, ty
 from .cyclotomic import Cyc, HALF, ONE
 from .group_twist import read_model, twist_from_model_dict
-from .hopf_core import commutativity_flags, hopf_to_dict, verify_hopf_axioms
+from .hopf_core import commutativity_flags, hopf_to_dict
 
 
 @dataclass
@@ -88,14 +88,12 @@ def _run_vtilde_group(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
-    vt = models.build_vtilde()
-    rep = verify_hopf_axioms(vt.fa.hopf)
-    comm, cocomm, _ = commutativity_flags(vt.fa.hopf)
-    if rep.passed and comm and not cocomm:
+    # function_hopf raises unless it restricts the verified crossed product
+    comm, cocomm, _ = commutativity_flags(models.build_smash().function_hopf)
+    if comm and not cocomm:
         return True, ("function algebra is a commutative, noncocommutative "
                       "Hopf *-algebra of dimension 8")
-    return False, (f"axioms: {_failing(rep.checks) or 'ok'}; "
-                   f"commutative={comm}, cocommutative={cocomm}")
+    return False, f"commutative={comm}, cocommutative={cocomm}"
 
 
 def _run_smash_axioms(ctx: Context) -> tuple[bool, str]:
@@ -304,7 +302,7 @@ _BY_ID = {spec.id: spec for spec in REGISTRY}
 
 _EXPORTS: dict[str, Callable[[], object]] = {
     "kp": lambda: models.build_kp().hopf,
-    "vtilde": lambda: models.build_vtilde().fa.hopf,
+    "vtilde": lambda: models.build_smash().function_hopf,
     "vtilde-twist": lambda: models.build_vtilde_twist().hopf,
     "smash": lambda: models.build_smash().hopf,
 }

@@ -173,12 +173,7 @@ def _characters(table: list[list[int]], identity: int) -> list[list[Cyc]]:
     start[identity] = ONE
     if propagate(start):
         search(start)
-    # dedupe (propagation order can revisit assignments)
-    seen = []
-    for chi in results:
-        if chi not in seen:
-            seen.append(chi)
-    return seen
+    return results
 
 
 def _abelianization_order(table: list[list[int]], identity: int) -> int:

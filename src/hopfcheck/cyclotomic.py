@@ -226,28 +226,6 @@ class Cyc:
         n, d = norm._n[0], norm._d
         return c * (_raw((d, 0, 0, 0), n) if n > 0 else _raw((-d, 0, 0, 0), -n))
 
-    def __truediv__(self, other: Cyc | int | Fraction) -> Cyc:
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.from_rational(other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other: int | Fraction) -> Cyc:
-        return Cyc.from_rational(other) * self.inv()
-
-    def __pow__(self, k: int) -> Cyc:
-        if k < 0:
-            return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __repr__(self) -> str:
         return f"Cyc({list(self._n)}, {self._d})"
 

@@ -1,16 +1,17 @@
-"""Function algebras of finite matrix groups, order-2 actions, and twists.
+"""Finite matrix groups, order-2 actions, crossed products and twists.
 
-The pipeline: a finite group of 2x2 unitaries, its function algebra as a
-commutative Hopf *-algebra, an order-2 conjugation action, the crossed
-product by Z/2, and inside that crossed product the twisted algebra spanned
-by even functions together with odd functions times the group-like of the
-acting Z/2.  Each Hopf structure is verified once, and nothing is trusted
-from its construction alone: the function algebra and the crossed product
-on its groupoid basis delta_h lam^k pass every axiom of verify_hopf_axioms,
-in integer arithmetic.  The crossed product's blocks and the twist are
-restrictions of that one structure, each accepted when its inclusion passes
-check_hopf_morphism, which proves its axioms from the crossed product's
-(see SmashProduct and subalgebra_hopf).
+The pipeline: a finite group G of 2x2 unitaries, an order-2 conjugation
+action, the crossed product of its function algebra C(G) by that action,
+and inside that crossed product the twisted algebra spanned by even
+functions together with odd functions times the group-like of the acting
+Z/2 (graded twisting: Bichon, Neshveyev and Yamashita, Ann. Inst. Fourier
+66, 2016).  The crossed product is the one Hopf structure written in closed
+form, and nothing is trusted from its construction alone: on its groupoid
+basis delta_h lam^k it passes every axiom of verify_hopf_axioms, once, in
+integer arithmetic.  C(G) (its lam^0 part), its blocks and every twist
+are restrictions of that one structure, each accepted when its inclusion
+passes check_hopf_morphism, which proves its axioms from the crossed
+product's (see SmashProduct and subalgebra_hopf).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary, mat_mul
-from .linalg import LinAlgError, Vector, left_inverse
+from .linalg import LinAlgError, left_inverse
 from .hopf_core import (HopfAlgebra, Report, _morphism_report,
                         verify_hopf_axioms)
 from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
@@ -229,38 +230,8 @@ def conjugation_action(group: FiniteMatrixGroup, u: Mat2) -> ConjugationAction:
     return ConjugationAction(group, u, perm)
 
 
-@dataclass
-class FunctionHopf:
-    group: FiniteMatrixGroup
-    hopf: HopfAlgebra
-
-    def delta(self, k: int) -> AlgElement:
-        return self.hopf.algebra.basis_element(k, 0, 0)
-
-
-def function_algebra(group: FiniteMatrixGroup) -> FunctionHopf:
-    """C(G) with pointwise product; coproduct dual to group multiplication,
-    counit the evaluation at the identity and antipode delta_h ->
-    delta_{h^-1}."""
-    n = group.order
-    alg = MultiMatrixAlgebra((1,) * n,
-                             labels=tuple(f"d{nm}" for nm in group.names))
-    ta = tensor_algebra(alg, alg)
-    cols: list[Vector] = [{} for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            cols[group.table[a][b]][a * n + b] = ONE
-    delta = LinearMap(alg, ta, cols)
-    counit = LinearMap(alg, SCALARS, [{0: ONE} if k == group.identity_index
-                                      else {} for k in range(n)])
-    antipode = LinearMap(alg, alg, [{group.inverse[k]: ONE}
-                                    for k in range(n)])
-    hopf = HopfAlgebra(alg, delta, counit, antipode)
-    return FunctionHopf(group, hopf)
-
-
 class SmashProduct:
-    """Crossed product of a function algebra by an order-2 action.
+    """Crossed product of the function algebra C(G) by an order-2 action.
 
     Basis elements delta_h * lam**k with lam the order-2 group-like of the
     acting Z/2 and lam * f == theta(f) * lam.  On that basis the crossed
@@ -275,18 +246,15 @@ class SmashProduct:
     once, in integers; axiom_report is its report.  The action is a Hopf
     *-automorphism of C(G) by construction (see ConjugationAction).
 
-    hopf is the same structure on the blocks of block_basis, restricted
-    from groupoid_hopf by subalgebra_hopf when it is first read (by the
-    smash export and the block sizes); a twist restricts groupoid_hopf
-    itself and never builds the blocks.
+    hopf is the same structure on the blocks of block_basis, and
+    function_hopf is C(G) on function_basis, each restricted from
+    groupoid_hopf by subalgebra_hopf when it is first read; a twist
+    restricts groupoid_hopf itself and builds neither.
     """
 
-    def __init__(self, fa: FunctionHopf, action: ConjugationAction):
-        if action.group is not fa.group and action.group.elements != fa.group.elements:
-            raise ActionError("action group does not match the function algebra")
-        self.fa = fa
+    def __init__(self, action: ConjugationAction):
         self.action = action
-        group = fa.group
+        group = action.group
         n, names = group.order, group.names
         perm = action.perm
 
@@ -318,6 +286,11 @@ class SmashProduct:
         target, basis = block_basis(self)
         return subalgebra_hopf(self.groupoid_hopf, basis, target)[0]
 
+    @cached_property
+    def function_hopf(self) -> HopfAlgebra:
+        target, basis = function_basis(self)
+        return subalgebra_hopf(self.groupoid_hopf, basis, target)[0]
+
     def delta_lambda(self, element_index: int, lam_power: int) -> AlgElement:
         return AlgElement(self.groupoid_hopf.algebra,
                           {2 * element_index + lam_power % 2: ONE})
@@ -332,7 +305,7 @@ def block_basis(smash: SmashProduct,
     with matrix units delta_a, delta_a lam, delta_b lam and delta_b.
     """
     perm = smash.action.perm
-    names = smash.fa.group.names
+    names = smash.action.group.names
     dl = smash.delta_lambda
     sizes: list[int] = []
     labels: list[str] = []
@@ -349,6 +322,15 @@ def block_basis(smash: SmashProduct,
             labels.append(f"m({names[a]},{names[b]})")
             basis_els += [dl(a, 0), dl(a, 1), dl(b, 1), dl(b, 0)]
     return MultiMatrixAlgebra(sizes, labels), basis_els
+
+
+def function_basis(smash: SmashProduct,
+                   ) -> tuple[MultiMatrixAlgebra, list[AlgElement]]:
+    """C(G) on delta_h lam^0, one 1x1 block d<name> per group element."""
+    names = smash.action.group.names
+    return (MultiMatrixAlgebra((1,) * len(names),
+                               tuple(f"d{nm}" for nm in names)),
+            [smash.delta_lambda(h, 0) for h in range(len(names))])
 
 
 @dataclass
@@ -387,7 +369,7 @@ def coset_basis(smash: SmashProduct, grading: CentralGrading,
     2x2 block with e-parts on the diagonal and o_C lam off it.
     """
     perm = smash.action.perm
-    names = smash.fa.group.names
+    names = smash.action.group.names
     cosets = grading.cosets()
     rep_of = {}
     for idx, (a, b) in enumerate(cosets):
@@ -436,37 +418,26 @@ def coset_basis(smash: SmashProduct, grading: CentralGrading,
 class GradedTwist:
     """The twisted Hopf *-algebra inside the crossed product.
 
-    Built on the coset-block basis (see coset_basis).  axiom_report is the
-    one report that proves it a Hopf *-algebra: the axiom report of the
-    function algebra when the grading is trivial, and otherwise the passing
-    morphism report of the inclusion into the verified crossed product.
+    Restricted from the verified crossed product by subalgebra_hopf, on the
+    coset-block basis (see coset_basis), or on function_basis when the
+    grading is trivial, whose twist is C(G) itself.  axiom_report, the
+    passing morphism report of the inclusion, is the one report that proves
+    it a Hopf *-algebra; to_twist gives the coordinates of a crossed-product
+    element in the twist and raises SubalgebraError outside it.
     """
 
-    def __init__(self, fa: FunctionHopf, grading: CentralGrading,
-                 action: ConjugationAction):
-        if grading.group is not fa.group:
+    def __init__(self, grading: CentralGrading, action: ConjugationAction):
+        if grading.group is not action.group:
             raise GradingError("grading group does not match")
         if action.perm[grading.z_index] != grading.z_index:
             raise GradingError("action does not fix the grading element")
-        self.fa = fa
         self.grading = grading
         self.action = action
-        self.trivial = grading.is_trivial
-        if self.trivial:
-            # function_algebra does not verify, so this is the one check
-            self.smash = None
-            self.hopf = fa.hopf
-            self._solver = lambda x: x
-            self.axiom_report = verify_hopf_axioms(fa.hopf)
-            return
-        self.smash = SmashProduct(fa, action)
-        target, basis = coset_basis(self.smash, grading)
-        self.hopf, self._solver, self.axiom_report = subalgebra_hopf(
+        self.smash = SmashProduct(action)
+        target, basis = (function_basis(self.smash) if grading.is_trivial
+                         else coset_basis(self.smash, grading))
+        self.hopf, self.to_twist, self.axiom_report = subalgebra_hopf(
             self.smash.groupoid_hopf, basis, target)
-
-    def to_twist(self, x: AlgElement) -> AlgElement:
-        """Coordinates of an ambient element in the twist, if it lies there."""
-        return self._solver(x)
 
 
 def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
@@ -549,7 +520,4 @@ def twist_from_model_dict(data: dict) -> GradedTwist:
     zi = group.index.get(z)
     if zi is None:
         raise GradingError("central element is not in the generated group")
-    fa = function_algebra(group)
-    action = conjugation_action(group, u)
-    grading = CentralGrading(group, zi)
-    return GradedTwist(fa, grading, action)
+    return GradedTwist(CentralGrading(group, zi), conjugation_action(group, u))

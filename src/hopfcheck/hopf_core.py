@@ -7,17 +7,17 @@ counit and antipode as linear maps; every axiom is checked as an exact
 identity of sparse vectors, in integers when all coefficients are, and
 failures carry witnesses.  The counit and antipode are never entered by
 hand: they are solved for from the coproduct (entered tables), written in
-closed form from the group table (function algebras and their crossed
-products, group_twist), restricted from a verified ambient structure
-(group_twist.subalgebra_hopf), or read from a dump (hopf_from_dict).
-Whatever the source, only the unique ones the coproduct determines are
-accepted, since a bialgebra has at most one counit and one antipode, so a
-typo in a coproduct table cannot be papered over by a matching typo in the
-antipode.  verify_hopf_axioms checks them on every structure but the
-restricted ones (a graded twist, a crossed product's blocks): those are
-accepted when check_hopf_morphism passes their inclusion into the verified
-ambient, which holds their counit and antipode to the ambient's (see
-group_twist.subalgebra_hopf).
+closed form from the group table (the crossed product of a function algebra
+by an order-2 action, group_twist), restricted from a verified ambient
+structure (group_twist.subalgebra_hopf), or read from a dump
+(hopf_from_dict).  Whatever the source, only the unique ones the coproduct
+determines are accepted, since a bialgebra has at most one counit and one
+antipode, so a typo in a coproduct table cannot be papered over by a
+matching typo in the antipode.  verify_hopf_axioms checks them on every
+structure but the restricted ones (a function algebra, a graded twist, a
+crossed product's blocks): those are accepted when check_hopf_morphism
+passes their inclusion into the verified ambient, which holds their counit
+and antipode to the ambient's (see group_twist.subalgebra_hopf).
 
 The coproduct, the counit and a Hopf *-morphism are unital *-algebra maps
 (A -> A (x) A, A -> k and A -> B), and one routine checks that for all three.

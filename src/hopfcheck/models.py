@@ -23,9 +23,9 @@ from .corep import (Corep, FusionGraph, OneDimGroup, fusion_graph, hom_dim,
                     one_dim_group, tensor_corep, verify_corep)
 from .cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, mat_mul
 from .group_twist import (AxiomFailure, CentralGrading, ConjugationAction,
-                          FiniteMatrixGroup, FunctionHopf, Mat2, SmashProduct,
-                          conjugation_action, coset_basis, function_algebra,
-                          generate_group, subalgebra_hopf)
+                          FiniteMatrixGroup, Mat2, SmashProduct,
+                          conjugation_action, coset_basis, generate_group,
+                          subalgebra_hopf)
 from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                         commutativity_flags, solve_counit_antipode,
                         verify_hopf_axioms)
@@ -82,15 +82,15 @@ _DIRECT_CONJUGATORS = (U_ALPHA, U_BETA, U_GAMMA)
 _TWIST_CONJUGATORS = (W_ALPHAP, W_BETAP, W_GAMMAP)
 
 
-def conjugated_unit(alg: MultiMatrixAlgebra, m: Mat2, k: int, l: int,
-                    block: int = 4) -> AlgElement:
-    """m e_kl m^* expanded in the 2x2 block of alg."""
+def conjugated_unit(alg: MultiMatrixAlgebra, m: Mat2, k: int,
+                    l: int) -> AlgElement:
+    """m e_kl m^* expanded in the 2x2 block (block 4) of alg."""
     out = alg.zero()
     for i in range(2):
         for j in range(2):
             c = m[i, k] * m[j, l].conj()
             if c:
-                out = out + alg.basis_element(block, i, j).scale(c)
+                out = out + alg.basis_element(4, i, j).scale(c)
     return out
 
 
@@ -175,8 +175,9 @@ def build_kp() -> KPModel:
 
 @dataclass
 class VtildeModel:
+    """The order-8 group with its action and grading, and the checks on
+    them; its function algebra is build_smash().function_hopf."""
     group: FiniteMatrixGroup
-    fa: FunctionHopf
     action: ConjugationAction
     grading: CentralGrading
     indices: dict[str, int]
@@ -220,15 +221,13 @@ def build_vtilde() -> VtildeModel:
     if not all(checks.values()):
         bad = [k for k, v in checks.items() if not v]
         raise ModelMismatchError(f"group model checks failed: {bad}")
-    fa = function_algebra(group)
-    return VtildeModel(group, fa, action, grading, idx, checks)
+    return VtildeModel(group, action, grading, idx, checks)
 
 
 @lru_cache(maxsize=None)
 def build_smash() -> SmashProduct:
     """Crossed product of the function algebra by the order-2 action."""
-    vt = build_vtilde()
-    sm = SmashProduct(vt.fa, vt.action)
+    sm = SmashProduct(build_vtilde().action)
     if sorted(sm.hopf.algebra.block_sizes) != [1, 1, 1, 1, 2, 2, 2]:
         raise ModelMismatchError(
             f"crossed product has blocks {sm.hopf.algebra.block_sizes}, "

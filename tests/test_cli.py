@@ -108,7 +108,8 @@ def test_model_check_with_sample(capsys):
 def test_sample_model_with_an_identity_field_passes(capsys, tmp_path, field):
     # the identity action fixes every object, so the crossed product and the
     # twist are commutative; the identity central element is the trivial
-    # grading, whose twist is C(G) itself, verified in integer arithmetic
+    # grading, whose twist is C(G) itself, restricted from its verified
+    # crossed product like every other twist
     with open(SAMPLE_MODEL, encoding="utf-8") as fh:
         data = json.load(fh)
     data[field] = [[["1", "0", "0", "0"], ["0"] * 4],
@@ -251,6 +252,30 @@ def test_export_to_unwritable_path_is_a_usage_error(capsys, tmp_path, parts):
     assert code == 2
     assert not out
     assert "cannot write" in err
+
+
+def test_verify_all_runs_the_axioms_once_per_closed_form():
+    # the direct model, the built-in crossed product and the user model's;
+    # C(G), the blocks and the twists are restrictions, never re-verified
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", f"""
+import contextlib, io, json, sys
+from hopfcheck import cli, hopf_core
+original, dims = hopf_core.verify_hopf_axioms, []
+def spy(h):
+    dims.append(h.algebra.dim)
+    return original(h)
+for mod in list(sys.modules.values()):
+    if mod.__name__.startswith("hopfcheck") and \\
+            vars(mod).get("verify_hopf_axioms") is original:
+        mod.verify_hopf_axioms = spy
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--all", "--json", "--model", {SAMPLE_MODEL!r}])
+print(json.dumps([code, dims]))
+"""], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert json.loads(probe.stdout) == [0, [8, 16, 16]]
 
 
 def test_import_loads_no_numpy():

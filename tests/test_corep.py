@@ -8,7 +8,8 @@ from hopfcheck.corep import (Corep, FusionGraph, OneDimGroup,
                              intertwiners, one_dim_group, tensor_corep,
                              verify_corep)
 from hopfcheck.cyclotomic import Cyc, ONE, ZERO, ZETA
-from hopfcheck.group_twist import Mat2, function_algebra, generate_group
+from hopfcheck.group_twist import (Mat2, SmashProduct, conjugation_action,
+                                   generate_group)
 from hopfcheck.models import build_fundamental, build_kp, build_smash, \
     kp_tensor_square
 
@@ -16,7 +17,8 @@ I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 
 
 def cyclic_function_hopf(order_matrix, cap):
-    return function_algebra(generate_group([order_matrix], cap=cap)).hopf
+    group = generate_group([order_matrix], cap=cap)
+    return SmashProduct(conjugation_action(group, I2)).function_hopf
 
 
 def test_verify_corep_on_the_fundamental():

@@ -16,7 +16,7 @@ from hopfcheck.group_twist import (ActionError, AxiomFailure, CentralGrading,
                                    GradingError, GroupClosureError, Mat2,
                                    SmashProduct, SubalgebraError,
                                    block_basis, conjugation_action, coset_basis,
-                                   function_algebra, generate_group,
+                                   function_basis, generate_group,
                                    subalgebra_hopf, twist_from_model_dict)
 from hopfcheck import hopf_core, linalg, multimatrix
 from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
@@ -103,22 +103,21 @@ def test_hand_made_action_is_checked_when_built():
 
 
 def test_function_algebra_is_pointwise():
-    vt = build_vtilde()
-    fa = vt.fa
-    n = vt.group.order
+    alg = build_smash().function_hopf.algebra
+    n = build_vtilde().group.order
+    delta = [alg.basis_element(k, 0, 0) for k in range(n)]
     for k in range(min(n, 3)):
         for l in range(n):
-            want = fa.delta(k) if k == l else fa.hopf.algebra.zero()
-            assert fa.delta(k) * fa.delta(l) == want
-    total = fa.delta(0)
+            assert delta[k] * delta[l] == (delta[k] if k == l else alg.zero())
+    total = delta[0]
     for k in range(1, n):
-        total = total + fa.delta(k)
-    assert total == fa.hopf.algebra.unit()
+        total = total + delta[k]
+    assert total == alg.unit()
 
 
 def test_smash_product_structure():
     vt = build_vtilde()
-    sm = SmashProduct(vt.fa, vt.action)
+    sm = SmashProduct(vt.action)
     assert sorted(sm.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2, 2, 2]
     assert sm.axiom_report.passed
     # the verified structure is the groupoid algebra on delta_h lam^k, whose
@@ -150,8 +149,7 @@ def test_smash_product_structure():
 def test_tables_of_a_crossed_product_go_with_it():
     # its tensor square, reverse index and product table are cached on the
     # groupoid algebra, so a process that builds many keeps none of them
-    vt = build_vtilde()
-    sm = SmashProduct(vt.fa, vt.action)
+    sm = SmashProduct(build_vtilde().action)
     unit = sm.groupoid_hopf.algebra.unit()
     assert unit * unit == unit and sm.hopf.algebra.dim == 16
     ref = weakref.ref(sm.groupoid_hopf.algebra)
@@ -179,11 +177,26 @@ def test_noncentral_involution_is_rejected():
 
 
 def test_trivial_grading_gives_back_the_function_algebra():
+    # the trivial grading's twist is C(G), restricted from its crossed
+    # product like every other twist, and its solver refuses the lam part
     vt = build_vtilde()
-    grading = CentralGrading(vt.group, vt.group.identity_index)
-    tw = GradedTwist(vt.fa, grading, vt.action)
-    assert tw.trivial
-    assert tw.hopf is vt.fa.hopf
+    tw = GradedTwist(CentralGrading(vt.group, vt.group.identity_index),
+                     vt.action)
+    assert isinstance(tw.smash, SmashProduct)
+    target, basis = function_basis(tw.smash)
+    assert tw.axiom_report == subalgebra_hopf(tw.smash.groupoid_hopf, basis,
+                                              target)[2]
+    assert tw.axiom_report.passed
+    assert "comultiplicative" in tw.axiom_report.checks
+    for h in range(vt.group.order):
+        assert tw.to_twist(tw.smash.delta_lambda(h, 0)) == \
+            tw.hopf.algebra.basis_element(h, 0, 0)
+        with pytest.raises(SubalgebraError):
+            tw.to_twist(tw.smash.delta_lambda(h, 1))
+    fa = build_smash().function_hopf
+    assert tw.hopf.algebra == fa.algebra
+    for part in ("coproduct", "counit", "antipode"):
+        assert getattr(tw.hopf, part).cols == getattr(fa, part).cols
 
 
 def test_coset_twist_blocks_and_axioms():
@@ -192,12 +205,11 @@ def test_coset_twist_blocks_and_axioms():
     pass them all here: the dictionary-basis and coset-basis order-8 twists,
     the order-16 twist of <S1, S2, iI> and the sample model's."""
     vt = build_vtilde()
-    tw = GradedTwist(vt.fa, vt.grading, vt.action)
+    tw = GradedTwist(vt.grading, vt.action)
     assert sorted(tw.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2]
     group = generate_group([S1, S2, Mat2([[IM, ZERO], [ZERO, IM]])], cap=32)
     assert group.order == 16
-    order16 = GradedTwist(function_algebra(group),
-                          CentralGrading(group, group.index[-I2]),
+    order16 = GradedTwist(CentralGrading(group, group.index[-I2]),
                           conjugation_action(group, U_ACT))
     assert sorted(order16.hopf.algebra.block_sizes) == [1] * 8 + [2, 2]
     for hopf in (build_vtilde_twist().hopf, tw.hopf, order16.hopf,
@@ -208,7 +220,7 @@ def test_coset_twist_blocks_and_axioms():
 
 def test_solver_rejects_elements_outside_the_twist():
     vt = build_vtilde()
-    tw = GradedTwist(vt.fa, vt.grading, vt.action)
+    tw = GradedTwist(vt.grading, vt.action)
     stray = tw.smash.delta_lambda(0, 1)    # a lone delta lam is not graded
     with pytest.raises(SubalgebraError):
         tw.to_twist(stray)
@@ -217,7 +229,7 @@ def test_solver_rejects_elements_outside_the_twist():
 def test_transport_rejects_a_non_coalgebra_and_a_dependent_basis():
     sm = build_smash()
     gh = sm.groupoid_hopf
-    d_e = sm.delta_lambda(sm.fa.group.identity_index, 0)
+    d_e = sm.delta_lambda(sm.action.group.identity_index, 0)
     target = MultiMatrixAlgebra((1, 1))
     # a *-subalgebra, but the coproduct of delta_e leaves its span
     with pytest.raises(SubalgebraError,
@@ -246,17 +258,20 @@ def test_transport_rejects_elements_of_another_algebra():
 
 
 def test_coset_basis_mutants_are_rejected():
-    """Seeded single-coefficient edits of the order-8 coset basis and of the
-    crossed product's block basis (+ 1, or zero <-> z) never pass the
-    transport, and never crash it.  A block basis element is a single
-    delta_h lam^k on a 2-orbit, which zero <-> z can make zero."""
+    """Seeded single-coefficient edits of the order-8 coset basis, of the
+    crossed product's block basis and of C(G)'s function basis (+ 1, or
+    zero <-> z) never pass the transport, and never crash it.  A block or
+    function basis element is a single delta_h lam^k, which zero <-> z can
+    make zero."""
     sm = build_smash()
     gh = sm.groupoid_hopf
     amb = gh.algebra
     for (target, basis), rejected in (
             (coset_basis(sm, build_vtilde().grading), "^inclusion fails "),
             (block_basis(sm), "^(inclusion fails |chosen elements are not "
-                              "linearly independent$)")):
+                              "linearly independent$)"),
+            (function_basis(sm), "^(inclusion fails |chosen elements are not "
+                                 "linearly independent$)")):
         rng = random.Random(0)
         for _ in range(40):
             t, c = rng.randrange(len(basis)), rng.randrange(amb.dim)
@@ -301,17 +316,12 @@ def test_non_closed_elements_are_rejected():
         FiniteMatrixGroup([I2, S1])
 
 
-def _sample_model_parts():
-    tw = twist_from_model_dict(sample_model())
-    return tw.fa, tw.smash
-
-
 @pytest.mark.parametrize("build", [
-    lambda: (build_vtilde().fa, build_smash()), _sample_model_parts,
+    build_smash, lambda: twist_from_model_dict(sample_model()).smash,
 ], ids=["order-8", "sample-model"])
 def test_closed_forms_are_the_solved_maps(build):
-    fa, sm = build()
-    for hopf in (fa.hopf, sm.hopf):
+    sm = build()
+    for hopf in (sm.function_hopf, sm.hopf):
         counit, antipode = solve_counit_antipode(hopf.algebra, hopf.coproduct)
         assert hopf.counit == counit
         assert hopf.antipode == antipode

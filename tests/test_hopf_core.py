@@ -14,7 +14,7 @@ from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                                  hopf_to_dict, solve_counit_antipode,
                                  verify_hopf_axioms)
 from hopfcheck.linalg import LinAlgError, exact_rank
-from hopfcheck.models import build_kp, build_smash, build_vtilde
+from hopfcheck.models import build_kp, build_smash
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                                    tensor_algebra, tensor_map)
 from test_multimatrix import decompose
@@ -425,7 +425,7 @@ def mutant(h, which, j, k, mode):
 def test_function_algebra_mutants_match_the_matrix_level_form(which, j, k,
                                                               mode):
     # + 1 keeps C(G) integral, so its laws run on ints; z makes them Q(z)
-    fa = build_vtilde().fa.hopf
+    fa = build_smash().function_hopf
     rep = assert_matches_reference(mutant(fa, which, j, k, mode))
     assert not rep.passed
     assert set(rep.witnesses) == {k for k, ok in rep.checks.items() if not ok}
@@ -434,7 +434,7 @@ def test_function_algebra_mutants_match_the_matrix_level_form(which, j, k,
 def test_integral_structures_do_no_q_z_arithmetic(monkeypatch):
     # every coefficient of C(G) and of the crossed product on its groupoid
     # basis is 0 or 1, so their laws run on ints
-    structures = [build_vtilde().fa.hopf, build_smash().groupoid_hopf]
+    structures = [build_smash().function_hopf, build_smash().groupoid_hopf]
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         def counting(*args, op=getattr(Cyc, name)):

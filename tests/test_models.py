@@ -61,8 +61,7 @@ def test_vtilde_model_checks():
 
 
 def test_vtilde_function_algebra_flags():
-    vt = build_vtilde()
-    comm, cocomm, _ = commutativity_flags(vt.fa.hopf)
+    comm, cocomm, _ = commutativity_flags(build_smash().function_hopf)
     assert comm and not cocomm
 
 
