@@ -108,8 +108,7 @@ def _run_smash_axioms(ctx: Context) -> tuple[bool, str]:
 
 def _run_twist_axioms(ctx: Context) -> tuple[bool, str]:
     tw = models.build_vtilde_twist()
-    keys = ("coproduct_matches_table", "matches_coset_presentation",
-            "even_part_commutative")
+    keys = ("matches_coset_presentation", "even_part_commutative")
     sub = {k: tw.checks[k] for k in keys}
     if tw.axiom_report.passed and all(sub.values()):
         return True, ("twist verified on the dictionary basis; transported "

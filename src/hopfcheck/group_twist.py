@@ -1,17 +1,18 @@
 """Finite matrix groups, order-2 actions, crossed products and twists.
 
-The pipeline: a finite group G of 2x2 unitaries, an order-2 conjugation
-action, the crossed product of its function algebra C(G) by that action,
-and inside that crossed product the twisted algebra spanned by even
-functions together with odd functions times the group-like of the acting
-Z/2 (graded twisting: Bichon, Neshveyev and Yamashita, Ann. Inst. Fourier
-66, 2016).  The crossed product is the one Hopf structure written in closed
-form, and nothing is trusted from its construction alone: on its groupoid
-basis delta_h lam^k it passes every axiom of verify_hopf_axioms, once, in
-integer arithmetic.  C(G) (its lam^0 part), its blocks and every twist
-are restrictions of that one structure, each accepted when its inclusion
-passes check_hopf_morphism, which proves its axioms from the crossed
-product's (see SmashProduct and subalgebra_hopf).
+The pipeline: a finite group G of 2x2 unitaries, the breadth-first closure
+of its generators (generate_group), an order-2 conjugation action, the
+crossed product of its function algebra C(G) by that action, and inside
+that crossed product the twisted algebra spanned by even functions together
+with odd functions times the group-like of the acting Z/2 (graded twisting:
+Bichon, Neshveyev and Yamashita, Ann. Inst. Fourier 66, 2016).  The
+crossed product is the one Hopf structure written in closed form, and
+nothing is trusted from its construction alone: on its groupoid basis
+delta_h lam^k it passes every axiom of verify_hopf_axioms, once, in integer
+arithmetic.  C(G) (its lam^0 part), its blocks and every twist are
+restrictions of that one structure, each accepted when its inclusion passes
+check_hopf_morphism, which proves its axioms from the crossed product's
+(see SmashProduct and subalgebra_hopf).
 """
 
 from __future__ import annotations
@@ -106,36 +107,25 @@ class Mat2:
 
 
 class FiniteMatrixGroup:
-    """Finite group of 2x2 unitaries with a precomputed multiplication table."""
+    """Finite group of 2x2 unitaries with its multiplication table.
 
-    def __init__(self, elements: list[Mat2], names: list[str] | None = None):
-        self.elements = elements
+    Built only by generate_group, the breadth-first closure of its
+    generators: element 0 is the identity, the generators come next, and
+    table[a][b] is the index of the product of elements a and b.
+    """
+
+    identity_index = 0
+
+    def __init__(self, elements: list[Mat2], table: list[list[int]],
+                 names: list[str]):
+        self.elements, self.table, self.names = elements, table, names
         self.index = {m: k for k, m in enumerate(elements)}
-        if len(self.index) != len(elements):
-            raise GroupClosureError("duplicate elements")
-        n = len(elements)
-        try:
-            self.table = [[self.index[elements[a] * elements[b]]
-                           for b in range(n)] for a in range(n)]
-        except KeyError:
-            raise GroupClosureError(
-                "elements are not closed under multiplication") from None
-        try:
-            self.identity_index = elements.index(Mat2.identity())
-        except ValueError:
-            raise GroupClosureError("identity missing") from None
         # Latin square: rows and columns are permutations
-        full = set(range(n))
-        for r in self.table:
-            if set(r) != full:
-                raise GroupClosureError("multiplication table is not a Latin square")
-        for b in range(n):
-            if {self.table[a][b] for a in range(n)} != full:
-                raise GroupClosureError("multiplication table is not a Latin square")
-        self.inverse = [next(b for b in range(n)
-                             if self.table[a][b] == self.identity_index)
-                        for a in range(n)]
-        self.names = names or [f"g{k}" for k in range(n)]
+        full = set(range(len(elements)))
+        if any(set(r) != full for r in table) or any(
+                set(c) != full for c in zip(*table)):
+            raise GroupClosureError("multiplication table is not a Latin square")
+        self.inverse = [r.index(0) for r in table]
 
     @property
     def order(self) -> int:
@@ -152,9 +142,16 @@ MAX_GENERATOR_ORDER = 30
 MAX_GROUP_ORDER = 480
 
 
-def generate_group(generators: Sequence[Mat2], cap: int = 64) -> FiniteMatrixGroup:
-    """Close a set of 2x2 unitaries under multiplication, up to cap elements
-    (and never beyond MAX_GROUP_ORDER)."""
+def generate_group(generators: Sequence[Mat2], cap: int = 64,
+                   names: list[str] | None = None) -> FiniteMatrixGroup:
+    """The breadth-first closure of 2x2 unitaries under multiplication, up
+    to cap elements (and never beyond MAX_GROUP_ORDER).
+
+    Element 0 is the identity and the distinct generators follow in their
+    given order.  The closure takes each product x * g_s once and records
+    its index as right[s][x]; an element b first reached as w * g_s then has
+    table[a][b] = right[s][table[a][w]], since a (w g_s) = (a w) g_s.
+    """
     cap = min(cap, MAX_GROUP_ORDER)
     identity = Mat2.identity()
     for g in generators:
@@ -167,22 +164,26 @@ def generate_group(generators: Sequence[Mat2], cap: int = 64) -> FiniteMatrixGro
             power = power * g
         else:
             raise GroupClosureError(f"generator {g!r} has infinite order")
-    elements = [identity]
-    seen = {elements[0]}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in generators:
-                m = h * g
-                if m not in seen:
-                    if len(seen) >= cap:
-                        raise GroupClosureError(f"group not closed within {cap} elements")
-                    seen.add(m)
-                    elements.append(m)
-                    nxt.append(m)
-        frontier = nxt
-    return FiniteMatrixGroup(elements)
+    elements, index = [identity], {identity: 0}
+    # elements[b] is first reached as elements[w] * g_s, (w, s) = reached[b - 1]
+    reached: list[tuple[int, int]] = []
+    right: list[list[int]] = [[] for _ in generators]
+    for x, h in enumerate(elements):    # grows while it is walked: BFS
+        for s, g in enumerate(generators):
+            m = h * g
+            if m not in index:
+                if len(elements) >= cap:
+                    raise GroupClosureError(f"group not closed within {cap} elements")
+                index[m] = len(elements)
+                elements.append(m)
+                reached.append((x, s))
+            right[s].append(index[m])
+    n = len(elements)
+    cols = [list(range(n))]
+    for w, s in reached:
+        cols.append([right[s][a] for a in cols[w]])
+    return FiniteMatrixGroup(elements, [list(r) for r in zip(*cols)],
+                             names or [f"g{k}" for k in range(n)])
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .corep import (Corep, FusionGraph, OneDimGroup, fusion_graph, hom_dim,
                     one_dim_group, tensor_corep, verify_corep)
@@ -194,8 +195,11 @@ def build_vtilde() -> VtildeModel:
     named = [("I", Mat2.identity()), ("-I", -Mat2.identity()),
              ("s1", S1), ("-s1", -S1), ("s2", S2), ("-s2", -S2),
              ("s3", S3), ("-s3", -S3)]
-    group = FiniteMatrixGroup([m for _, m in named],
-                              names=[n for n, _ in named])
+    # closed, the named list is its own breadth-first order
+    group = generate_group([m for _, m in named], cap=len(named),
+                           names=[n for n, _ in named])
+    if group.elements != [m for _, m in named]:
+        raise ModelMismatchError("named elements repeat, so names would shift")
     idx = {n: k for k, (n, _) in enumerate(named)}
     generated = generate_group([S1, S2], cap=32)
     action = conjugation_action(group, U_ACT)
@@ -250,11 +254,8 @@ class TwistModel:
     smash: SmashProduct
     axiom_report: Report
     checks: dict[str, bool]
-    solver: object
-
-    def to_twist(self, x: AlgElement) -> AlgElement:
-        """Coordinates of a crossed-product element in the twist basis."""
-        return self.solver(x)
+    # coordinates of a crossed-product element in the twist basis
+    to_twist: Callable[[AlgElement], AlgElement]
 
     @property
     def passed(self) -> bool:
@@ -321,7 +322,6 @@ def build_vtilde_twist() -> TwistModel:
 
     is_comm, is_cocomm, _ = commutativity_flags(hopf)
     checks = {
-        "coproduct_matches_table": True,
         "even_part_commutative": commutative_even,
         "odd_coproduct_display": odd_display,
         "matches_coset_presentation": same_subspace,

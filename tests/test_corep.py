@@ -3,11 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.corep import (Corep, FusionGraph, OneDimGroup,
-                             UnsupportedProfile, fusion_graph, hom_dim,
+from hopfcheck.corep import (Corep, UnsupportedProfile, hom_dim,
                              intertwiners, one_dim_group, tensor_corep,
                              verify_corep)
-from hopfcheck.cyclotomic import Cyc, ONE, ZERO, ZETA
+from hopfcheck.cyclotomic import ONE, ZERO, ZETA
 from hopfcheck.group_twist import (Mat2, SmashProduct, conjugation_action,
                                    generate_group)
 from hopfcheck.models import build_fundamental, build_kp, build_smash, \

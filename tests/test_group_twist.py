@@ -18,7 +18,7 @@ from hopfcheck.group_twist import (ActionError, AxiomFailure, CentralGrading,
                                    block_basis, conjugation_action, coset_basis,
                                    function_basis, generate_group,
                                    subalgebra_hopf, twist_from_model_dict)
-from hopfcheck import hopf_core, linalg, multimatrix
+from hopfcheck import hopf_core, linalg, models, multimatrix
 from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
                                  verify_hopf_axioms)
 from hopfcheck.linalg import exact_rank
@@ -303,17 +303,85 @@ def test_twist_from_model_dict():
 
 
 def test_duplicate_elements_are_rejected():
-    with pytest.raises(GroupClosureError):
-        FiniteMatrixGroup([I2, I2])
     g = generate_group([S1, S2], cap=16)
     assert len(set(g.names)) == g.order
 
 
 def test_non_closed_elements_are_rejected():
-    # S1 squares to -I, which is missing
+    # S1 squares to -I, which is the third element
     with pytest.raises(GroupClosureError,
-                       match="^elements are not closed under multiplication$"):
-        FiniteMatrixGroup([I2, S1])
+                       match="^group not closed within 2 elements$"):
+        generate_group([I2, S1], cap=2)
+
+
+IIM = Mat2([[IM, ZERO], [ZERO, IM]])
+D48 = Mat2([[ZETA, ZERO], [ZERO, ZETA.conj()]])    # diag(z, z^7)
+
+
+def product_table(g):
+    """The reference table: every pair of elements multiplied as matrices."""
+    return [[g.index[a * b] for b in g.elements] for a in g.elements]
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([S1, S2], 8), ([S1, S2, IIM], 16), ([S1, S2, D48], 48),
+], ids=["order-8", "order-16", "order-48"])
+def test_closure_table_is_the_product_table(gens, order):
+    g = generate_group(gens, cap=order)
+    assert g.order == order
+    assert g.table == product_table(g)
+    assert g.elements[g.identity_index] == I2
+    assert all(g.table[a][g.inverse[a]] == 0 for a in range(order))
+
+
+def test_elements_are_the_identity_then_the_generators():
+    g = generate_group([S2, I2, S1, S2, -I2], cap=8)
+    assert g.elements[:4] == [I2, S2, S1, -I2]
+    assert g.names[:4] == ["g0", "g1", "g2", "g3"]
+
+
+def test_vtilde_names_follow_the_named_matrices():
+    g = build_vtilde().group
+    named = {"I": I2, "s1": S1, "s2": S2, "s3": S3}
+    named.update({"-" + nm: -m for nm, m in named.items()})
+    assert g.names == ["I", "-I", "s1", "-s1", "s2", "-s2", "s3", "-s3"]
+    assert g.elements == [named[nm] for nm in g.names]
+    assert g.table == product_table(g)
+
+
+def test_seeded_generator_lists_give_the_same_group():
+    # permuted, repeated generators with the identity inserted
+    ref = generate_group([S1, S2, D48], cap=48)
+    rng = random.Random(19)
+    for _ in range(5):
+        gens = [S1, S2, D48] + rng.choices([S1, S2, D48], k=2)
+        rng.shuffle(gens)
+        gens.insert(rng.randrange(len(gens) + 1), I2)
+        g = generate_group(gens, cap=48)
+        assert set(g.elements) == set(ref.elements)
+        assert g.table == product_table(g)
+        firsts = list(dict.fromkeys(m for m in gens if m != I2))
+        assert g.elements[:4] == [I2] + firsts
+
+
+def test_latin_square_check_rejects_a_swapped_row():
+    g = generate_group([S1, S2], cap=8)
+    table = [list(r) for r in g.table]
+    table[1][2], table[1][3] = table[1][3], table[1][2]
+    with pytest.raises(GroupClosureError, match="not a Latin square"):
+        FiniteMatrixGroup(g.elements, table, g.names)
+
+
+@pytest.mark.parametrize("s3, error, match", [
+    (IIM, GroupClosureError, "^group not closed within 8 elements$"),
+    (S1, models.ModelMismatchError, "^named elements repeat"),
+], ids=["not-closed", "repeated"])
+def test_vtilde_rejects_a_wrong_named_list(monkeypatch, s3, error, match):
+    # with iI for s3 the named list misses S1 S2; with S1 for s3 it lists
+    # +-S1 twice, so its closure is not the named list in order
+    monkeypatch.setattr(models, "S3", s3)
+    with pytest.raises(error, match=match):
+        build_vtilde.__wrapped__()
 
 
 @pytest.mark.parametrize("build", [

@@ -1,11 +1,9 @@
 """The two eight-dimensional models, their isomorphism, and their fusion."""
 
-from fractions import Fraction
-
 import pytest
 
 from hopfcheck.corep import one_dim_group
-from hopfcheck.cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO
+from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO
 from hopfcheck import models
 from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     commutativity_flags, verify_hopf_axioms

@@ -5,9 +5,9 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
+from hopfcheck.cyclotomic import (HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
                                   mat_mul)
-from hopfcheck.multimatrix import (SCALARS, AlgElement, GroupoidAlgebra,
+from hopfcheck.multimatrix import (SCALARS, GroupoidAlgebra,
                                    LinearMap, MultiMatrixAlgebra, partners,
                                    tensor_algebra, tensor_compose, tensor_map)
 
