@@ -3,7 +3,8 @@
 A corepresentation is a square matrix of algebra elements with
 Delta(u_ij) == sum_k u_ik tensor u_kj.  Intertwiner spaces are computed as
 exact nullspaces, so multiplicities in fusion rules are proved, not
-floating-point guesses.
+floating-point guesses.  The group of group-likes is certified from a
+complete list of irreducible unitary corepresentations (Peter-Weyl).
 """
 
 from __future__ import annotations
@@ -11,14 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyc, ONE, ZERO, ROOTS_OF_UNITY_8, cyc_sqrt
+from .cyclotomic import Cyc, ONE, ZERO
 from .hopf_core import HopfAlgebra, Report
-from .linalg import LinAlgError, Vector, exact_nullspace, solve_unique
-from .multimatrix import AlgElement, MultiMatrixAlgebra
-
-
-class UnsupportedProfile(Exception):
-    pass
+from .linalg import Vector, exact_nullspace
+from .multimatrix import AlgElement
 
 
 @dataclass
@@ -79,9 +76,13 @@ def verify_corep(u: Corep) -> Report:
     return rep
 
 
+def _require_same_hopf(u: Corep, v: Corep, what: str) -> None:
+    if u.hopf is not v.hopf and u.hopf != v.hopf:
+        raise ValueError(f"{what} needs coreps of the same Hopf algebra")
+
+
 def tensor_corep(u: Corep, v: Corep) -> Corep:
-    if u.hopf is not v.hopf and u.hopf.algebra != v.hopf.algebra:
-        raise ValueError("tensor product needs coreps of the same Hopf algebra")
+    _require_same_hopf(u, v, "a tensor product")
     n, m = u.size, v.size
     entries = [[u.entries[i][j] * v.entries[k][l]
                 for j in range(n) for l in range(m)]
@@ -91,8 +92,8 @@ def tensor_corep(u: Corep, v: Corep) -> Corep:
 
 def intertwiners(u: Corep, v: Corep) -> list[list[list[Cyc]]]:
     """Basis of {T : T u == v T}, as size(v) x size(u) scalar matrices."""
+    _require_same_hopf(u, v, "an intertwiner space")
     nu, nv = u.size, v.size
-    dim = u.hopf.dim
     rows: list[Vector] = []
     for i in range(nv):
         for j in range(nu):
@@ -133,232 +134,53 @@ class OneDimGroup:
         return len(self.elements)
 
 
-def _characters(table: list[list[int]], identity: int) -> list[list[Cyc]]:
-    """All homomorphisms into the eighth roots of unity, by backtracking."""
-    m = len(table)
-    results: list[list[Cyc]] = []
+def one_dim_group(irreps: list[Corep]) -> OneDimGroup:
+    """The group of group-likes of a Hopf *-algebra h, certified from a
+    complete list of irreducible unitary corepresentations of h.
 
-    def propagate(chi: list[Cyc | None]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for a in range(m):
-                if chi[a] is None:
-                    continue
-                for b in range(m):
-                    if chi[b] is None:
-                        continue
-                    c = table[a][b]
-                    want = chi[a] * chi[b]
-                    if chi[c] is None:
-                        chi[c] = want
-                        changed = True
-                    elif chi[c] != want:
-                        return False
-        return True
+    The list is accepted only when every member is a corepresentation of
+    one h that passes verify_corep, hom_dim(irreps[i], irreps[j]) == (i == j)
+    for members of equal size, and the squared sizes sum to dim h; otherwise
+    ValueError names the condition that failed.  The group is the entries of
+    the 1x1 members, the unit first, and table[a][b] is the index of a * b.
 
-    def search(chi: list[Cyc | None]) -> None:
-        try:
-            s = chi.index(None)
-        except ValueError:
-            results.append(list(chi))
-            return
-        for w in ROOTS_OF_UNITY_8:
-            trial = list(chi)
-            trial[s] = w
-            if propagate(trial):
-                search(trial)
-
-    start: list[Cyc | None] = [None] * m
-    start[identity] = ONE
-    if propagate(start):
-        search(start)
-    return results
-
-
-def _abelianization_order(table: list[list[int]], identity: int) -> int:
-    """Order of G/[G,G], read off the multiplication table."""
-    m = len(table)
-    inv = [next(b for b in range(m) if table[a][b] == identity) for a in range(m)]
-    comm = {identity}
-    frontier = {table[table[a][b]][table[inv[a]][inv[b]]]
-                for a in range(m) for b in range(m)}
-    while frontier - comm:
-        comm |= frontier
-        frontier = {table[x][y] for x in comm for y in comm}
-        frontier |= {inv[x] for x in comm}
-    return m // len(comm)
-
-
-def one_dim_group(h: HopfAlgebra) -> OneDimGroup:
-    """The group of unitary group-like elements, for supported block profiles.
-
-    Supported: a multimatrix algebra with all blocks 1x1, or with exactly
-    one 2x2 block.  The coproduct restricted to the 1x1 sector must be dual
-    to a finite group; candidate characters are taken with values in the
-    eighth roots of unity, and the 2x2 component is forced by a linear
-    system plus one quadratic scale.  Anything else raises
-    UnsupportedProfile.
+    Proof (Peter-Weyl; Woronowicz, Compact matrix pseudogroups, 1987).  A
+    unitary corepresentation is completely reducible, since the orthogonal
+    complement of a subcorepresentation is again one, so End(u) == C makes u
+    irreducible, and hom_dim makes members of equal size inequivalent.  The
+    matrix coefficients of inequivalent irreducibles u_i span simple
+    subcoalgebras C(u_i) of dimension size(u_i)**2 whose sum is direct, so
+    the size condition gives h == (+)_i C(u_i).  A group-like g spans a
+    simple subcoalgebra, which in that sum is one of the C(u_i), of
+    dimension one; so g == c u_i for a scalar c, and Delta(g) == g (x) g
+    forces c == 1.  The unit is a group-like, and so is each product of two.
+    For unitary u and v, T -> T* maps Hom(u, v) onto Hom(v, u), so each
+    pair is checked once.
     """
-    alg = h.algebra
-    if not isinstance(alg, MultiMatrixAlgebra):
-        raise UnsupportedProfile("the search reads block sizes, which only a "
-                                 "multimatrix algebra has")
-    ones = [b for b, n in enumerate(alg.block_sizes) if n == 1]
-    twos = [b for b, n in enumerate(alg.block_sizes) if n == 2]
-    if len(twos) > 1 or any(n > 2 for n in alg.block_sizes):
-        raise UnsupportedProfile(
-            f"block profile {alg.block_sizes} is out of scope for the search")
-    oneidx = [alg.index(b, 0, 0) for b in ones]
-    pos_of = {p: s for s, p in enumerate(oneidx)}
-
-    # group law on 1x1 blocks: Delta(e_r) must restrict to sum of e_s x e_t
-    # with coefficient one, each (s, t) claimed exactly once
-    m = len(ones)
-    table = [[-1] * m for _ in range(m)]
-    for r, p_r in enumerate(oneidx):
-        for c, v in h.coproduct.cols[p_r].items():
-            p, q = divmod(c, alg.dim)
-            s, t = pos_of.get(p), pos_of.get(q)
-            if s is None or t is None:
-                continue
-            if v != ONE or table[s][t] != -1:
-                raise UnsupportedProfile(
-                    "coproduct on the 1x1 sector is not dual to a group")
-            table[s][t] = r
-    if any(-1 in row for row in table):
-        raise UnsupportedProfile(
-            "coproduct on the 1x1 sector is not dual to a group")
-    ident = next(e for e in range(m)
-                 if all(table[e][s] == s and table[s][e] == s for s in range(m)))
-
-    chars = _characters(table, ident)
-    if len(chars) != _abelianization_order(table, ident):
-        raise UnsupportedProfile(
-            "the 1x1 sector has characters of order above eight; out of scope")
-
-    unit = alg.unit()
-    found: list[AlgElement] = []
-    for chi in chars:
-        scalar_part = alg.element({p: chi[s] for s, p in enumerate(oneidx)})
-        for g in _complete_group_like(h, scalar_part, twos):
-            if (h.coproduct(g) == g.tensor(g) and h.counit_value(g) == ONE
-                    and g * g.star() == unit and g.star() * g == unit
-                    and g not in found):
-                found.append(g)
-    return _assemble_group(found, unit)
-
-
-def _complete_group_like(h: HopfAlgebra, scalar_part: AlgElement,
-                         twos: list[int]) -> list[AlgElement]:
-    """Candidates g == scalar_part + Y with Delta(g) == g tensor g.
-
-    The coordinates of that identity which are linear in Y pin Y up to one
-    scale; a single quadratic coordinate then fixes the scale up to the two
-    square roots.  Every candidate is re-verified exactly by the caller.
-    """
-    alg = h.algebra
-    if not twos:
-        return [scalar_part]
-    bm = twos[0]
-    munits = [alg.index(bm, i, j) for i in range(2) for j in range(2)]
-    mpos = {p: k for k, p in enumerate(munits)}
-    scal = scalar_part.coords
-
-    dy: dict[int, Vector] = {}          # coordinate -> linear form in y
-    for k, p in enumerate(munits):
-        for c, v in h.coproduct.cols[p].items():
-            row = dy.setdefault(c, {})
-            row[k] = row.get(k, ZERO) + v
-    dconst = h.coproduct(scalar_part).coords
-
-    sys_rows: list[Vector] = []
-    sys_rhs: list[Cyc] = []
-    quad_coords: list[int] = []
-    for c in sorted(set(dy) | set(dconst)):
-        p, q = divmod(c, alg.dim)
-        kp_, kq = mpos.get(p), mpos.get(q)
-        if kp_ is not None and kq is not None:
-            quad_coords.append(c)
-            continue
-        row = dict(dy.get(c, {}))
-        # g tensor g at this coordinate: scal*scal (both scalar) or scal*y
-        want = ZERO
-        if kp_ is None and kq is None:
-            want = scal.get(p, ZERO) * scal.get(q, ZERO)
-        if kp_ is not None and q in scal:
-            row[kp_] = row.get(kp_, ZERO) - scal[q]
-        if kq is not None and p in scal:
-            row[kq] = row.get(kq, ZERO) - scal[p]
-        rhs = want - dconst.get(c, ZERO)
-        if not row:
-            if rhs:
-                return []
-            continue
-        sys_rows.append(row)
-        sys_rhs.append(rhs)
-
-    null = exact_nullspace(sys_rows, 4)
-    if any(sys_rhs):
-        if null:
-            raise UnsupportedProfile(
-                "matrix part of a group-like is affine in the unknowns; "
-                "profile out of scope")
-        try:
-            base = solve_unique(sys_rows, sys_rhs, 4)
-        except LinAlgError:
-            return []
-        ys = [base]
-    elif not null:
-        ys = [[ZERO] * 4]
-    elif len(null) > 1:
-        raise UnsupportedProfile(
-            "matrix part of a group-like is not determined up to scale; "
-            "profile out of scope")
-    else:
-        y0 = [null[0].get(k, ZERO) for k in range(4)]
-        # scale t from a coordinate quadratic in y:
-        # t**2 (y0 x y0)|_c - t <linear form, y0> - const|_c == 0
-        ys = []
-        for c in quad_coords:
-            p, q = divmod(c, alg.dim)
-            quad = y0[mpos[p]] * y0[mpos[q]]
-            if not quad:
-                continue
-            lin = dy.get(c, {})
-            lincoef = ZERO
-            for k in range(4):
-                lincoef = lincoef + lin.get(k, ZERO) * y0[k]
-            constc = dconst.get(c, ZERO)
-            disc = lincoef * lincoef + Cyc.from_rational(4) * quad * constc
-            for root in cyc_sqrt(disc):
-                t = (lincoef + root) * (Cyc.from_rational(2) * quad).inv()
-                y = [t * v for v in y0]
-                if y not in ys:
-                    ys.append(y)
-            break
-    out = []
-    for y in ys:
-        out.append(scalar_part + alg.element(
-            {munits[k]: y[k] for k in range(4) if y[k]}))
-    return out
-
-
-def _assemble_group(found: list[AlgElement], unit: AlgElement) -> OneDimGroup:
-    if unit not in found:
-        raise UnsupportedProfile("the unit is not among the group-likes found")
-    rest = [g for g in found if g != unit]
-    rest.sort(key=lambda g: tuple(sorted((p, v.sort_key()) for p, v in g.coords.items())))
-    elements = [unit] + rest
-    table: list[list[int]] = []
-    for a in elements:
-        row = []
-        for b in elements:
-            p = a * b
-            if p not in elements:
-                raise UnsupportedProfile("group-likes are not closed under product")
-            row.append(elements.index(p))
-        table.append(row)
+    if not irreps:
+        raise ValueError("an empty list of corepresentations is not complete")
+    for u in irreps:
+        _require_same_hopf(irreps[0], u, "the group of group-likes")
+    h = irreps[0].hopf
+    total = sum(u.size * u.size for u in irreps)
+    if total != h.dim:
+        raise ValueError(f"the squared sizes sum to {total}, not to the "
+                         f"dimension {h.dim}")
+    for i, u in enumerate(irreps):
+        rep = verify_corep(u)
+        if not rep.passed:
+            raise ValueError(f"member {i} is not a unitary corepresentation: "
+                             f"{rep.first_failure()}")
+    for i, u in enumerate(irreps):
+        for j in range(i, len(irreps)):
+            v = irreps[j]
+            if u.size == v.size and (d := hom_dim(u, v)) != (i == j):
+                raise ValueError(f"hom_dim of members {i} and {j} is {d}, "
+                                 f"not {int(i == j)}")
+    unit = h.algebra.unit()
+    elements = [unit] + [u.entries[0][0] for u in irreps
+                         if u.size == 1 and u.entries[0][0] != unit]
+    table = [[elements.index(a * b) for b in elements] for a in elements]
     return OneDimGroup(elements, table, 0)
 
 

@@ -124,9 +124,6 @@ class Cyc:
     def is_rational(self) -> bool:
         return self._n[1] == self._n[2] == self._n[3] == 0
 
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.coords
-
     # ring structure
 
     def __bool__(self) -> bool:
@@ -258,7 +255,6 @@ ZETA = Cyc.zeta_power(1)
 IM = Cyc.zeta_power(2)
 SQRT2 = Cyc((0, 1, 0, -1))        # z - z**3
 INV_SQRT2 = Cyc((0, 1, 0, -1), 2)
-ROOTS_OF_UNITY_8 = tuple(Cyc.zeta_power(k) for k in range(8))
 
 
 # dense matrices over Q(z), as lists of rows ---------------------------------
@@ -281,72 +277,3 @@ def is_unitary(rows: Sequence[Sequence[Cyc]]) -> bool:
     conj = [[v.conj() for v in row] for row in rows]
     return all(_dot(rows[i], conj[j]) == (ONE if i == j else ZERO)
                for i in range(len(rows)) for j in range(len(rows)))
-
-
-def _frac_sqrt(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _qi_sqrt(p: Fraction, q: Fraction) -> list[tuple[Fraction, Fraction]]:
-    # square roots of p + q*i inside Q(i)
-    if not p and not q:
-        return [(Fraction(0), Fraction(0))]
-    if not q:
-        r = _frac_sqrt(p)
-        if r is not None:
-            return [(r, Fraction(0)), (-r, Fraction(0))]
-        r = _frac_sqrt(-p)
-        if r is not None:
-            return [(Fraction(0), r), (Fraction(0), -r)]
-        return []
-    norm = _frac_sqrt(p * p + q * q)
-    if norm is None:
-        return []
-    s = _frac_sqrt((p + norm) / 2)
-    if s is None or not s:
-        return []
-    t = q / (2 * s)
-    return [(s, t), (-s, -t)]
-
-
-def cyc_sqrt(c: Cyc) -> list[Cyc]:
-    """All square roots of c in Q(z).  Empty when none exist there."""
-    a0, a1, a2, a3 = c.coords
-    # write c = A + B*z with A, B in Q(i), using z**2 == i
-    roots: list[Cyc] = []
-
-    def build(alpha: tuple[Fraction, Fraction], beta: tuple[Fraction, Fraction]) -> None:
-        x = Cyc((alpha[0], beta[0], alpha[1], beta[1]))
-        if x * x == c and x not in roots:
-            roots.append(x)
-
-    if not a1 and not a3:
-        for r in _qi_sqrt(a0, a2):
-            build(r, (Fraction(0), Fraction(0)))
-        # alpha == 0 branch: beta**2 == -i*A
-        for r in _qi_sqrt(a2, -a0):
-            build((Fraction(0), Fraction(0)), r)
-    else:
-        # x == alpha + beta*z needs alpha**2 + i*beta**2 == A, 2*alpha*beta == B
-        pa, qa = a0, a2
-        pb, qb = a1, a3
-        # D == A**2 - i*B**2
-        da = pa * pa - qa * qa + 2 * pb * qb
-        db = 2 * pa * qa - pb * pb + qb * qb
-        for dr, di in _qi_sqrt(da, db):
-            for ar, ai in _qi_sqrt((pa + dr) / 2, (qa + di) / 2):
-                if not ar and not ai:
-                    continue
-                # beta == B / (2*alpha)
-                den = 2 * (ar * ar + ai * ai)
-                br = (pb * ar + qb * ai) / den
-                bi = (qb * ar - pb * ai) / den
-                build((ar, ai), (br, bi))
-    roots.sort(key=Cyc.sort_key)
-    return roots

@@ -118,6 +118,8 @@ class FiniteMatrixGroup:
 
     def __init__(self, elements: list[Mat2], table: list[list[int]],
                  names: list[str]):
+        if len(names) != len(elements):
+            raise ValueError(f"{len(names)} names for {len(elements)} elements")
         self.elements, self.table, self.names = elements, table, names
         self.index = {m: k for k, m in enumerate(elements)}
         # Latin square: rows and columns are permutations

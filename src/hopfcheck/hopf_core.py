@@ -315,7 +315,7 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     return rep
 
 
-Requirement = Literal["hom", "surjective", "iso"]
+Requirement = Literal["hom", "iso"]
 
 
 def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
@@ -324,9 +324,9 @@ def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
 
     A failing check's witness names a basis element of h1, or for
     surjective and injective the rank of the image, which is computed only
-    when require asks for surjectivity.
+    when require is "iso".
     """
-    if require not in ("hom", "surjective", "iso"):
+    if require not in ("hom", "iso"):
         raise ValueError(f"unknown requirement {require!r}")
     if f.source != h1.algebra or f.target != h2.algebra:
         raise ValueError("map endpoints do not match the Hopf algebras")
@@ -349,13 +349,12 @@ def _morphism_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
             ("antipode", f.compose(h1.antipode), h2.antipode.compose(f))):
         rep.record(name, lhs == rhs, _diff_witness(a1, lhs, rhs))
 
-    if require in ("surjective", "iso"):
+    if require == "iso":
         rank = exact_rank(f.cols)
         wit = (f"image has rank {rank}, source dimension {a1.dim}, target "
                f"dimension {a2.dim}")
         rep.record("surjective", rank == a2.dim, wit)
-        if require == "iso":
-            rep.record("injective", rank == a1.dim == a2.dim, wit)
+        rep.record("injective", rank == a1.dim == a2.dim, wit)
     return rep
 
 

@@ -27,9 +27,9 @@ from .group_twist import (AxiomFailure, CentralGrading, ConjugationAction,
                           FiniteMatrixGroup, Mat2, SmashProduct,
                           conjugation_action, coset_basis, generate_group,
                           subalgebra_hopf)
-from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
-                        commutativity_flags, solve_counit_antipode,
-                        verify_hopf_axioms)
+from .hopf_core import (HopfAlgebra, Report, _diff_witness,
+                        check_hopf_morphism, commutativity_flags,
+                        solve_counit_antipode, verify_hopf_axioms)
 from .linalg import exact_rank
 from .multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                           tensor_algebra)
@@ -123,24 +123,6 @@ def _table_coproduct(alg: MultiMatrixAlgebra, quads, mats) -> LinearMap:
                 acc = acc + conjugated_unit(alg, m.conj_entries(), k, l).tensor(scal[r])
             cols.append(acc.coords)
     return LinearMap(alg, ta, cols)
-
-
-def _require_same_coproduct(h: HopfAlgebra, table: LinearMap) -> None:
-    alg = h.algebra
-    for t in range(alg.dim):
-        got = h.coproduct.cols[t]
-        want = table.cols[t]
-        if got == want:
-            continue
-        for c in sorted(set(got) | set(want)):
-            g = got.get(c, ZERO)
-            w = want.get(c, ZERO)
-            if g != w:
-                p, q = divmod(c, alg.dim)
-                raise ModelMismatchError(
-                    f"coproduct of {alg.basis_name(t)} differs from the "
-                    f"entered table at {alg.basis_name(p)} (x) "
-                    f"{alg.basis_name(q)}: computed {g}, table says {w}")
 
 
 @dataclass
@@ -297,8 +279,11 @@ def build_vtilde_twist() -> TwistModel:
                                 labels=("eps", "alphap", "betap", "gammap", "m"))
     basis = [dictionary[n] for n in order]
     hopf, solver, report = subalgebra_hopf(sm.groupoid_hopf, basis, target)
-    _require_same_coproduct(
-        hopf, _table_coproduct(target, _TWIST_QUADS, _TWIST_CONJUGATORS))
+    wit = _diff_witness(target, hopf.coproduct, _table_coproduct(
+        target, _TWIST_QUADS, _TWIST_CONJUGATORS))
+    if wit:
+        raise ModelMismatchError(
+            f"coproduct differs from the entered table: {wit}")
 
     handles = {n: target.basis_element(*pos) for n, pos in zip(
         order, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0),
@@ -481,8 +466,10 @@ def kp_tensor_square() -> TensorSquareResult:
 
     The four entered projections must be an orthogonal rank-one resolution
     of the identity, and U (x) U must equal the sum of P_k (x) u_k with u_k
-    the entered one-dimensional corepresentations.  The u_k are compared
-    with the machine-found group of group-like unitaries.
+    the entered one-dimensional corepresentations.  The u_k and the
+    fundamental are certified by one_dim_group as a complete list of
+    irreducible unitary corepresentations (4 * 1**2 + 2**2 == 8), so the
+    u_k are all the group-likes.
     """
     kp = build_kp()
     hnd = kp.handles
@@ -523,11 +510,11 @@ def kp_tensor_square() -> TensorSquareResult:
     checks["klein_squares"] = all(g * g == unit for g in printed)
     checks["klein_product"] = printed[1] * printed[3] == printed[2]
 
-    found = one_dim_group(kp.hopf)
+    fund = build_fundamental().ukp
+    found = one_dim_group([Corep(kp.hopf, [[g]]) for g in printed] + [fund])
     checks["matches_search"] = (found.order == 4 and
                                 all(g in found.elements for g in printed))
 
-    fund = build_fundamental().ukp
     square = tensor_corep(fund, fund)
     ok = True
     for r in range(4):

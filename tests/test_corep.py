@@ -3,14 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.corep import (Corep, UnsupportedProfile, hom_dim,
-                             intertwiners, one_dim_group, tensor_corep,
-                             verify_corep)
-from hopfcheck.cyclotomic import ONE, ZERO, ZETA
+from hopfcheck.corep import (Corep, hom_dim, intertwiners, one_dim_group,
+                             tensor_corep, verify_corep)
+from hopfcheck.cyclotomic import ONE, ZERO
 from hopfcheck.group_twist import (Mat2, SmashProduct, conjugation_action,
                                    generate_group)
-from hopfcheck.models import build_fundamental, build_kp, build_smash, \
-    kp_tensor_square
+from hopfcheck.models import build_fundamental, build_kp, kp_tensor_square
 
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 
@@ -67,45 +65,70 @@ def test_irreducibility_of_the_fundamental():
 
 
 def test_one_dim_group_of_two_point_algebra():
+    # C(Z/2): its two characters delta_e +- delta_g are its two group-likes
     h = cyclic_function_hopf(-I2, cap=4)
-    found = one_dim_group(h)
+    e, g = h.algebra.basis()
+    found = one_dim_group([Corep(h, [[e + g]]), Corep(h, [[e - g]])])
     assert found.order == 2
-    e = found.identity_index
-    other = 1 - e
-    assert found.table[other][other] == e
+    assert found.elements == [h.algebra.unit(), e - g]
+    assert found.identity_index == 0
+    assert found.table == [[0, 1], [1, 0]]
 
 
 def test_one_dim_group_of_kp_is_klein():
-    found = kp_tensor_square().group
+    # certified from the four printed lines and the fundamental, unit first
+    ts = kp_tensor_square()
+    found = ts.group
     assert found.order == 4
     e = found.identity_index
+    assert e == 0 and found.elements == ts.printed
     for a in range(4):
         assert found.table[a][a] == e
         assert found.table[e][a] == a
 
 
-def test_one_dim_group_rejects_two_big_blocks():
-    sm = build_smash()
-    with pytest.raises(UnsupportedProfile):
-        one_dim_group(sm.hopf)
+def refused_lists():
+    # each list fails exactly one condition; the reducible member is a
+    # unitary corep, so only its hom_dim refuses it
+    lines = [Corep(build_kp().hopf, [[g]]) for g in kp_tensor_square().printed]
+    f = build_fundamental()
+    u = f.ukp
+    g1, g2 = lines[1].entries[0][0], lines[2].entries[0][0]
+    zero = g1.parent.zero()
+    reducible = Corep(u.hopf, [[g1, zero], [zero, g2]])
+    swapped = Corep(u.hopf, [[u.entries[0][1], u.entries[0][0]],
+                             [u.entries[1][1], u.entries[1][0]]])
+    return {
+        "sum-to-7": (lines[:3] + [u], "squared sizes sum to 7"),
+        "reducible": (lines + [reducible],
+                      "hom_dim of members 4 and 4 is 2, not 1"),
+        "repeated-line": ([lines[0], lines[1], lines[1], lines[3], u],
+                          "hom_dim of members 1 and 2 is 1, not 0"),
+        "swapped-columns": (lines + [swapped],
+                            "member 4 is not a unitary corepresentation"),
+        "twist-fundamental": (lines + [f.uprime], "same Hopf algebra"),
+    }
 
 
-def test_one_dim_group_rejects_a_groupoid_algebra():
-    # the search reads block sizes, which the crossed product on its
-    # groupoid basis does not have
-    with pytest.raises(UnsupportedProfile, match="multimatrix"):
-        one_dim_group(build_smash().groupoid_hopf)
+@pytest.mark.parametrize("case", ["sum-to-7", "reducible", "repeated-line",
+                                  "swapped-columns", "twist-fundamental"])
+def test_one_dim_group_refuses_an_uncertified_list(case):
+    irreps, message = refused_lists()[case]
+    with pytest.raises(ValueError, match=message):
+        one_dim_group(irreps)
 
 
-def test_one_dim_group_rejects_high_order_characters():
-    # the matrix [[0, z], [1, 0]] has order 16; characters of the cyclic
-    # group it generates do not all land in the eighth roots of unity, and
-    # the search must refuse rather than return a partial list
-    m = Mat2([[ZERO, ZETA], [ONE, ZERO]])
-    h = cyclic_function_hopf(m, cap=20)
-    assert h.dim == 16
-    with pytest.raises(UnsupportedProfile):
-        one_dim_group(h)
+def test_coreps_of_two_hopf_structures_do_not_mix():
+    # the twist and the direct model share their block sizes (1,1,1,1,2)
+    # but not their coproduct
+    f = build_fundamental()
+    assert f.uprime.hopf.algebra == f.ukp.hopf.algebra
+    with pytest.raises(ValueError, match="same Hopf algebra"):
+        tensor_corep(f.uprime, f.ukp)
+    with pytest.raises(ValueError, match="same Hopf algebra"):
+        intertwiners(f.uprime, f.ukp)
+    with pytest.raises(ValueError, match="same Hopf algebra"):
+        hom_dim(f.uprime, f.ukp)
 
 
 def test_fusion_graph_labels_and_flags():

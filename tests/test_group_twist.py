@@ -364,6 +364,14 @@ def test_seeded_generator_lists_give_the_same_group():
         assert g.elements[:4] == [I2] + firsts
 
 
+@pytest.mark.parametrize("names", [["a"], [f"g{k}" for k in range(9)]])
+def test_names_must_match_the_elements(names):
+    # a short list once built an order-8 group that failed later, with an
+    # IndexError in its function algebra
+    with pytest.raises(ValueError, match=f"^{len(names)} names for 8 elements$"):
+        generate_group([S1, S2], cap=8, names=names)
+
+
 def test_latin_square_check_rejects_a_swapped_row():
     g = generate_group([S1, S2], cap=8)
     table = [list(r) for r in g.table]

@@ -137,14 +137,20 @@ def test_counit_section_is_a_hom_but_not_surjective():
     images = [unit.scale(kp.counit_value(b)) for b in kp.algebra.basis()]
     f = LinearMap.from_images(kp.algebra, images)
     assert check_hopf_morphism(f, kp, kp, require="hom").passed
-    rep = check_hopf_morphism(f, kp, kp, require="surjective")
+    rep = check_hopf_morphism(f, kp, kp, require="iso")
     assert not rep.passed
-    assert not rep.checks["surjective"]
+    assert not rep.checks["surjective"] and not rep.checks["injective"]
     assert rep.witnesses["surjective"] == (
         "image has rank 1, source dimension 8, target dimension 8")
-    rep = check_hopf_morphism(f, kp, kp, require="iso")
     assert rep.witnesses["injective"] == rep.witnesses["surjective"]
     assert set(rep.witnesses) == {"surjective", "injective"}
+
+
+def test_surjective_is_not_a_requirement():
+    kp = build_kp().hopf
+    ident = LinearMap.from_images(kp.algebra, kp.algebra.basis())
+    with pytest.raises(ValueError, match="unknown requirement 'surjective'"):
+        check_hopf_morphism(ident, kp, kp, require="surjective")
 
 
 def test_transpose_is_not_multiplicative():
