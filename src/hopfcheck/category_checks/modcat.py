@@ -15,8 +15,8 @@ no phase-only adjustment of the printed data could have worked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from ..cyclotomic import (Cyc, HALF, IM, INV_SQRT2, ONE, SQRT2, ZERO,
                           is_unitary, mat_mul)
@@ -91,8 +91,7 @@ def repair_distance() -> int:
                if PSI_RHO_PRINTED[r][c] != rep[r][c])
 
 
-@dataclass
-class ModuleReport:
+class ModuleReport(NamedTuple):
     source: str
     unitary: bool
     hooks: dict[str, bool]

@@ -14,8 +14,8 @@ misreading that drops the bicharacter from the middle associator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from ..cyclotomic import Cyc, HALF, ONE, ZERO, is_unitary
 
@@ -108,8 +108,7 @@ def _pentagon_identities(f: dict, w: int, x: int, y: int, z: int):
                             if b in _FUSE[w][e] and d in _FUSE[e][z])
 
 
-@dataclass
-class PentagonReport:
+class PentagonReport(NamedTuple):
     tau: Cyc
     literal_middle: bool
     quadruples: int

@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import models
 from .category_checks import modcat, ty
@@ -23,20 +22,23 @@ from .group_twist import read_model, twist_from_model_dict
 from .hopf_core import commutativity_flags, hopf_to_dict
 
 
-@dataclass
-class Context:
+class Context(NamedTuple):
     model: dict | None
     tau: Cyc
 
 
-@dataclass
 class CheckSpec:
-    id: str
-    anchor: str
-    description: str
-    expected: str
-    runner: Callable[[Context], tuple[bool, str]]
-    needs_model: bool = False
+    """One registered check; `runner` stays assignable so it can be wrapped."""
+
+    def __init__(self, id: str, anchor: str, description: str, expected: str,
+                 runner: Callable[[Context], tuple[bool, str]],
+                 needs_model: bool = False) -> None:
+        self.id = id
+        self.anchor = anchor
+        self.description = description
+        self.expected = expected
+        self.runner = runner
+        self.needs_model = needs_model
 
 
 def _failing(d: dict[str, bool]) -> str:

@@ -9,8 +9,8 @@ complete list of irreducible unitary corepresentations (Peter-Weyl).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import Cyc, ONE, ZERO
 from .hopf_core import HopfAlgebra, Report
@@ -18,18 +18,15 @@ from .linalg import Vector, exact_nullspace
 from .multimatrix import AlgElement
 
 
-@dataclass
 class Corep:
-    hopf: HopfAlgebra
-    entries: list[list[AlgElement]]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if any(len(r) != n for r in self.entries):
+    def __init__(self, hopf: HopfAlgebra,
+                 entries: list[list[AlgElement]]) -> None:
+        n = len(entries)
+        if any(len(r) != n for r in entries):
             raise ValueError("corepresentation matrix must be square")
-        alg = self.hopf.algebra
-        if any(x.parent != alg for r in self.entries for x in r):
+        if any(x.parent != hopf.algebra for r in entries for x in r):
             raise ValueError("entries must live in the Hopf algebra")
+        self.hopf, self.entries = hopf, entries
 
     @property
     def size(self) -> int:
@@ -123,8 +120,8 @@ def hom_dim(u: Corep, v: Corep) -> int:
     return len(intertwiners(u, v))
 
 
-@dataclass
-class OneDimGroup:
+class OneDimGroup(NamedTuple):
+    irreps: list[Corep]
     elements: list[AlgElement]
     table: list[list[int]]
     identity_index: int
@@ -142,7 +139,8 @@ def one_dim_group(irreps: list[Corep]) -> OneDimGroup:
     one h that passes verify_corep, hom_dim(irreps[i], irreps[j]) == (i == j)
     for members of equal size, and the squared sizes sum to dim h; otherwise
     ValueError names the condition that failed.  The group is the entries of
-    the 1x1 members, the unit first, and table[a][b] is the index of a * b.
+    the 1x1 members, the unit first, and table[a][b] is the index of a * b;
+    irreps is the certified list itself, which fusion_graph takes.
 
     Proof (Peter-Weyl; Woronowicz, Compact matrix pseudogroups, 1987).  A
     unitary corepresentation is completely reducible, since the orthogonal
@@ -181,11 +179,10 @@ def one_dim_group(irreps: list[Corep]) -> OneDimGroup:
     elements = [unit] + [u.entries[0][0] for u in irreps
                          if u.size == 1 and u.entries[0][0] != unit]
     table = [[elements.index(a * b) for b in elements] for a in elements]
-    return OneDimGroup(elements, table, 0)
+    return OneDimGroup(irreps, elements, table, 0)
 
 
-@dataclass
-class FusionGraph:
+class FusionGraph(NamedTuple):
     labels: list[str]
     dims: list[int]
     multiplicities: list[list[int]]
@@ -194,14 +191,12 @@ class FusionGraph:
     irreducible: bool
 
 
-def fusion_graph(h: HopfAlgebra, fund: Corep, irreps: list[Corep],
+def fusion_graph(fund: Corep, certified: OneDimGroup,
                  labels: list[str]) -> FusionGraph:
-    """Multiplicity graph of tensoring with fund, over the given irreps."""
+    """Multiplicity graph of tensoring with fund, over the irreducibles
+    that one_dim_group certified as a complete list."""
+    irreps = certified.irreps
     dims = [u.size for u in irreps]
-    complete = sum(d * d for d in dims) == h.dim
-    irreducible = all(
-        hom_dim(u, v) == (1 if i == j else 0)
-        for i, u in enumerate(irreps) for j, v in enumerate(irreps))
     mult = [[hom_dim(y, tensor_corep(fund, x)) for y in irreps] for x in irreps]
     for i, x in enumerate(irreps):
         total = sum(mult[i][j] * dims[j] for j in range(len(irreps)))
@@ -209,4 +204,6 @@ def fusion_graph(h: HopfAlgebra, fund: Corep, irreps: list[Corep],
             raise ValueError("fusion multiplicities do not exhaust the tensor product")
     weights = [[Cyc.from_rational(Fraction(mult[i][j] * dims[j], dims[i]))
                 for j in range(len(irreps))] for i in range(len(irreps))]
-    return FusionGraph(labels, dims, mult, weights, complete, irreducible)
+    # one_dim_group returns only a complete list of irreducibles
+    return FusionGraph(labels, dims, mult, weights, complete=True,
+                       irreducible=True)

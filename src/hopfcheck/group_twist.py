@@ -17,7 +17,6 @@ check_hopf_morphism, which proves its axioms from the crossed product's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -188,7 +187,6 @@ def generate_group(generators: Sequence[Mat2], cap: int = 64,
                              names or [f"g{k}" for k in range(n)])
 
 
-@dataclass
 class ConjugationAction:
     """An action of Z/2 on a finite group by the involution h -> perm[h].
 
@@ -196,20 +194,18 @@ class ConjugationAction:
     table, so an action that exists gives the Hopf *-automorphism
     delta_h -> delta_perm[h] of C(G) that SmashProduct relies on.
     """
-    group: FiniteMatrixGroup
-    unitary: Mat2
-    perm: list[int]
 
-    def __post_init__(self) -> None:
-        g, perm = self.group, self.perm
-        n = g.order
+    def __init__(self, group: FiniteMatrixGroup, unitary: Mat2,
+                 perm: list[int]) -> None:
+        self.group, self.unitary, self.perm = group, unitary, perm
+        n = group.order
         if sorted(perm) != list(range(n)):
             raise ActionError("action is not a permutation of the group")
         if [perm[perm[k]] for k in range(n)] != list(range(n)):
             raise ActionError("conjugation action is not an involution")
         for a in range(n):
             for b in range(n):
-                if perm[g.table[a][b]] != g.table[perm[a]][perm[b]]:
+                if perm[group.table[a][b]] != group.table[perm[a]][perm[b]]:
                     raise ActionError("conjugation action is not an automorphism")
 
     @property
@@ -336,17 +332,14 @@ def function_basis(smash: SmashProduct,
             [smash.delta_lambda(h, 0) for h in range(len(names))])
 
 
-@dataclass
 class CentralGrading:
-    group: FiniteMatrixGroup
-    z_index: int
-
-    def __post_init__(self) -> None:
-        g, z = self.group, self.z_index
-        if g.table[z][z] != g.identity_index:
+    def __init__(self, group: FiniteMatrixGroup, z_index: int) -> None:
+        self.group, self.z_index = group, z_index
+        table, z = group.table, z_index
+        if table[z][z] != group.identity_index:
             raise GradingError("grading element does not square to the identity")
-        for a in range(g.order):
-            if g.table[z][a] != g.table[a][z]:
+        for a in range(group.order):
+            if table[z][a] != table[a][z]:
                 raise GradingError("grading element is not central")
 
     @property

@@ -33,8 +33,7 @@ the rows of A (x) A in another order, the Kronecker order of the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .cyclotomic import Cyc, ONE, ZERO
 from .linalg import Vector, exact_rank, solve_unique
@@ -43,8 +42,7 @@ from .multimatrix import (SCALARS, AlgElement, Algebra, LinearMap,
                           tensor_compose)
 
 
-@dataclass(frozen=True)
-class HopfAlgebra:
+class HopfAlgebra(NamedTuple):
     algebra: Algebra
     coproduct: LinearMap          # A -> A tensor A
     counit: LinearMap             # A -> scalars
@@ -58,11 +56,17 @@ class HopfAlgebra:
         return self.counit(x).coords.get(0, ZERO)
 
 
-@dataclass
 class Report:
     """Named exact checks, with a witness for each failing one."""
-    checks: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, str] = field(default_factory=dict)
+
+    def __init__(self) -> None:
+        self.checks: dict[str, bool] = {}
+        self.witnesses: dict[str, str] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Report):
+            return NotImplemented
+        return (self.checks, self.witnesses) == (other.checks, other.witnesses)
 
     def record(self, name: str, ok: bool, witness: str = "") -> None:
         self.checks[name] = ok

@@ -15,10 +15,9 @@ with the entered table is coefficient-exact and names the first mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .corep import (Corep, FusionGraph, OneDimGroup, fusion_graph, hom_dim,
                     one_dim_group, tensor_corep, verify_corep)
@@ -125,8 +124,7 @@ def _table_coproduct(alg: MultiMatrixAlgebra, quads, mats) -> LinearMap:
     return LinearMap(alg, ta, cols)
 
 
-@dataclass
-class KPModel:
+class KPModel(NamedTuple):
     hopf: HopfAlgebra
     handles: dict[str, AlgElement]
     axiom_report: Report
@@ -156,8 +154,7 @@ def build_kp() -> KPModel:
     return KPModel(hopf, handles, report)
 
 
-@dataclass
-class VtildeModel:
+class VtildeModel(NamedTuple):
     """The order-8 group with its action and grading, and the checks on
     them; its function algebra is build_smash().function_hopf."""
     group: FiniteMatrixGroup
@@ -227,8 +224,7 @@ def build_coset_twist() -> list[AlgElement]:
     return coset_basis(build_smash(), build_vtilde().grading)[1]
 
 
-@dataclass
-class TwistModel:
+class TwistModel(NamedTuple):
     hopf: HopfAlgebra
     handles: dict[str, AlgElement]
     dictionary: dict[str, AlgElement]
@@ -317,8 +313,7 @@ def build_vtilde_twist() -> TwistModel:
                       solver)
 
 
-@dataclass
-class PhiResult:
+class PhiResult(NamedTuple):
     map: LinearMap
     report: Report
     unitary_identities: dict[str, bool]
@@ -355,8 +350,7 @@ def build_phi_and_verify() -> PhiResult:
     return PhiResult(phi, report, identities)
 
 
-@dataclass
-class FundamentalResult:
+class FundamentalResult(NamedTuple):
     uprime: Corep
     ukp: Corep
     uprime_report: Report
@@ -448,8 +442,7 @@ _P_TABLES = (
 )
 
 
-@dataclass
-class TensorSquareResult:
+class TensorSquareResult(NamedTuple):
     projections: list[list[list[Cyc]]]
     group: OneDimGroup
     printed: list[AlgElement]
@@ -532,12 +525,9 @@ def kp_tensor_square() -> TensorSquareResult:
 @lru_cache(maxsize=None)
 def kp_fusion_graph() -> FusionGraph:
     """Multiplicity graph of tensoring with the fundamental."""
-    kp = build_kp()
-    ts = kp_tensor_square()
-    fund = build_fundamental().ukp
-    irreps = [Corep(kp.hopf, [[g]]) for g in ts.printed] + [fund]
     labels = ["u1", "u2", "u3", "u4", "fund"]
-    return fusion_graph(kp.hopf, fund, irreps, labels)
+    return fusion_graph(build_fundamental().ukp, kp_tensor_square().group,
+                        labels)
 
 
 def star_shape_checks(graph: FusionGraph) -> dict[str, bool]:

@@ -16,7 +16,6 @@ are produced only at the serialization boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -126,7 +125,6 @@ class MultiMatrixAlgebra(_BasisAlgebra):
         return AlgElement(self, {self.index(block, i, j): ONE})
 
 
-@dataclass(frozen=True, eq=False)
 class GroupoidAlgebra(_BasisAlgebra):
     """The algebra of a finite groupoid on its basis of arrows.
 
@@ -138,12 +136,19 @@ class GroupoidAlgebra(_BasisAlgebra):
     groupoids, but a GroupoidAlgebra equals only itself, and the tables
     derived from it are cached on it, so they live as long as it does.
     """
-    dim: int
-    mul_basis: Callable[[int, int], int | None]
-    star_index: Callable[[int], int]
-    basis_name: Callable[[int], str]
-    units: Sequence[int]
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    __slots__ = ("dim", "mul_basis", "star_index", "basis_name", "units",
+                 "_tables", "__weakref__")
+
+    def __init__(self, dim: int, mul_basis: Callable[[int, int], int | None],
+                 star_index: Callable[[int], int],
+                 basis_name: Callable[[int], str], units: Sequence[int]):
+        self.dim = dim
+        self.mul_basis = mul_basis
+        self.star_index = star_index
+        self.basis_name = basis_name
+        self.units = units
+        self._tables: dict = {}
 
 
 Algebra = MultiMatrixAlgebra | GroupoidAlgebra

@@ -254,37 +254,67 @@ def test_export_to_unwritable_path_is_a_usage_error(capsys, tmp_path, parts):
     assert "cannot write" in err
 
 
-def test_verify_all_runs_the_axioms_once_per_closed_form():
-    # the direct model, the built-in crossed product and the user model's;
-    # C(G), the blocks and the twists are restrictions, never re-verified
+def spy_on_verify_all(module, name, record):
+    """Exit code of a fresh `verify --all --model` process and, per call of
+    hopfcheck.<module>.<name>, the value of `record` (an expression in the
+    call's args)."""
     src = Path(cli.__file__).resolve().parents[1]
     probe = subprocess.run(
         [sys.executable, "-c", f"""
 import contextlib, io, json, sys
-from hopfcheck import cli, hopf_core
-original, dims = hopf_core.verify_hopf_axioms, []
-def spy(h):
-    dims.append(h.algebra.dim)
-    return original(h)
+from hopfcheck import cli, {module}
+original, seen = {module}.{name}, []
+def spy(*args):
+    seen.append({record})
+    return original(*args)
 for mod in list(sys.modules.values()):
     if mod.__name__.startswith("hopfcheck") and \\
-            vars(mod).get("verify_hopf_axioms") is original:
-        mod.verify_hopf_axioms = spy
+            vars(mod).get({name!r}) is original:
+        setattr(mod, {name!r}, spy)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["verify", "--all", "--json", "--model", {SAMPLE_MODEL!r}])
-print(json.dumps([code, dims]))
+print(json.dumps([code, seen]))
 """], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
-    assert json.loads(probe.stdout) == [0, [8, 16, 16]]
+    return json.loads(probe.stdout)
+
+
+def test_verify_all_runs_the_axioms_once_per_closed_form():
+    # the direct model, the built-in crossed product and the user model's;
+    # C(G), the blocks and the twists are restrictions, never re-verified
+    assert spy_on_verify_all("hopf_core", "verify_hopf_axioms",
+                             "args[0].algebra.dim") == [0, [8, 16, 16]]
+
+
+def test_verify_all_solves_each_intertwiner_space_once():
+    # the certificate's 11 equal-size pairs, the fusion graph's 25
+    # multiplicities and kp_fusion_rules' 4 fund_after_line spaces; the
+    # fusion graph reads irreducibility off the certificate
+    code, seen = spy_on_verify_all("corep", "intertwiners", "0")
+    assert code == 0 and len(seen) == 40
+
+
+def probe_import_cli():
+    """In a fresh process: hopfcheck.cli's file, the modules loaded before
+    importing it and those loaded after."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", "import json, sys; bare = sorted(sys.modules); "
+         "import hopfcheck.cli; print(json.dumps([hopfcheck.cli.__file__, "
+         "bare, sorted(sys.modules)]))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return json.loads(probe.stdout)
 
 
 def test_import_loads_no_numpy():
-    src = Path(cli.__file__).resolve().parents[1]
-    probe = subprocess.run(
-        [sys.executable, "-c", "import json, sys, hopfcheck.cli; "
-         "print(json.dumps([hopfcheck.cli.__file__, sorted(sys.modules)]))"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    path, loaded = json.loads(probe.stdout)
-    assert Path(path).resolve().is_relative_to(src)
+    path, _, loaded = probe_import_cli()
+    assert Path(path).resolve().is_relative_to(
+        Path(cli.__file__).resolve().parents[1])
     assert "numpy" not in loaded
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # loading them adds to the start-up of every fresh process
+    _, bare, loaded = probe_import_cli()
+    assert not (set(loaded) - set(bare)) & {"dataclasses", "inspect"}

@@ -5,7 +5,6 @@ or crash the check.  The census assertions record which check catches a
 mutant when it is the only one to do so.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -124,8 +123,7 @@ def test_groupoid_basis_mutants_fail_as_their_block_transports():
         cols = [dict(c) for c in f.cols]
         v = cols[j].get(k, ZERO)
         cols[j][k] = v + ONE if i % 2 else (ZERO if v else ZETA)
-        h = dataclasses.replace(gh, **{which: LinearMap(f.source, f.target,
-                                                         cols)})
+        h = gh._replace(**{which: LinearMap(f.source, f.target, cols)})
         rep, blocks = assert_matches_reference(h), verify_hopf_axioms(
             to_blocks(h))
         failing = [name for name, ok in rep.checks.items() if not ok]
