@@ -19,7 +19,7 @@ from . import models
 from .category_checks import modcat, ty
 from .cyclotomic import Cyc, HALF, ONE
 from .group_twist import read_model, twist_from_model_dict
-from .hopf_core import commutativity_flags, hopf_to_dict
+from .hopf_core import Report, commutativity_flags, hopf_to_dict
 
 
 class Context(NamedTuple):
@@ -45,48 +45,51 @@ def _failing(d: dict[str, bool]) -> str:
     return ", ".join(k for k, v in d.items() if not v)
 
 
+def _verdict(report: Report, pass_text: str,
+             names: tuple[str, ...] = ()) -> tuple[bool, str]:
+    """pass_text when the named checks hold (all checks when none are
+    named), else the first failing one as `failing: <check>: <witness>`."""
+    bad = next((k for k in names or report.checks if not report.checks[k]),
+               None)
+    if bad is None:
+        return True, pass_text
+    witness = report.witnesses.get(bad)
+    return False, f"failing: {bad}: {witness}" if witness else f"failing: {bad}"
+
+
+# build_kp, build_vtilde, build_smash and twist_from_model_dict raise unless
+# the structure they return passes, so those checks have no failing branch
+
 def _run_kp_axioms(ctx: Context) -> tuple[bool, str]:
-    kp = models.build_kp()
-    rep = kp.axiom_report
-    if rep.passed:
-        return True, "all Hopf *-algebra axioms hold on the direct model (dim 8)"
-    return False, f"failing axioms: {_failing(rep.checks)}"
+    models.build_kp()
+    return True, "all Hopf *-algebra axioms hold on the direct model (dim 8)"
 
 
 def _run_kp_one_dim(ctx: Context) -> tuple[bool, str]:
-    ts = models.kp_tensor_square()
-    keys = ("printed_group_like", "unit_is_first", "klein_squares",
-            "klein_product", "matches_search")
-    sub = {k: ts.checks[k] for k in keys}
-    if all(sub.values()):
-        return True, ("exactly four group-like unitaries, forming the Klein "
-                      "group, matching the entered list")
-    return False, f"failing: {_failing(sub)}"
+    return _verdict(models.kp_tensor_square().report,
+                    "exactly four group-like unitaries, forming the Klein "
+                    "group, matching the entered list",
+                    ("printed_group_like", "unit_is_first", "klein_squares",
+                     "klein_product", "matches_search"))
 
 
 def _run_kp_tensor_square(ctx: Context) -> tuple[bool, str]:
-    ts = models.kp_tensor_square()
-    if ts.passed:
-        return True, ("entered projections are an orthogonal rank-one "
-                      "resolution and the fundamental's square splits "
-                      "through them into the four lines")
-    return False, f"failing: {_failing(ts.checks)}"
+    return _verdict(models.kp_tensor_square().report,
+                    "entered projections are an orthogonal rank-one "
+                    "resolution and the fundamental's square splits "
+                    "through them into the four lines")
 
 
 def _run_kp_fusion_graph(ctx: Context) -> tuple[bool, str]:
-    sc = models.star_shape_checks(models.kp_fusion_graph())
-    if all(sc.values()):
-        return True, ("fusion with the fundamental is the four-leaf star, "
-                      "weights 2 inward and 1/2 outward")
-    return False, f"failing: {_failing(sc)}"
+    return _verdict(models.star_shape_checks(models.kp_fusion_graph()),
+                    "fusion with the fundamental is the four-leaf star, "
+                    "weights 2 inward and 1/2 outward")
 
 
 def _run_vtilde_group(ctx: Context) -> tuple[bool, str]:
-    vt = models.build_vtilde()
-    if vt.passed:
-        return True, ("order-8 unitary matrix group with central grading "
-                      "and order-2 conjugation action verified")
-    return False, f"failing: {_failing(vt.checks)}"
+    models.build_vtilde()
+    return True, ("order-8 unitary matrix group with central grading "
+                  "and order-2 conjugation action verified")
 
 
 def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
@@ -99,59 +102,37 @@ def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_smash_axioms(ctx: Context) -> tuple[bool, str]:
-    sm = models.build_smash()
-    blocks = sm.hopf.algebra.block_sizes
-    ok = sm.axiom_report.passed and sorted(blocks) == [1, 1, 1, 1, 2, 2, 2]
-    if ok:
-        return True, f"crossed product verified; blocks {blocks}"
-    return False, (f"axioms: {_failing(sm.axiom_report.checks) or 'ok'}; "
-                   f"blocks {blocks}")
+    blocks = models.build_smash().hopf.algebra.block_sizes
+    return True, f"crossed product verified; blocks {blocks}"
 
 
 def _run_twist_axioms(ctx: Context) -> tuple[bool, str]:
-    tw = models.build_vtilde_twist()
-    keys = ("matches_coset_presentation", "even_part_commutative")
-    sub = {k: tw.checks[k] for k in keys}
-    if tw.axiom_report.passed and all(sub.values()):
-        return True, ("twist verified on the dictionary basis; transported "
-                      "coproduct reproduces the entered table exactly")
-    return False, (f"axioms: {_failing(tw.axiom_report.checks) or 'ok'}; "
-                   f"failing: {_failing(sub)}")
+    return _verdict(models.build_vtilde_twist().report,
+                    "twist verified on the dictionary basis; transported "
+                    "coproduct reproduces the entered table exactly",
+                    ("matches_coset_presentation", "even_part_commutative"))
 
 
 def _run_twist_noncomm(ctx: Context) -> tuple[bool, str]:
-    tw = models.build_vtilde_twist()
-    h = tw.handles
-    zero = tw.hopf.algebra.zero()
-    one_way = h["e11"] * h["e21"] == zero
-    other_way = h["e21"] * h["e11"] == h["e21"]
-    keys = ("noncommutative", "noncocommutative", "odd_coproduct_display")
-    sub = {k: tw.checks[k] for k in keys}
-    if all(sub.values()) and one_way and other_way:
-        return True, ("e11 e21 == 0 while e21 e11 == e21; the coproduct "
-                      "differs from its flip and matches the corrected "
-                      "odd-part expansion")
-    return False, f"failing: {_failing(sub)}; witness products " \
-                  f"{one_way}/{other_way}"
+    return _verdict(models.build_vtilde_twist().report,
+                    "e11 e21 == 0 while e21 e11 == e21; the coproduct "
+                    "differs from its flip and matches the corrected "
+                    "odd-part expansion",
+                    ("noncommutative", "noncocommutative",
+                     "odd_coproduct_display", "e11_e21_is_zero",
+                     "e21_e11_is_e21"))
 
 
 def _run_twist_iso(ctx: Context) -> tuple[bool, str]:
-    phi = models.build_phi_and_verify()
-    if phi.passed:
-        return True, ("base change is a Hopf *-isomorphism onto the direct "
-                      "model and aligns the three coproduct conjugators")
-    return False, (f"morphism: {_failing(phi.report.checks) or 'ok'}; "
-                   f"unitaries: {_failing(phi.unitary_identities) or 'ok'}")
+    return _verdict(models.build_phi_and_verify().report,
+                    "base change is a Hopf *-isomorphism onto the direct "
+                    "model and aligns the three coproduct conjugators")
 
 
 def _run_su2m1(ctx: Context) -> tuple[bool, str]:
     f = models.build_fundamental()
-    if f.passed:
-        return True, ("entries satisfy the q == -1 special unitary "
-                      f"relations and generate: word ranks {f.word_ranks}")
-    return False, (f"corep: {_failing(f.uprime_report.checks) or 'ok'}; "
-                   f"relations: {_failing(f.relations) or 'ok'}; "
-                   f"surjective={f.surjective}")
+    return _verdict(f.report, "entries satisfy the q == -1 special unitary "
+                    f"relations and generate: word ranks {f.word_ranks}")
 
 
 def _run_ty_bichar(ctx: Context) -> tuple[bool, str]:
@@ -232,11 +213,8 @@ def _run_modcat_repair(ctx: Context) -> tuple[bool, str]:
 
 def _run_model_twist(ctx: Context) -> tuple[bool, str]:
     tw = twist_from_model_dict(ctx.model)
-    rep = tw.axiom_report
-    if rep.passed:
-        return True, (f"user model verified; twist blocks "
-                      f"{tw.hopf.algebra.block_sizes}")
-    return False, f"failing axioms: {_failing(rep.checks)}"
+    return True, (f"user model verified; twist blocks "
+                  f"{tw.hopf.algebra.block_sizes}")
 
 
 REGISTRY: list[CheckSpec] = [

@@ -187,14 +187,13 @@ class FusionGraph(NamedTuple):
     dims: list[int]
     multiplicities: list[list[int]]
     weights: list[list[Cyc]]
-    complete: bool
-    irreducible: bool
 
 
 def fusion_graph(fund: Corep, certified: OneDimGroup,
                  labels: list[str]) -> FusionGraph:
     """Multiplicity graph of tensoring with fund, over the irreducibles
-    that one_dim_group certified as a complete list."""
+    that one_dim_group certified as a complete list, so completeness and
+    irreducibility of the vertices need no flag."""
     irreps = certified.irreps
     dims = [u.size for u in irreps]
     mult = [[hom_dim(y, tensor_corep(fund, x)) for y in irreps] for x in irreps]
@@ -204,6 +203,4 @@ def fusion_graph(fund: Corep, certified: OneDimGroup,
             raise ValueError("fusion multiplicities do not exhaust the tensor product")
     weights = [[Cyc.from_rational(Fraction(mult[i][j] * dims[j], dims[i]))
                 for j in range(len(irreps))] for i in range(len(irreps))]
-    # one_dim_group returns only a complete list of irreducibles
-    return FusionGraph(labels, dims, mult, weights, complete=True,
-                       irreducible=True)
+    return FusionGraph(labels, dims, mult, weights)

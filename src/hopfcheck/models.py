@@ -8,9 +8,11 @@ closed-form tables and machine-verified against each other:
     unitaries, presented on the basis dictated by the explicit dictionary
     between delta-function combinations and the direct model's basis.
 
-Builders verify as they construct and raise on any failure, so a model that
-comes back is a checked model.  The comparison of the transported coproduct
-with the entered table is coefficient-exact and names the first mismatch.
+A builder raises when a structure that others build on fails (the direct
+model, the group, the crossed product, the twist and its entered coproduct
+table, compared coefficient-exactly), so a structure that comes back is a
+checked one.  Every further claim is recorded, with a witness where it
+fails, in the one Report of its record.
 """
 
 from __future__ import annotations
@@ -141,16 +143,9 @@ def build_kp() -> KPModel:
     report = verify_hopf_axioms(hopf)
     if not report.passed:
         raise AxiomFailure("direct eight-dimensional model", report)
-    handles = {
-        "eps": alg.basis_element(0, 0, 0),
-        "alpha": alg.basis_element(1, 0, 0),
-        "beta": alg.basis_element(2, 0, 0),
-        "gamma": alg.basis_element(3, 0, 0),
-        "e11": alg.basis_element(4, 0, 0),
-        "e12": alg.basis_element(4, 0, 1),
-        "e21": alg.basis_element(4, 1, 0),
-        "e22": alg.basis_element(4, 1, 1),
-    }
+    # the basis lists the four scalars, then the matrix units row by row
+    handles = dict(zip(("eps", "alpha", "beta", "gamma",
+                        "e11", "e12", "e21", "e22"), alg.basis()))
     return KPModel(hopf, handles, report)
 
 
@@ -161,11 +156,7 @@ class VtildeModel(NamedTuple):
     action: ConjugationAction
     grading: CentralGrading
     indices: dict[str, int]
-    checks: dict[str, bool]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
+    report: Report
 
 
 @lru_cache(maxsize=None)
@@ -183,28 +174,24 @@ def build_vtilde() -> VtildeModel:
     generated = generate_group([S1, S2], cap=32)
     action = conjugation_action(group, U_ACT)
     grading = CentralGrading(group, idx["-I"])
-    checks = {
-        "s3_is_s1_s2": S1 * S2 == S3,
-        "s2_s1_is_minus_s3": S2 * S1 == -S3,
-        "generated_by_s1_s2": set(generated.elements) == set(group.elements),
-        "action_sends_s1_to_minus_s2": action.perm[idx["s1"]] == idx["-s2"],
-        "action_sends_s2_to_minus_s1": action.perm[idx["s2"]] == idx["-s1"],
-        "action_is_order_two": action.order == 2,
-        "action_fixes_grading": action.perm[idx["-I"]] == idx["-I"],
-        # the three closure conditions behind the construction: the group
-        # contains +-identity, conjugation by the action unitary stays inside
-        # it, and it has an element with all four entries nonzero
-        "contains_plus_minus_identity": (Mat2.identity() in group.index
-                                         and -Mat2.identity() in group.index),
-        "stable_under_action": all(
-            U_ACT * h * U_ACT.star() in group.index for h in group.elements),
-        "dense_entry_witness_s1": all(S1[i, j] for i in range(2)
-                                      for j in range(2)),
-    }
-    if not all(checks.values()):
-        bad = [k for k, v in checks.items() if not v]
-        raise ModelMismatchError(f"group model checks failed: {bad}")
-    return VtildeModel(group, action, grading, idx, checks)
+    report = Report()
+    report.record("s3_is_s1_s2", S1 * S2 == S3)
+    report.record("s2_s1_is_minus_s3", S2 * S1 == -S3)
+    report.record("generated_by_s1_s2",
+                  set(generated.elements) == set(group.elements))
+    report.record("action_sends_s1_to_minus_s2",
+                  action.perm[idx["s1"]] == idx["-s2"])
+    report.record("action_sends_s2_to_minus_s1",
+                  action.perm[idx["s2"]] == idx["-s1"])
+    report.record("action_is_order_two", action.order == 2)
+    report.record("action_fixes_grading", action.perm[idx["-I"]] == idx["-I"])
+    # +-I are in the group: the closure from I is the named list, holding -I
+    # conjugation by U_ACT stays in the group: conjugation_action raises if not
+    report.record("dense_entry_witness_s1",
+                  all(S1[i, j] for i in range(2) for j in range(2)))
+    if not report.passed:
+        raise ModelMismatchError(f"group model fails {report.first_failure()}")
+    return VtildeModel(group, action, grading, idx, report)
 
 
 @lru_cache(maxsize=None)
@@ -231,13 +218,9 @@ class TwistModel(NamedTuple):
     vtilde: VtildeModel
     smash: SmashProduct
     axiom_report: Report
-    checks: dict[str, bool]
+    report: Report
     # coordinates of a crossed-product element in the twist basis
     to_twist: Callable[[AlgElement], AlgElement]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
 
 
 @lru_cache(maxsize=None)
@@ -274,53 +257,54 @@ def build_vtilde_twist() -> TwistModel:
     target = MultiMatrixAlgebra((1, 1, 1, 1, 2),
                                 labels=("eps", "alphap", "betap", "gammap", "m"))
     basis = [dictionary[n] for n in order]
-    hopf, solver, report = subalgebra_hopf(sm.groupoid_hopf, basis, target)
+    hopf, solver, axiom_report = subalgebra_hopf(sm.groupoid_hopf, basis,
+                                                 target)
     wit = _diff_witness(target, hopf.coproduct, _table_coproduct(
         target, _TWIST_QUADS, _TWIST_CONJUGATORS))
     if wit:
         raise ModelMismatchError(
             f"coproduct differs from the entered table: {wit}")
 
-    handles = {n: target.basis_element(*pos) for n, pos in zip(
-        order, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0),
-                (4, 0, 0), (4, 0, 1), (4, 1, 0), (4, 1, 1)])}
+    handles = dict(zip(order, target.basis()))
 
+    report = Report()
     # the even functions must land in a commutative subalgebra of the twist
-    evens = [solver(even(nm)) for nm in ("I", "s1", "s2", "s3")]
-    commutative_even = all(a * b == b * a for a in evens for b in evens)
+    names = ("I", "s1", "s2", "s3")
+    evens = {nm: solver(even(nm)) for nm in names}
+    wit = next((f"even({p}) and even({q}) do not commute" for p in names
+                for q in names if evens[p] * evens[q] != evens[q] * evens[p]),
+               "")
+    report.record("even_part_commutative", not wit, wit)
 
     # the corrected expansion of the coproduct on the odd part of the
     # noncentral self-paired coset (the sign pattern the twist forces)
-    odd = {nm: solver(odd_lam(nm)) for nm in ("I", "s1", "s2", "s3")}
+    odd = {nm: solver(odd_lam(nm)) for nm in names}
     want = (odd["I"].tensor(odd["s3"]) + odd["s3"].tensor(odd["I"])
             + odd["s1"].tensor(odd["s2"]) - odd["s2"].tensor(odd["s1"]))
-    odd_display = hopf.coproduct(odd["s3"]) == want
+    report.record("odd_coproduct_display", hopf.coproduct(odd["s3"]) == want,
+                  "coproduct of odd(s3) is not the corrected expansion")
 
     # same subspace as the generic coset-block presentation: adding the
     # coset basis to the (independent) dictionary basis must not raise the rank
-    same_subspace = exact_rank(
-        [x.coords for x in basis + build_coset_twist()]) == target.dim
+    rank = exact_rank([x.coords for x in basis + build_coset_twist()])
+    report.record("matches_coset_presentation", rank == target.dim,
+                  f"with the coset basis the rank is {rank}, not {target.dim}")
 
     is_comm, is_cocomm, _ = commutativity_flags(hopf)
-    checks = {
-        "even_part_commutative": commutative_even,
-        "odd_coproduct_display": odd_display,
-        "matches_coset_presentation": same_subspace,
-        "noncommutative": not is_comm,
-        "noncocommutative": not is_cocomm,
-    }
-    return TwistModel(hopf, handles, dictionary, vt, sm, report, checks,
+    report.record("noncommutative", not is_comm, "the basis table commutes")
+    report.record("noncocommutative", not is_cocomm,
+                  "every coproduct column is flip-invariant")
+    e11, e21 = handles["e11"], handles["e21"]
+    report.record("e11_e21_is_zero", e11 * e21 == target.zero(),
+                  "e11 e21 is not 0")
+    report.record("e21_e11_is_e21", e21 * e11 == e21, "e21 e11 is not e21")
+    return TwistModel(hopf, handles, dictionary, vt, sm, axiom_report, report,
                       solver)
 
 
 class PhiResult(NamedTuple):
     map: LinearMap
     report: Report
-    unitary_identities: dict[str, bool]
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed and all(self.unitary_identities.values())
 
 
 @lru_cache(maxsize=None)
@@ -342,27 +326,19 @@ def build_phi_and_verify() -> PhiResult:
     phi = LinearMap.from_images(tw.hopf.algebra, images)
     report = check_hopf_morphism(phi, tw.hopf, kp.hopf, require="iso")
     vs = V_CONJ.star()
-    identities = {
-        "v_aligns_alphap_conjugator": V_CONJ * W_ALPHAP * vs == U_GAMMA,
-        "v_aligns_betap_conjugator": V_CONJ * W_BETAP * vs == U_ALPHA,
-        "v_aligns_gammap_conjugator": V_CONJ * W_GAMMAP * vs == U_BETA,
-    }
-    return PhiResult(phi, report, identities)
+    aligned = (("alphap", W_ALPHAP, U_GAMMA), ("betap", W_BETAP, U_ALPHA),
+               ("gammap", W_GAMMAP, U_BETA))
+    for name, w, u in aligned:
+        report.record(f"v_aligns_{name}_conjugator", V_CONJ * w * vs == u,
+                      f"V W_{name} V* is not the direct model's conjugator")
+    return PhiResult(phi, report)
 
 
 class FundamentalResult(NamedTuple):
     uprime: Corep
     ukp: Corep
-    uprime_report: Report
-    ukp_report: Report
-    relations: dict[str, bool]
+    report: Report
     word_ranks: list[tuple[int, int]]
-    surjective: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.uprime_report.passed and self.ukp_report.passed
-                and all(self.relations.values()) and self.surjective)
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +350,9 @@ def build_fundamental() -> FundamentalResult:
     entries satisfy the q = -1 deformation relations of the 2x2 special
     unitary group and generate the twist as an algebra; transporting along
     the isomorphism gives the fundamental corepresentation of the direct
-    model.
+    model, ukp.  phi is a unital *-algebra map commuting with the coproducts
+    and counits, so ukp is a unitary corepresentation as uprime is; it is
+    verified where it is used, by one_dim_group.
     """
     tw = build_vtilde_twist()
     sm = tw.smash
@@ -389,47 +367,42 @@ def build_fundamental() -> FundamentalResult:
                     raw[i][j] = raw[i][j] + lam.scale(h[i, j])
     entries = [[tw.to_twist(x) for x in row] for row in raw]
     uprime = Corep(tw.hopf, entries)
-    uprime_report = verify_corep(uprime)
+    report = verify_corep(uprime)
 
     a, b, c, d = entries[0][0], entries[0][1], entries[1][0], entries[1][1]
     unit = tw.hopf.algebra.unit()
-    relations = {
-        "star_11_22": d == a.star(),
-        "star_12_21": b == c.star(),
-        "anticommute": a * c == -(c * a),
-        "anticommute_star": a * c.star() == -(c.star() * a),
-        "normal_offdiag": c * c.star() == c.star() * c,
-        "column_norm": a.star() * a + c.star() * c == unit,
-        "row_norm": a * a.star() + c * c.star() == unit,
-    }
+    report.record("star_11_22", d == a.star())
+    report.record("star_12_21", b == c.star())
+    report.record("anticommute", a * c == -(c * a))
+    report.record("anticommute_star", a * c.star() == -(c.star() * a))
+    report.record("normal_offdiag", c * c.star() == c.star() * c)
+    report.record("column_norm", a.star() * a + c.star() * c == unit)
+    report.record("row_norm", a * a.star() + c * c.star() == unit)
 
     # algebra span of words in the entries, raising the length until the
     # rank stops growing
     ents = [a, b, c, d]
-    words = [unit]
-    vecs = [unit.coords]
+    words, vecs = [unit], [unit.coords]
     word_ranks = [(0, exact_rank(vecs))]
-    length = 0
-    while True:
-        length += 1
-        if length > 8:
-            raise ModelMismatchError("word span did not stabilize by length 8")
+    for length in range(1, 9):
         words = [w * e for w in words for e in ents]
         vecs.extend(w.coords for w in words)
-        rank = exact_rank(vecs)
-        word_ranks.append((length, rank))
+        word_ranks.append((length, rank := exact_rank(vecs)))
         if rank == word_ranks[-2][1]:
             break
-    surjective = word_ranks[-1][1] == tw.hopf.dim
+    else:
+        raise ModelMismatchError("word span did not stabilize by length 8")
+    report.record("surjective", rank == tw.hopf.dim,
+                  f"the words reach rank {rank}, not the dimension "
+                  f"{tw.hopf.dim}")
 
     phi = build_phi_and_verify()
     kp = build_kp()
     ukp = Corep(kp.hopf, [[phi.map(x) for x in row] for row in entries])
-    ukp_report = verify_corep(ukp)
-    relations["image_star_11_22"] = ukp.entries[1][1] == ukp.entries[0][0].star()
-    relations["image_star_12_21"] = ukp.entries[0][1] == ukp.entries[1][0].star()
-    return FundamentalResult(uprime, ukp, uprime_report, ukp_report,
-                             relations, word_ranks, surjective)
+    (a, b), (c, d) = ukp.entries
+    report.record("image_star_11_22", d == a.star())
+    report.record("image_star_12_21", b == c.star())
+    return FundamentalResult(uprime, ukp, report, word_ranks)
 
 
 # rank-one projections decomposing the tensor square of the fundamental,
@@ -446,11 +419,7 @@ class TensorSquareResult(NamedTuple):
     projections: list[list[list[Cyc]]]
     group: OneDimGroup
     printed: list[AlgElement]
-    checks: dict[str, bool]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
+    report: Report
 
 
 @lru_cache(maxsize=None)
@@ -477,49 +446,50 @@ def kp_tensor_square() -> TensorSquareResult:
 
     projections = [[[Cyc.from_rational(Fraction(v, den)) for v in row]
                     for row in mat] for den, mat in _P_TABLES]
-    checks: dict[str, bool] = {}
+    report = Report()
     ident = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
-    checks["projections_idempotent"] = all(
-        mat_mul(p, p) == p for p in projections)
-    checks["projections_selfadjoint"] = all(
+    report.record("projections_idempotent", all(
+        mat_mul(p, p) == p for p in projections))
+    report.record("projections_selfadjoint", all(
         p[i][j].conj() == p[j][i] for p in projections
-        for i in range(4) for j in range(4))
-    checks["projections_orthogonal"] = all(
+        for i in range(4) for j in range(4)))
+    report.record("projections_orthogonal", all(
         all(v == ZERO for row in mat_mul(projections[i], projections[j])
             for v in row)
-        for i in range(4) for j in range(4) if i != j)
-    checks["projections_resolve_identity"] = [
+        for i in range(4) for j in range(4) if i != j))
+    report.record("projections_resolve_identity", [
         [sum((p[i][j] for p in projections), ZERO) for j in range(4)]
-        for i in range(4)] == ident
-    checks["projections_rank_one"] = all(
-        sum((p[i][i] for i in range(4)), ZERO) == ONE for p in projections)
+        for i in range(4)] == ident)
+    report.record("projections_rank_one", all(
+        sum((p[i][i] for i in range(4)), ZERO) == ONE for p in projections))
 
-    checks["printed_group_like"] = all(
+    report.record("printed_group_like", all(
         kp.hopf.coproduct(g) == g.tensor(g)
         and kp.hopf.counit_value(g) == ONE
         and g * g.star() == unit
-        for g in printed)
-    checks["unit_is_first"] = printed[0] == unit
-    checks["klein_squares"] = all(g * g == unit for g in printed)
-    checks["klein_product"] = printed[1] * printed[3] == printed[2]
+        for g in printed))
+    report.record("unit_is_first", printed[0] == unit)
+    report.record("klein_squares", all(g * g == unit for g in printed))
+    report.record("klein_product", printed[1] * printed[3] == printed[2])
 
     fund = build_fundamental().ukp
     found = one_dim_group([Corep(kp.hopf, [[g]]) for g in printed] + [fund])
-    checks["matches_search"] = (found.order == 4 and
-                                all(g in found.elements for g in printed))
+    report.record("matches_search", found.order == 4 and
+                  all(g in found.elements for g in printed))
+
+    def summed(r: int, s: int) -> AlgElement:
+        out = kp.hopf.algebra.zero()
+        for k in range(4):
+            if projections[k][r][s]:
+                out = out + printed[k].scale(projections[k][r][s])
+        return out
 
     square = tensor_corep(fund, fund)
-    ok = True
-    for r in range(4):
-        for s in range(4):
-            want = kp.hopf.algebra.zero()
-            for k in range(4):
-                if projections[k][r][s]:
-                    want = want + printed[k].scale(projections[k][r][s])
-            if square.entries[r][s] != want:
-                ok = False
-    checks["tensor_square_decomposes"] = ok
-    return TensorSquareResult(projections, found, printed, checks)
+    bad = next(((r, s) for r in range(4) for s in range(4)
+                if square.entries[r][s] != summed(r, s)), None)
+    report.record("tensor_square_decomposes", bad is None,
+                  f"entry {bad} of U (x) U is not sum_k P_k{bad} u_k")
+    return TensorSquareResult(projections, found, printed, report)
 
 
 @lru_cache(maxsize=None)
@@ -530,21 +500,24 @@ def kp_fusion_graph() -> FusionGraph:
                         labels)
 
 
-def star_shape_checks(graph: FusionGraph) -> dict[str, bool]:
-    """The graph must be the four-leaf star with doubled edge weights in."""
+def star_shape_checks(graph: FusionGraph) -> Report:
+    """The graph must be the four-leaf star with doubled edge weights in.
+
+    Completeness and irreducibility of its vertices are not checked: the
+    graph is taken over one_dim_group's certified complete list."""
     m = graph.multiplicities
     two = Cyc.from_rational(2)
-    return {
-        "complete": graph.complete,
-        "irreducible": graph.irreducible,
-        "leaves_feed_center": all(m[i][4] == 1 for i in range(4)),
-        "no_leaf_to_leaf": all(m[i][j] == 0 for i in range(4)
-                               for j in range(4)),
-        "center_feeds_leaves": all(m[4][j] == 1 for j in range(4)),
-        "no_center_loop": m[4][4] == 0,
-        "leaf_weights": all(graph.weights[i][4] == two for i in range(4)),
-        "center_weights": all(graph.weights[4][j] == HALF for j in range(4)),
-    }
+    report = Report()
+    report.record("leaves_feed_center", all(m[i][4] == 1 for i in range(4)))
+    report.record("no_leaf_to_leaf", all(m[i][j] == 0 for i in range(4)
+                                         for j in range(4)))
+    report.record("center_feeds_leaves", all(m[4][j] == 1 for j in range(4)))
+    report.record("no_center_loop", m[4][4] == 0)
+    report.record("leaf_weights",
+                  all(graph.weights[i][4] == two for i in range(4)))
+    report.record("center_weights",
+                  all(graph.weights[4][j] == HALF for j in range(4)))
+    return report
 
 
 def kp_fusion_rules() -> dict:

@@ -33,6 +33,17 @@ def run_child(tmp_path, *args):
         capture_output=True, text=True, timeout=120)
 
 
+def load_run(monkeypatch):
+    """bench/run.py as a module, with bench/ on the import path."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run",
+                                                  ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)    # for its dataclasses
+    spec.loader.exec_module(run)
+    return run
+
+
 def test_traced_names_are_bound():
     tracer = load_tracer()
     for module, path, _ in tracer.SPANS + tracer.COUNTED:
@@ -57,15 +68,27 @@ def test_a_traced_cli_child_runs(tmp_path, mode):
     assert json.loads(trace.read_text())
 
 
+@pytest.mark.parametrize("mode", ["timed", "full"])
+def test_a_traced_verify_all_child_passes_the_gate(tmp_path, monkeypatch,
+                                                   mode):
+    # the verify-all workload's child, judged by the benchmark's own gate:
+    # a runner or record the tracer breaks fails here, not in every
+    # benchmark repetition
+    run = load_run(monkeypatch)
+    trace = tmp_path / "trace.json"
+    child = run_child(tmp_path, "cli", mode, trace, "verify", "--all",
+                      "--json", "--model",
+                      ROOT / "tests" / "data" / "sample_model.json")
+    verdict = run.check_verify_all(run.Child(child.returncode, child.stdout,
+                                             0.0, 0.0))
+    assert verdict == "", verdict + child.stderr
+    assert json.loads(trace.read_text())
+
+
 def test_a_traced_category_child_runs(tmp_path, monkeypatch):
     # the category child calls the five wrapped category functions by name;
     # a wrong scale must give the facts the benchmark's gate expects
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    spec = importlib.util.spec_from_file_location("bench_run",
-                                                  ROOT / "bench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "bench_run", run)    # for its dataclasses
-    spec.loader.exec_module(run)
+    run = load_run(monkeypatch)
     child = run_child(tmp_path, "category", "timed", tmp_path / "trace.json",
                       "3/7", 0)
     assert child.returncode == 0, child.stdout + child.stderr

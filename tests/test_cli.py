@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hopfcheck import cli
-from hopfcheck.hopf_core import hopf_from_dict, verify_hopf_axioms
+from hopfcheck import cli, models
+from hopfcheck.hopf_core import Report, hopf_from_dict, verify_hopf_axioms
 
 SAMPLE_MODEL = "tests/data/sample_model.json"
 # every verify --all --json record with the sample model, less elapsed_ms,
@@ -214,6 +214,48 @@ def test_crash_is_not_a_designed_failure(capsys, monkeypatch, check, target):
     assert result["witness"] == "exception: boom"
 
 
+def with_failure(report, name, witness):
+    """A copy of report in which check name fails with witness."""
+    out = Report()
+    for k, ok in report.checks.items():
+        out.record(k, ok)
+    out.record(name, False, witness)
+    return out
+
+
+@pytest.mark.parametrize("check, builder, name, witness", [
+    ("twist.iso-phi", "build_phi_and_verify", "v_aligns_betap_conjugator",
+     "V W_betap V* is not the direct model's conjugator"),
+    ("su2m1.quotient", "build_fundamental", "surjective",
+     "the words reach rank 5, not the dimension 8"),
+    ("kp.tensor-square", "kp_tensor_square", "tensor_square_decomposes",
+     "entry (0, 1) of U (x) U is not sum_k P_k(0, 1) u_k"),
+    ("kp.one-dim", "kp_tensor_square", "matches_search", ""),
+])
+def test_a_failing_pass_expected_check_names_it(capsys, monkeypatch, check,
+                                                 builder, name, witness):
+    record = getattr(models, builder)()
+    broken = record._replace(report=with_failure(record.report, name, witness))
+    monkeypatch.setattr(models, builder, lambda: broken)
+    code, out, _ = run(capsys, "verify", "--check", check, "--json")
+    assert code == 1
+    result = json.loads(out)
+    assert result["verdict"] == "fail"
+    assert result["witness"] == (f"failing: {name}: {witness}" if witness
+                                 else f"failing: {name}")
+
+
+def test_a_check_reads_only_its_named_checks(capsys, monkeypatch):
+    # kp.one-dim reads five of the tensor square's checks, not the split
+    ts = models.kp_tensor_square()
+    broken = ts._replace(report=with_failure(
+        ts.report, "tensor_square_decomposes", "entry (0, 1)"))
+    monkeypatch.setattr(models, "kp_tensor_square", lambda: broken)
+    code, out, _ = run(capsys, "verify", "--check", "kp.one-dim", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
 def test_export_round_trip(capsys, tmp_path):
     for model_id in sorted(cli._EXPORTS):
         first = tmp_path / f"{model_id}.json"
@@ -292,6 +334,15 @@ def test_verify_all_solves_each_intertwiner_space_once():
     # fusion graph reads irreducibility off the certificate
     code, seen = spy_on_verify_all("corep", "intertwiners", "0")
     assert code == 0 and len(seen) == 40
+
+
+def test_verify_all_verifies_each_corepresentation_once():
+    # the twist's fundamental in build_fundamental, and the five members of
+    # the certificate; the fundamental's image under phi is verified there
+    # only, since a Hopf *-isomorphism carries a unitary corepresentation
+    # to one
+    code, seen = spy_on_verify_all("corep", "verify_corep", "0")
+    assert code == 0 and len(seen) == 6
 
 
 def probe_import_cli():

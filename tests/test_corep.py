@@ -20,9 +20,9 @@ def cyclic_function_hopf(order_matrix, cap):
 
 def test_verify_corep_on_the_fundamental():
     f = build_fundamental()
-    assert f.uprime_report.passed
-    assert f.ukp_report.passed
-    for rep in (f.uprime_report, f.ukp_report):
+    assert f.report.passed
+    # the model's report holds uprime's checks; ukp is verified where used
+    for rep in (f.report, verify_corep(f.ukp)):
         assert rep.checks["comultiplicative"]
         assert rep.checks["counit"]
         assert rep.checks["unitary"]
@@ -135,7 +135,11 @@ def test_fusion_graph_labels_and_flags():
     from hopfcheck.models import kp_fusion_graph
     g = kp_fusion_graph()
     assert g.labels == ["u1", "u2", "u3", "u4", "fund"]
-    assert g.complete and g.irreducible
+    # complete and irreducible: the graph's vertices are the certified list
+    irreps = kp_tensor_square().group.irreps
+    assert sum(d * d for d in g.dims) == build_kp().hopf.dim
+    assert [u.size for u in irreps] == g.dims
+    assert all(hom_dim(u, u) == 1 for u in irreps)
 
 
 # intertwiner spaces, randomized over tensor words in the irreducibles:

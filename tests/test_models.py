@@ -4,6 +4,7 @@ import pytest
 
 from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO
 from hopfcheck import models
+from hopfcheck.group_twist import Mat2
 from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     commutativity_flags, verify_hopf_axioms
 from hopfcheck.models import (build_fundamental, build_kp,
@@ -51,10 +52,18 @@ def test_kp_counit_and_antipode_on_lines():
 
 def test_vtilde_model_checks():
     vt = build_vtilde()
-    assert vt.passed
+    assert vt.report.passed
     assert vt.group.order == 8
     assert set(vt.indices) == {"I", "-I", "s1", "-s1", "s2", "-s2",
                                "s3", "-s3"}
+
+
+def test_vtilde_names_its_first_failing_check(monkeypatch):
+    # the identity action is an automorphism, but not the one entered
+    monkeypatch.setattr(models, "U_ACT", Mat2.identity())
+    with pytest.raises(models.ModelMismatchError, match=(
+            "^group model fails action_sends_s1_to_minus_s2$")):
+        build_vtilde.__wrapped__()
 
 
 def test_vtilde_function_algebra_flags():
@@ -70,7 +79,7 @@ def test_smash_blocks():
 
 def test_twist_model_checks():
     tw = build_vtilde_twist()
-    assert tw.passed
+    assert tw.report.passed
     assert tw.axiom_report.passed
     assert tw.hopf.algebra.block_sizes == (1, 1, 1, 1, 2)
 
@@ -80,8 +89,8 @@ def test_coset_presentation_mismatch_is_detected(monkeypatch):
     coset[0] = build_smash().delta_lambda(0, 1)    # not in the twist
     monkeypatch.setattr(models, "build_coset_twist", lambda: coset)
     tw = models.build_vtilde_twist.__wrapped__()
-    assert not tw.checks["matches_coset_presentation"]
-    assert build_vtilde_twist().checks["matches_coset_presentation"]
+    assert not tw.report.checks["matches_coset_presentation"]
+    assert build_vtilde_twist().report.checks["matches_coset_presentation"]
 
 
 def test_twist_dictionary_aligns_with_handles():
@@ -102,14 +111,15 @@ def test_twist_noncommutativity_witnesses():
 
 
 def test_twist_odd_coproduct_display():
-    assert build_vtilde_twist().checks["odd_coproduct_display"]
+    assert build_vtilde_twist().report.checks["odd_coproduct_display"]
 
 
 def test_phi_is_an_isomorphism():
     phi = build_phi_and_verify()
-    assert phi.passed
+    assert phi.report.passed
     assert phi.report.checks["injective"]
-    assert all(phi.unitary_identities.values())
+    assert all(phi.report.checks[f"v_aligns_{w}_conjugator"]
+               for w in ("alphap", "betap", "gammap"))
     tw = build_vtilde_twist()
     kp = build_kp()
     assert phi.map(tw.hopf.algebra.unit()) == kp.hopf.algebra.unit()
@@ -155,15 +165,15 @@ def test_fundamental_matches_frozen_entries():
 
 def test_fundamental_relations_and_span():
     f = build_fundamental()
-    assert all(f.relations.values())
+    assert f.report.passed
     assert f.word_ranks == [(0, 1), (1, 5), (2, 8), (3, 8)]
-    assert f.surjective
+    assert f.report.checks["surjective"]
 
 
 def test_tensor_square_checks():
     ts = kp_tensor_square()
-    assert ts.passed
-    assert len(ts.checks) == 11
+    assert ts.report.passed
+    assert len(ts.report.checks) == 11
     unit = build_kp().hopf.algebra.unit()
     assert ts.printed[0] == unit
     # trace of each projection is exactly one
@@ -187,7 +197,7 @@ def test_one_dim_group_multiplication():
 
 def test_fusion_graph_is_the_star():
     g = kp_fusion_graph()
-    assert all(star_shape_checks(g).values())
+    assert star_shape_checks(g).passed
     assert g.multiplicities == [[0, 0, 0, 0, 1],
                                 [0, 0, 0, 0, 1],
                                 [0, 0, 0, 0, 1],
