@@ -69,8 +69,8 @@ def _run_kp_one_dim(ctx: Context) -> tuple[bool, str]:
     return _verdict(models.kp_tensor_square().report,
                     "exactly four group-like unitaries, forming the Klein "
                     "group, matching the entered list",
-                    ("printed_group_like", "unit_is_first", "klein_squares",
-                     "klein_product", "matches_search"))
+                    ("unit_is_first", "klein_squares", "klein_product",
+                     "matches_search"))
 
 
 def _run_kp_tensor_square(ctx: Context) -> tuple[bool, str]:
@@ -94,11 +94,13 @@ def _run_vtilde_group(ctx: Context) -> tuple[bool, str]:
 
 def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
     # function_hopf raises unless it restricts the verified crossed product
-    comm, cocomm, _ = commutativity_flags(models.build_smash().function_hopf)
-    if comm and not cocomm:
-        return True, ("function algebra is a commutative, noncocommutative "
-                      "Hopf *-algebra of dimension 8")
-    return False, f"commutative={comm}, cocommutative={cocomm}"
+    comm, cocomm, wit = commutativity_flags(models.build_smash().function_hopf)
+    report = Report()
+    report.record("commutative", comm, wit.get("commutative", ""))
+    report.record("noncocommutative", not cocomm,
+                  "every coproduct column is flip-invariant")
+    return _verdict(report, "function algebra is a commutative, "
+                    "noncocommutative Hopf *-algebra of dimension 8")
 
 
 def _run_smash_axioms(ctx: Context) -> tuple[bool, str]:

@@ -242,7 +242,7 @@ class SmashProduct:
     lam^k, eps(delta_h lam^k) = [h = e] and S(delta_h lam^k) =
     delta_{theta^k(h^-1)} lam^k (Majid, Foundations of Quantum Group
     Theory, 1.6) have coefficients 0 and 1, and groupoid_hopf is verified
-    once, in integers; axiom_report is its report.  The action is a Hopf
+    once, in integers, or AxiomFailure is raised.  The action is a Hopf
     *-automorphism of C(G) by construction (see ConjugationAction).
 
     hopf is the same structure on the blocks of block_basis, and
@@ -276,9 +276,9 @@ class SmashProduct:
                                       else {} for h, k in keys]),
             LinearMap(dlam, dlam, [{2 * (perm[inv[h]] if k else inv[h]) + k: ONE}
                                    for h, k in keys]))
-        self.axiom_report = verify_hopf_axioms(gh)
-        if not self.axiom_report.passed:
-            raise AxiomFailure("crossed product", self.axiom_report)
+        report = verify_hopf_axioms(gh)
+        if not report.passed:
+            raise AxiomFailure("crossed product", report)
 
     @cached_property
     def hopf(self) -> HopfAlgebra:
@@ -416,9 +416,9 @@ class GradedTwist:
 
     Restricted from the verified crossed product by subalgebra_hopf, on the
     coset-block basis (see coset_basis), or on function_basis when the
-    grading is trivial, whose twist is C(G) itself.  axiom_report, the
-    passing morphism report of the inclusion, is the one report that proves
-    it a Hopf *-algebra; to_twist gives the coordinates of a crossed-product
+    grading is trivial, whose twist is C(G) itself.  The transport raises
+    unless the inclusion passes check_hopf_morphism, which proves the twist
+    a Hopf *-algebra; to_twist gives the coordinates of a crossed-product
     element in the twist and raises SubalgebraError outside it.
     """
 
@@ -432,14 +432,13 @@ class GradedTwist:
         self.smash = SmashProduct(action)
         target, basis = (function_basis(self.smash) if grading.is_trivial
                          else coset_basis(self.smash, grading))
-        self.hopf, self.to_twist, self.axiom_report = subalgebra_hopf(
-            self.smash.groupoid_hopf, basis, target)
+        self.hopf, self.to_twist = subalgebra_hopf(self.smash.groupoid_hopf,
+                                                   basis, target)
 
 
 def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
                     target: MultiMatrixAlgebra,
-                    ) -> tuple[HopfAlgebra, Callable[[AlgElement], AlgElement],
-                               Report]:
+                    ) -> tuple[HopfAlgebra, Callable[[AlgElement], AlgElement]]:
     """Transport the ambient Hopf structure onto a multimatrix basis.
 
     basis_els[t], an element of the ambient algebra, plays the role of
@@ -456,8 +455,8 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     law of the result, applied through B, B (x) B or B (x) B (x) B, becomes
     the same law of the verified ambient, and injectivity carries it back.
     Cancellation follows from those laws (see verify_hopf_axioms).
-    Returns (hopf, solver, report): solver expresses ambient elements in
-    the chosen basis, report is the passing morphism report of B.
+    Returns (hopf, solver): solver expresses ambient elements in the chosen
+    basis.
     """
     amb = ambient.algebra
     if any(x.parent != amb for x in basis_els):
@@ -483,7 +482,7 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     report = _morphism_report(incl, hopf, ambient, delta_b)
     if not report.passed:
         raise SubalgebraError(f"inclusion fails {report.first_failure()}")
-    return hopf, solver, report
+    return hopf, solver
 
 
 # user model files ------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,20 @@ def test_a_check_reads_only_its_named_checks(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--check", "kp.one-dim", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_a_failing_function_algebra_names_its_witness(capsys, monkeypatch):
+    # KP is noncommutative, so it fails in place of C(G) with the product
+    # that commutativity_flags names
+    fake = types.SimpleNamespace(function_hopf=models.build_kp().hopf)
+    monkeypatch.setattr(models, "build_smash", lambda: fake)
+    code, out, _ = run(capsys, "verify", "--check", "vtilde.function-algebra",
+                       "--json")
+    assert code == 1
+    result = json.loads(out)
+    assert result["verdict"] == "fail"
+    assert result["witness"] == ("failing: commutative: m[0,0] * m[0,1] = "
+                                 "m[0,1] but m[0,1] * m[0,0] = 0")
 
 
 def test_export_round_trip(capsys, tmp_path):

@@ -7,20 +7,23 @@ mutant when it is the only one to do so.
 
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from hopfcheck import cli
 from hopfcheck.category_checks import ty
-from hopfcheck.cyclotomic import HALF, ONE, ZERO, ZETA
+from hopfcheck.cyclotomic import Cyc, HALF, ONE, ZERO, ZETA
 from hopfcheck.group_twist import block_basis
 from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     hopf_from_dict, hopf_to_dict, verify_hopf_axioms
 from hopfcheck.linalg import left_inverse
 from hopfcheck.models import build_kp, build_phi_and_verify, build_smash, \
     build_vtilde_twist
-from hopfcheck.multimatrix import LinearMap, tensor_compose
-from test_hopf_core import assert_matches_reference
+from hopfcheck.multimatrix import (SCALARS, LinearMap, MultiMatrixAlgebra,
+                                   tensor_compose)
+from test_hopf_core import assert_matches_reference, mutant
 
 
 def test_every_phi_mutant_is_rejected_with_a_witness():
@@ -130,3 +133,100 @@ def test_groupoid_basis_mutants_fail_as_their_block_transports():
         assert failing and rep.witnesses.get(failing[0]), (which, j, k)
         assert failing == [name for name, ok in blocks.checks.items()
                            if not ok], (which, j, k)
+
+
+# recorded checks of verify_hopf_axioms that no structure has yet made the
+# first failure: a search of every set-like (partial-product) coproduct on 2
+# and 3 points found none
+OPEN = ("coproduct_unital", "counit_multiplicative")
+
+
+def first_failure(h):
+    """The first failing check of h, which must carry a witness."""
+    rep = verify_hopf_axioms(h)
+    name = next(k for k, ok in rep.checks.items() if not ok)
+    assert rep.witnesses.get(name), name
+    return name
+
+
+def on_two_points(delta, antipode):
+    """A structure on C^2 = C e0 + C e1 with counit delta_0; delta(e0, e1)
+    and antipode(e0, e1) list the images of e0 and e1."""
+    alg = MultiMatrixAlgebra((1, 1))
+    e = alg.basis()
+    return HopfAlgebra(alg, LinearMap.from_images(alg, delta(*e)),
+                       LinearMap(alg, SCALARS, [{0: ONE}, {}]),
+                       LinearMap.from_images(alg, antipode(*e)))
+
+
+def counit_right_first():
+    # Delta(e_c) = 1 (x) e_c is coassociative with left counit delta_0, but
+    # (id (x) eps) Delta(e1) = 0
+    return on_two_points(lambda e0, e1: [(e0 + e1).tensor(x) for x in (e0, e1)],
+                         lambda e0, e1: [e0, e1])
+
+
+def coproduct_multiplicative_first():
+    # the coalgebra of C[Z/2] carried to C^2 by 1 -> u = e0 + e1 and
+    # g -> v = e0 + 2 e1, so Delta(e0) = 2 u (x) u - v (x) v and
+    # Delta(e1) = v (x) v - u (x) u; with the pointwise product of C^2 the
+    # antipode is S(u) = u, S(v) = 1 / v
+    def delta(e0, e1):
+        u, v = e0 + e1, e0 + e1.scale(2)
+        uu, vv = u.tensor(u), v.tensor(v)
+        return [uu.scale(2) - vv, vv - uu]
+
+    half = Cyc.from_rational(Fraction(1, 2))
+    return on_two_points(delta, lambda e0, e1: [e0 + e1.scale(3 * half),
+                                                e1.scale(-half)])
+
+
+def coproduct_star_first():
+    # KP carried through sigma = Ad T on its M_2 block, T = [[1, 1], [0, 1]]:
+    # an algebra automorphism, but not a *-automorphism
+    kp = build_kp().hopf
+    alg = kp.algebra
+
+    def conjugation(t, t_inv):
+        # e_kl -> t e_kl t^-1 on the block, the identity on the scalars
+        return LinearMap(alg, alg, [{p: ONE} for p in range(4)] + [
+            {alg.index(4, i, j): t[i][k] * t_inv[l][j]
+             for i in range(2) for j in range(2)}
+            for k in range(2) for l in range(2)])
+
+    t, t_inv = ((ONE, ONE), (ZERO, ONE)), ((ONE, -ONE), (ZERO, ONE))
+    sigma, sigma_inv = conjugation(t, t_inv), conjugation(t_inv, t)
+    return HopfAlgebra(alg,
+                       tensor_compose(sigma, sigma, kp.coproduct)
+                       .compose(sigma_inv),
+                       kp.counit.compose(sigma_inv),
+                       sigma.compose(kp.antipode).compose(sigma_inv))
+
+
+def test_every_recorded_hopf_check_fails_first_on_some_structure():
+    # every single-coefficient mutant of KP (+ 1, or zero <-> z), then one
+    # structure for each check that no such mutant makes the first failure
+    kp = build_kp().hopf
+    tally = Counter(
+        first_failure(mutant(kp, which, j, k, mode))
+        for which in ("coproduct", "counit", "antipode")
+        for j in range(kp.dim) for k in range(getattr(kp, which).target.dim)
+        for mode in ("plus", "swap"))
+    assert tally == {"coassociative": 1024, "counit_left": 16,
+                     "antipode_left": 128}
+    built = {"counit_right": counit_right_first(),
+             "coproduct_multiplicative": coproduct_multiplicative_first(),
+             "coproduct_star": coproduct_star_first()}
+    assert {name: first_failure(h) for name, h in built.items()} == {
+        name: name for name in built}
+    for h in built.values():
+        assert_matches_reference(h)
+    caught = set(tally) | set(built)
+    assert not caught & set(OPEN)
+    recorded = list(verify_hopf_axioms(kp).checks)
+    assert recorded == ["coassociative", "counit_left", "counit_right",
+                        "antipode_left", "coproduct_multiplicative",
+                        "coproduct_unital", "coproduct_star",
+                        "counit_multiplicative"]
+    assert [name for name in recorded
+            if name not in caught and name not in OPEN] == []
