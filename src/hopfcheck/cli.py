@@ -4,7 +4,9 @@ Every check is registered with the verdict it is expected to produce; two
 are negative controls that must fail.  A check that raises gets the verdict
 "error", which matches no expectation, so a crash never passes for a designed
 failure.  Exit code 0 means every executed check matched its expected
-verdict, 1 means some check surprised us, 2 is a usage error.
+verdict, 1 means some check surprised us, 2 is a usage error.  A command
+imports the hopfcheck modules it calls only when it runs: with no bytecode
+cache, each fresh process compiles every module it imports.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import models
-from .category_checks import modcat, ty
 from .cyclotomic import Cyc, HALF, ONE
-from .group_twist import read_model, twist_from_model_dict
-from .hopf_core import Report, commutativity_flags, hopf_to_dict
+
+if TYPE_CHECKING:
+    from .hopf_core import Report
 
 
 class Context(NamedTuple):
@@ -61,11 +62,13 @@ def _verdict(report: Report, pass_text: str,
 # the structure they return passes, so those checks have no failing branch
 
 def _run_kp_axioms(ctx: Context) -> tuple[bool, str]:
+    from . import models
     models.build_kp()
     return True, "all Hopf *-algebra axioms hold on the direct model (dim 8)"
 
 
 def _run_kp_one_dim(ctx: Context) -> tuple[bool, str]:
+    from . import models
     return _verdict(models.kp_tensor_square().report,
                     "exactly four group-like unitaries, forming the Klein "
                     "group, matching the entered list",
@@ -74,6 +77,7 @@ def _run_kp_one_dim(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_kp_tensor_square(ctx: Context) -> tuple[bool, str]:
+    from . import models
     return _verdict(models.kp_tensor_square().report,
                     "entered projections are an orthogonal rank-one "
                     "resolution and the fundamental's square splits "
@@ -81,18 +85,22 @@ def _run_kp_tensor_square(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_kp_fusion_graph(ctx: Context) -> tuple[bool, str]:
+    from . import models
     return _verdict(models.star_shape_checks(models.kp_fusion_graph()),
                     "fusion with the fundamental is the four-leaf star, "
                     "weights 2 inward and 1/2 outward")
 
 
 def _run_vtilde_group(ctx: Context) -> tuple[bool, str]:
+    from . import models
     models.build_vtilde()
     return True, ("order-8 unitary matrix group with central grading "
                   "and order-2 conjugation action verified")
 
 
 def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
+    from . import models
+    from .hopf_core import Report, commutativity_flags
     # function_hopf raises unless it restricts the verified crossed product
     comm, cocomm, wit = commutativity_flags(models.build_smash().function_hopf)
     report = Report()
@@ -104,11 +112,13 @@ def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_smash_axioms(ctx: Context) -> tuple[bool, str]:
+    from . import models
     blocks = models.build_smash().hopf.algebra.block_sizes
     return True, f"crossed product verified; blocks {blocks}"
 
 
 def _run_twist_axioms(ctx: Context) -> tuple[bool, str]:
+    from . import models
     return _verdict(models.build_vtilde_twist().report,
                     "twist verified on the dictionary basis; transported "
                     "coproduct reproduces the entered table exactly",
@@ -116,6 +126,7 @@ def _run_twist_axioms(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_twist_noncomm(ctx: Context) -> tuple[bool, str]:
+    from . import models
     return _verdict(models.build_vtilde_twist().report,
                     "e11 e21 == 0 while e21 e11 == e21; the coproduct "
                     "differs from its flip and matches the corrected "
@@ -126,18 +137,21 @@ def _run_twist_noncomm(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_twist_iso(ctx: Context) -> tuple[bool, str]:
+    from . import models
     return _verdict(models.build_phi_and_verify().report,
                     "base change is a Hopf *-isomorphism onto the direct "
                     "model and aligns the three coproduct conjugators")
 
 
 def _run_su2m1(ctx: Context) -> tuple[bool, str]:
+    from . import models
     f = models.build_fundamental()
     return _verdict(f.report, "entries satisfy the q == -1 special unitary "
                     f"relations and generate: word ranks {f.word_ranks}")
 
 
 def _run_ty_bichar(ctx: Context) -> tuple[bool, str]:
+    from .category_checks import ty
     d = ty.bicharacter_checks()
     if all(d.values()):
         return True, "bicharacter is symmetric, bimultiplicative, nondegenerate"
@@ -145,6 +159,7 @@ def _run_ty_bichar(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_ty_pentagon(ctx: Context) -> tuple[bool, str]:
+    from .category_checks import ty
     rep = ty.pentagon_report(ctx.tau)
     uni, bad = ty.associator_unitarity(ctx.tau)
     if rep.holds and uni:
@@ -159,6 +174,7 @@ def _run_ty_pentagon(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_ty_pentagon_negative(ctx: Context) -> tuple[bool, str]:
+    from .category_checks import ty
     wrong_scale = ty.pentagon_report(ONE)
     literal = ty.pentagon_report(HALF, literal_middle=True)
     if wrong_scale.holds and literal.holds:
@@ -173,6 +189,8 @@ def _run_ty_pentagon_negative(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_ty_fusion_match(ctx: Context) -> tuple[bool, str]:
+    from . import models
+    from .category_checks import ty
     m = ty.fusion_ring_match(models.kp_fusion_rules())
     if m["matches"] and m["bijections"] == 6:
         return True, ("fusion rules match; all 6 relabelings of the "
@@ -181,6 +199,7 @@ def _run_ty_fusion_match(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_modcat_unitarity(ctx: Context) -> tuple[bool, str]:
+    from .category_checks import modcat
     rep = modcat.module_report("verbatim")
     if rep.unitary:
         return True, "printed 4x4 matrix is unexpectedly unitary"
@@ -190,6 +209,7 @@ def _run_modcat_unitarity(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_modcat_diagrams(ctx: Context) -> tuple[bool, str]:
+    from .category_checks import modcat
     rep = modcat.module_report("repaired")
     if rep.passed:
         return True, ("repaired matrix is unitary and satisfies every hook "
@@ -199,6 +219,7 @@ def _run_modcat_diagrams(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_modcat_repair(ctx: Context) -> tuple[bool, str]:
+    from .category_checks import modcat
     dist = modcat.repair_distance()
     search = modcat.column_phase_search()
     family = modcat.global_phase_family()
@@ -214,6 +235,7 @@ def _run_modcat_repair(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_model_twist(ctx: Context) -> tuple[bool, str]:
+    from .group_twist import twist_from_model_dict
     tw = twist_from_model_dict(ctx.model)
     return True, (f"user model verified; twist blocks "
                   f"{tw.hopf.algebra.block_sizes}")
@@ -281,11 +303,17 @@ REGISTRY: list[CheckSpec] = [
 
 _BY_ID = {spec.id: spec for spec in REGISTRY}
 
+
+def _models():
+    from . import models
+    return models
+
+
 _EXPORTS: dict[str, Callable[[], object]] = {
-    "kp": lambda: models.build_kp().hopf,
-    "vtilde": lambda: models.build_smash().function_hopf,
-    "vtilde-twist": lambda: models.build_vtilde_twist().hopf,
-    "smash": lambda: models.build_smash().hopf,
+    "kp": lambda: _models().build_kp().hopf,
+    "vtilde": lambda: _models().build_smash().function_hopf,
+    "vtilde-twist": lambda: _models().build_vtilde_twist().hopf,
+    "smash": lambda: _models().build_smash().hopf,
 }
 
 
@@ -369,6 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "export":
+        from .hopf_core import hopf_to_dict
         data = hopf_to_dict(_EXPORTS[args.model_id]())
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
         try:
@@ -391,6 +420,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     model = None
     if args.model is not None:
+        from .group_twist import read_model
         try:
             with open(args.model, encoding="utf-8") as fh:
                 model = json.load(fh)

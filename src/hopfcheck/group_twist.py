@@ -48,7 +48,6 @@ class SubalgebraError(Exception):
 class AxiomFailure(Exception):
     def __init__(self, what: str, report: Report):
         super().__init__(f"{what} fails {report.first_failure()}")
-        self.report = report
 
 
 class Mat2:

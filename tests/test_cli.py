@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hopfcheck import cli, models
+from hopfcheck.category_checks import modcat, ty
 from hopfcheck.hopf_core import Report, hopf_from_dict, verify_hopf_axioms
 
 SAMPLE_MODEL = "tests/data/sample_model.json"
@@ -200,8 +201,8 @@ def test_usage_error(capsys):
 
 
 @pytest.mark.parametrize("check, target", [
-    ("ty.pentagon-negative", (cli.ty, "pentagon_report")),
-    ("modcat.unitarity", (cli.modcat, "module_report")),
+    ("ty.pentagon-negative", (ty, "pentagon_report")),
+    ("modcat.unitarity", (modcat, "module_report")),
 ])
 def test_crash_is_not_a_designed_failure(capsys, monkeypatch, check, target):
     def boom(*args, **kwargs):
@@ -360,21 +361,32 @@ def test_verify_all_verifies_each_corepresentation_once():
     assert code == 0 and len(seen) == 6
 
 
-def probe_import_cli():
+def probe_import_cli(*argv):
     """In a fresh process: hopfcheck.cli's file, the modules loaded before
-    importing it and those loaded after."""
+    importing it and those loaded after importing it and running
+    `hopfcheck *argv` (when argv is given; its exit code must be 0)."""
     src = Path(cli.__file__).resolve().parents[1]
     probe = subprocess.run(
-        [sys.executable, "-c", "import json, sys; bare = sorted(sys.modules); "
-         "import hopfcheck.cli; print(json.dumps([hopfcheck.cli.__file__, "
-         "bare, sorted(sys.modules)]))"],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", f"""
+import contextlib, io, json, sys
+bare = sorted(sys.modules)
+import hopfcheck.cli
+argv, code = {list(argv)!r}, 0
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hopfcheck.cli.main(argv)
+print(json.dumps([hopfcheck.cli.__file__, bare, sorted(sys.modules)]))
+sys.exit(code)
+"""], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     return json.loads(probe.stdout)
 
 
+VERIFY_ALL = ("verify", "--all", "--model", SAMPLE_MODEL)
+
+
 def test_import_loads_no_numpy():
-    path, _, loaded = probe_import_cli()
+    path, _, loaded = probe_import_cli(*VERIFY_ALL)
     assert Path(path).resolve().is_relative_to(
         Path(cli.__file__).resolve().parents[1])
     assert "numpy" not in loaded
@@ -382,5 +394,24 @@ def test_import_loads_no_numpy():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # loading them adds to the start-up of every fresh process
-    _, bare, loaded = probe_import_cli()
+    _, bare, loaded = probe_import_cli(*VERIFY_ALL)
     assert not (set(loaded) - set(bare)) & {"dataclasses", "inspect"}
+
+
+CLI_MODULES = {"hopfcheck", "hopfcheck.cli", "hopfcheck.cyclotomic"}
+
+
+@pytest.mark.parametrize("argv, more", [
+    ((), set()),
+    (("list",), set()),
+    (("verify", "--check", "ty.pentagon"),
+     {"hopfcheck.category_checks", "hopfcheck.category_checks.ty"}),
+    (("verify", "--check", "model.twist-axioms", "--model", SAMPLE_MODEL),
+     {"hopfcheck.group_twist", "hopfcheck.hopf_core",
+      "hopfcheck.multimatrix", "hopfcheck.linalg"}),
+], ids=["import", "list", "ty.pentagon", "model.twist-axioms"])
+def test_a_command_loads_only_the_modules_it_calls(argv, more):
+    # with no bytecode cache every module loaded is compiled again
+    _, _, loaded = probe_import_cli(*argv)
+    assert {m for m in loaded if m.split(".")[0] == "hopfcheck"} == (
+        CLI_MODULES | more)
