@@ -125,28 +125,12 @@ def column_phase_search() -> dict:
     so feasibility factors column by column; the count below is therefore
     exact for the full space even though it never enumerates it.
     """
-    feasible: dict[str, int] = {}
-    for ci, g in enumerate(GROUP_LABELS):
-        col = [PSI_RHO_PRINTED[r][ci] for r in range(4)]
-        pairs = 0
-        for wc in MU4:
-            for wg in MU4:
-                column = [wc * v for v in col]
-                psi = [[wg * v for v in row] for row in PSI[g]]
-                if hook_equation(column, psi):
-                    pairs += 1
-        feasible[g] = pairs
     solutions = 1
-    for g in GROUP_LABELS:
-        solutions *= feasible[g]
-    return {
-        "space": 4 ** 8,
-        "per_column_pairs": feasible,
-        "solutions": solutions,
-        # independent witness: two printed rows coincide, so no column
-        # phases can ever make the printed matrix unitary
-        "printed_rows_equal": PSI_RHO_PRINTED[0] == PSI_RHO_PRINTED[3],
-    }
+    for col, g in zip(_transpose(PSI_RHO_PRINTED), GROUP_LABELS):
+        solutions *= sum(hook_equation([wc * v for v in col],
+                                       [[wg * v for v in r] for r in PSI[g]])
+                         for wc in MU4 for wg in MU4)
+    return {"space": 4 ** 8, "solutions": solutions}
 
 
 def global_phase_family() -> dict:
@@ -191,20 +175,4 @@ def global_phase_family() -> dict:
         "assignments": 4 ** 4,
         "passing": passing,
         "identity_assignment_distance": repair_distance(),
-    }
-
-
-def worked_example() -> dict:
-    """The g == b leg traced through the repaired matrix: the image vector
-    and the hook composite it produces."""
-    rep = repaired_psi_rho()
-    col = [rep[r][2] for r in range(4)]
-    c = [[col[0], col[1]], [col[2], col[3]]]
-    comp = mat_mul(c, _transpose(PSI["b"]))
-    scaled = [[SQRT2 * v for v in row] for row in comp]
-    return {
-        "input": "basis vector tagged (b, b rho)",
-        "image": [str(v) for v in col],
-        "hook_composite": [[str(v) for v in row] for row in scaled],
-        "composite_is_identity": scaled == _ID2,
     }

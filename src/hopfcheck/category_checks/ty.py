@@ -18,6 +18,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 from ..cyclotomic import Cyc, HALF, ONE, ZERO, is_unitary
+from ..report import Report
 
 RHO = 4
 GROUP = (0, 1, 2, 3)
@@ -28,15 +29,23 @@ def chi(x: int, y: int) -> Cyc:
     return -ONE if (x & y).bit_count() % 2 else ONE
 
 
-def bicharacter_checks() -> dict[str, bool]:
-    return {
-        "symmetric": all(chi(x, y) == chi(y, x)
-                         for x in GROUP for y in GROUP),
-        "bimultiplicative": all(chi(x ^ y, z) == chi(x, z) * chi(y, z)
-                                for x in GROUP for y in GROUP for z in GROUP),
-        "nondegenerate": all(any(chi(x, y) != ONE for y in GROUP)
-                             for x in GROUP if x),
-    }
+def bicharacter_checks() -> Report:
+    """chi is symmetric, bimultiplicative and nondegenerate; a failing
+    check's witness is the first tuple of group elements that breaks it."""
+    report = Report()
+    bad = next(((x, y) for x, y in product(GROUP, repeat=2)
+                if chi(x, y) != chi(y, x)), None)
+    report.record("symmetric", bad is None,
+                  f"chi(x, y) != chi(y, x) at (x, y) = {bad}")
+    bad = next(((x, y, z) for x, y, z in product(GROUP, repeat=3)
+                if chi(x ^ y, z) != chi(x, z) * chi(y, z)), None)
+    report.record("bimultiplicative", bad is None, "chi(x ^ y, z) != "
+                  f"chi(x, z) chi(y, z) at (x, y, z) = {bad}")
+    bad = next((x for x in GROUP if x
+                and all(chi(x, y) == ONE for y in GROUP)), None)
+    report.record("nondegenerate", bad is None,
+                  f"chi(x, y) == 1 for every y at x = {bad}")
+    return report
 
 
 def fuse(s: int, t: int) -> list[int]:
@@ -165,33 +174,32 @@ def associator_unitarity(tau: Cyc) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def fusion_ring_match(rules: dict) -> dict:
+def fusion_ring_match(rules: dict) -> Report:
     """Match entered fusion data against this category's ring.
 
     rules holds the group table of the four invertibles plus the
     multiplicities of the two-dimensional simple in its products, as
     produced by the model layer.  A match is a bijection of the
     invertibles onto the group fixing the unit and turning the table into
-    xor; every permutation of the three nontrivial elements should work.
+    xor; every permutation of the three nontrivial elements should work,
+    and the first that does not is the witness.
     """
     table = rules["table"]
-    found = []
-    for perm in permutations((1, 2, 3)):
-        sigma = (0,) + perm
-        if all(sigma[table[i][j]] == sigma[i] ^ sigma[j]
-               for i in range(4) for j in range(4)):
-            found.append(perm)
-    facts = {
-        "big_absorbs_invertibles": (rules["fund_after_line"] == [1, 1, 1, 1]
-                                    and rules["fund_before_line"] == [1, 1, 1, 1]),
-        "square_sums_invertibles": (rules["lines_in_square"] == [1, 1, 1, 1]
-                                    and rules["fund_in_square"] == 0),
-    }
-    return {
-        "bijections": len(found),
-        "facts": facts,
-        "matches": bool(found) and all(facts.values()),
-    }
+    bad = next(((sigma, i, j)
+                for sigma in ((0,) + p for p in permutations((1, 2, 3)))
+                for i, j in product(range(4), repeat=2)
+                if sigma[table[i][j]] != sigma[i] ^ sigma[j]), None)
+    report = Report()
+    report.record("relabelings_give_xor", bad is None, "sigma[table[i][j]] "
+                  f"!= sigma[i] ^ sigma[j] at (sigma, i, j) = {bad}")
+    after, before = rules["fund_after_line"], rules["fund_before_line"]
+    report.record("big_absorbs_invertibles", after == before == [1, 1, 1, 1],
+                  f"fund_after_line {after}, fund_before_line {before}")
+    lines, fund = rules["lines_in_square"], rules["fund_in_square"]
+    report.record("square_sums_invertibles",
+                  lines == [1, 1, 1, 1] and fund == 0,
+                  f"lines_in_square {lines}, fund_in_square {fund}")
+    return report
 
 
 TAU = HALF

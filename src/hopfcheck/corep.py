@@ -9,7 +9,6 @@ complete list of irreducible unitary corepresentations (Peter-Weyl).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cyclotomic import Cyc, ONE, ZERO
@@ -186,7 +185,6 @@ class FusionGraph(NamedTuple):
     labels: list[str]
     dims: list[int]
     multiplicities: list[list[int]]
-    weights: list[list[Cyc]]
 
 
 def fusion_graph(fund: Corep, certified: OneDimGroup,
@@ -201,6 +199,4 @@ def fusion_graph(fund: Corep, certified: OneDimGroup,
         total = sum(mult[i][j] * dims[j] for j in range(len(irreps)))
         if total != fund.size * x.size:
             raise ValueError("fusion multiplicities do not exhaust the tensor product")
-    weights = [[Cyc.from_rational(Fraction(mult[i][j] * dims[j], dims[i]))
-                for j in range(len(irreps))] for i in range(len(irreps))]
-    return FusionGraph(labels, dims, mult, weights)
+    return FusionGraph(labels, dims, mult)

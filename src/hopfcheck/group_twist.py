@@ -136,10 +136,12 @@ class FiniteMatrixGroup:
 # eigenvalues lie in a field of degree at most 8, whose roots of unity are
 # cyclic of an order m with phi(m) <= 8.
 MAX_GENERATOR_ORDER = 30
-# A finite group of them has at most 480 elements: its scalars lie in mu_8,
-# and its image in PGL_2 is cyclic or dihedral with rotation order <= 30, or
-# A_4, S_4 or A_5, so of order <= 60.
-MAX_GROUP_ORDER = 480
+# A finite group G of them has at most 8 * 24 elements.  For g in G with
+# eigenvalues l1, l2, tr(g)^2 / det(g) - 2 = zeta + 1/zeta, zeta = l1/l2, is
+# real and in Q(z), so in Q(sqrt2): the order of zeta, g's order in PGL_2,
+# is 1, 2, 3, 4, 6 or 8.  So G's image in PGL_2 (cyclic, dihedral, A_4, S_4
+# or A_5) is never A_5 and has at most 24 elements; its kernel is in mu_8.
+MAX_GROUP_ORDER = 192
 
 
 def generate_group(generators: Sequence[Mat2], cap: int = 64,

@@ -22,8 +22,8 @@ and antipode to the ambient's (see group_twist.subalgebra_hopf).
 The coproduct and a Hopf *-morphism are unital *-algebra maps (A -> A (x) A
 and A -> B), and one routine checks that for both; the counit is checked
 multiplicative, and its unitality and star follow (verify_hopf_axioms).
-A Report holds named checks and a witness for each failing one; a failing
-rank condition gives its rank there.
+A Report (hopfcheck.report) holds named checks and a witness for each
+failing one; a failing rank condition gives its rank there.
 
 A (x) A has e_p (x) e_q at index p * n + q, and A (x) A (x) A has
 e_a (x) e_b (x) e_c at (a * n + b) * n + c (multimatrix.tensor_algebra), so
@@ -41,6 +41,7 @@ from .linalg import Vector, exact_rank, solve_unique
 from .multimatrix import (SCALARS, AlgElement, Algebra, LinearMap,
                           MultiMatrixAlgebra, partners, tensor_algebra,
                           tensor_compose)
+from .report import Report
 
 
 class HopfAlgebra(NamedTuple):
@@ -55,30 +56,6 @@ class HopfAlgebra(NamedTuple):
 
     def counit_value(self, x: AlgElement) -> Cyc:
         return self.counit(x).coords.get(0, ZERO)
-
-
-class Report:
-    """Named exact checks, with a witness for each failing one."""
-
-    def __init__(self) -> None:
-        self.checks: dict[str, bool] = {}
-        self.witnesses: dict[str, str] = {}
-
-    def record(self, name: str, ok: bool, witness: str = "") -> None:
-        self.checks[name] = ok
-        if not ok and witness:
-            self.witnesses[name] = witness
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def first_failure(self) -> str:
-        """The first failing check's name, with its witness when it has
-        one; empty when every check passes."""
-        name = next((k for k, ok in self.checks.items() if not ok), "")
-        witness = self.witnesses.get(name)
-        return f"{name}: {witness}" if witness else name
 
 
 def solve_counit_antipode(alg: Algebra, coproduct: LinearMap,

@@ -228,6 +228,13 @@ def build_vtilde_twist() -> TwistModel:
     combination of delta-functions (times the adjoined order-2 group-like) in
     the crossed product.  The transported coproduct must reproduce the entered
     table coefficient for coefficient.
+
+    Four claims hold for every input, so the report does not record them.
+    The even functions delta_h + delta_-h (e11, e22, eps + alphap, betap +
+    gammap) commute: subalgebra_hopf raises unless the inclusion is
+    injective and multiplicative, and delta_a delta_b = [a = b] delta_a.
+    The target is fixed, blocks (1, 1, 1, 1, 2) with its matrix units as
+    handles, so it is noncommutative, e11 e21 == 0 and e21 e11 == e21.
     """
     vt = build_vtilde()
     sm = build_smash()
@@ -264,17 +271,9 @@ def build_vtilde_twist() -> TwistModel:
     handles = dict(zip(order, target.basis()))
 
     report = Report()
-    # the even functions must land in a commutative subalgebra of the twist
-    names = ("I", "s1", "s2", "s3")
-    evens = {nm: solver(even(nm)) for nm in names}
-    wit = next((f"even({p}) and even({q}) do not commute" for p in names
-                for q in names if evens[p] * evens[q] != evens[q] * evens[p]),
-               "")
-    report.record("even_part_commutative", not wit, wit)
-
     # the corrected expansion of the coproduct on the odd part of the
     # noncentral self-paired coset (the sign pattern the twist forces)
-    odd = {nm: solver(odd_lam(nm)) for nm in names}
+    odd = {nm: solver(odd_lam(nm)) for nm in ("I", "s1", "s2", "s3")}
     want = (odd["I"].tensor(odd["s3"]) + odd["s3"].tensor(odd["I"])
             + odd["s1"].tensor(odd["s2"]) - odd["s2"].tensor(odd["s1"]))
     report.record("odd_coproduct_display", hopf.coproduct(odd["s3"]) == want,
@@ -286,14 +285,8 @@ def build_vtilde_twist() -> TwistModel:
     report.record("matches_coset_presentation", rank == target.dim,
                   f"with the coset basis the rank is {rank}, not {target.dim}")
 
-    is_comm, is_cocomm, _ = commutativity_flags(hopf)
-    report.record("noncommutative", not is_comm, "the basis table commutes")
-    report.record("noncocommutative", not is_cocomm,
+    report.record("noncocommutative", not commutativity_flags(hopf)[1],
                   "every coproduct column is flip-invariant")
-    e11, e21 = handles["e11"], handles["e21"]
-    report.record("e11_e21_is_zero", e11 * e21 == target.zero(),
-                  "e11 e21 is not 0")
-    report.record("e21_e11_is_e21", e21 * e11 == e21, "e21 e11 is not e21")
     return TwistModel(hopf, handles, dictionary, vt, sm, report, solver)
 
 
@@ -492,22 +485,20 @@ def kp_fusion_graph() -> FusionGraph:
 
 
 def star_shape_checks(graph: FusionGraph) -> Report:
-    """The graph must be the four-leaf star with doubled edge weights in.
+    """The graph must be the four-leaf star.
 
     Completeness and irreducibility of its vertices are not checked: the
-    graph is taken over one_dim_group's certified complete list."""
+    graph is taken over one_dim_group's certified complete list.  Nor are
+    its edge weights w_ij = m_ij d_j / d_i: that list has sizes 1, 1, 1, 1, 2
+    (four lines and the fundamental, 4 * 1 + 2**2 == 8), so a star whose
+    edges have multiplicity 1 has weights 2 inward and 1/2 outward."""
     m = graph.multiplicities
-    two = Cyc.from_rational(2)
     report = Report()
     report.record("leaves_feed_center", all(m[i][4] == 1 for i in range(4)))
     report.record("no_leaf_to_leaf", all(m[i][j] == 0 for i in range(4)
                                          for j in range(4)))
     report.record("center_feeds_leaves", all(m[4][j] == 1 for j in range(4)))
     report.record("no_center_loop", m[4][4] == 0)
-    report.record("leaf_weights",
-                  all(graph.weights[i][4] == two for i in range(4)))
-    report.record("center_weights",
-                  all(graph.weights[4][j] == HALF for j in range(4)))
     return report
 
 

@@ -110,8 +110,7 @@ def test_criterion_7_pentagon_and_fusion_ring():
     assert good.holds and good.quadruples == 625
     bad = ty.pentagon_report(ONE)
     assert not bad.holds
-    match = ty.fusion_ring_match(kp_fusion_rules())
-    assert match["matches"]
+    assert ty.fusion_ring_match(kp_fusion_rules()).passed
     report(7, "pentagon holds exhaustively at scale 1/2, fails at scale 1, "
               "and the category's fusion ring matches the direct model's")
 
@@ -124,10 +123,12 @@ def test_criterion_8_module_category():
     assert all(repaired.hooks.values())
     assert repaired.group_part
     assert modcat.repair_distance() == 5
-    example = modcat.worked_example()
-    assert example["composite_is_identity"]
-    assert example["image"] == ["1/2*z - 1/2*z^3", "0", "0",
-                                "-1/2*z + 1/2*z^3"]
+    # the worked vector: the image of the basis vector tagged (b, b rho)
+    # and its hook composite, the identity
+    image = [row[2] for row in modcat.repaired_psi_rho()]
+    assert modcat.hook_equation(image, modcat.PSI["b"])
+    assert [str(v) for v in image] == ["1/2*z - 1/2*z^3", "0", "0",
+                                       "-1/2*z + 1/2*z^3"]
     report(8, "printed action matrix fails unitarity as documented; the "
               "5-entry repair satisfies every hook and group equation and "
               "reproduces the worked intermediate vector")

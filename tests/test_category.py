@@ -12,8 +12,7 @@ from hopfcheck.models import kp_fusion_rules
 
 
 def test_bicharacter():
-    checks = ty.bicharacter_checks()
-    assert all(checks.values())
+    assert ty.bicharacter_checks().passed
     assert ty.chi(1, 1) == -ONE
     assert ty.chi(1, 2) == ONE
     assert ty.chi(0, 3) == ONE
@@ -177,19 +176,17 @@ def test_default_scale_constant():
 
 
 def test_fusion_ring_match():
-    m = ty.fusion_ring_match(kp_fusion_rules())
-    assert m["matches"]
-    assert m["bijections"] == 6
-    assert all(m["facts"].values())
+    assert ty.fusion_ring_match(kp_fusion_rules()).passed
 
 
 def test_fusion_ring_mismatch_is_detected():
     rules = kp_fusion_rules()
     cyclic = {**rules, "table": [[0, 1, 2, 3], [1, 2, 3, 0],
                                  [2, 3, 0, 1], [3, 0, 1, 2]]}
-    m = ty.fusion_ring_match(cyclic)
-    assert not m["matches"]
-    assert m["bijections"] == 0
+    report = ty.fusion_ring_match(cyclic)
+    assert report.first_failure() == (
+        "relabelings_give_xor: sigma[table[i][j]] != sigma[i] ^ sigma[j] "
+        "at (sigma, i, j) = ((0, 1, 2, 3), 1, 1)")
 
 
 def test_verbatim_module_data_fails():
@@ -225,10 +222,17 @@ def test_forced_columns_satisfy_their_hooks():
 
 def test_phase_space_is_empty():
     found = modcat.column_phase_search()
-    assert found["space"] == 65536
-    assert found["per_column_pairs"] == {"e": 4, "a": 0, "b": 0, "c": 0}
-    assert found["solutions"] == 0
-    assert found["printed_rows_equal"]
+    assert found == {"space": 65536, "solutions": 0}
+    # the count factors column by column: only e has phase pairs that work
+    pairs = {g: sum(modcat.hook_equation(
+                 [wc * modcat.PSI_RHO_PRINTED[r][ci] for r in range(4)],
+                 [[wg * v for v in row] for row in modcat.PSI[g]])
+                 for wc in modcat.MU4 for wg in modcat.MU4)
+             for ci, g in enumerate(modcat.GROUP_LABELS)}
+    assert pairs == {"e": 4, "a": 0, "b": 0, "c": 0}
+    # independent witness: two printed rows coincide, so no column phases
+    # can ever make the printed matrix unitary
+    assert modcat.PSI_RHO_PRINTED[0] == modcat.PSI_RHO_PRINTED[3]
 
 
 def test_gauge_family_all_pass():
@@ -288,9 +292,12 @@ def test_gauge_family_matches_the_per_assignment_loop(monkeypatch, psi):
 
 
 def test_worked_example():
-    ex = modcat.worked_example()
-    assert ex["composite_is_identity"]
-    assert ex["image"] == ["1/2*z - 1/2*z^3", "0", "0", "-1/2*z + 1/2*z^3"]
+    # the g == b leg traced through the repaired matrix: the image of the
+    # basis vector tagged (b, b rho), whose hook composite is the identity
+    col = [row[2] for row in modcat.repaired_psi_rho()]
+    assert modcat.hook_equation(col, modcat.PSI["b"])
+    assert [str(v) for v in col] == ["1/2*z - 1/2*z^3", "0", "0",
+                                     "-1/2*z + 1/2*z^3"]
 
 
 def test_repaired_matrix_entries():

@@ -213,7 +213,7 @@ def test_crash_is_not_a_designed_failure(capsys, monkeypatch, check, target):
     assert code == 1
     result = json.loads(out)
     assert result["verdict"] == "error"
-    assert result["witness"] == "exception: boom"
+    assert result["witness"] == "exception: TypeError: boom"
 
 
 def with_failure(report, name, witness):
@@ -405,9 +405,10 @@ CLI_MODULES = {"hopfcheck", "hopfcheck.cli", "hopfcheck.cyclotomic"}
     ((), set()),
     (("list",), set()),
     (("verify", "--check", "ty.pentagon"),
-     {"hopfcheck.category_checks", "hopfcheck.category_checks.ty"}),
+     {"hopfcheck.category_checks", "hopfcheck.category_checks.ty",
+      "hopfcheck.report"}),
     (("verify", "--check", "model.twist-axioms", "--model", SAMPLE_MODEL),
-     {"hopfcheck.group_twist", "hopfcheck.hopf_core",
+     {"hopfcheck.group_twist", "hopfcheck.hopf_core", "hopfcheck.report",
       "hopfcheck.multimatrix", "hopfcheck.linalg"}),
 ], ids=["import", "list", "ty.pentagon", "model.twist-axioms"])
 def test_a_command_loads_only_the_modules_it_calls(argv, more):

@@ -63,8 +63,15 @@ def test_group_closure_is_bounded():
     r2 = Mat2([[Fraction(3, 5), Fraction(4, 5)],
                [Fraction(4, 5), Fraction(-3, 5)]])
     assert r1.is_unitary() and r2.is_unitary()
-    with pytest.raises(GroupClosureError, match="480"):
+    with pytest.raises(GroupClosureError, match="192"):
         generate_group([r1, r2], cap=2000)
+
+
+def test_the_largest_group_reaches_the_bound():
+    # <S1, S2, diag(z, z^7), zI> has order 8 * 24, MAX_GROUP_ORDER itself
+    d = Mat2([[ZETA, ZERO], [ZERO, ZETA.conj()]])    # z^7 = conj(z)
+    zi = Mat2([[ZETA, ZERO], [ZERO, ZETA]])
+    assert generate_group([S1, S2, d, zi], cap=1000).order == 192
 
 
 def test_group_table_is_a_latin_square():

@@ -1,5 +1,7 @@
 """The two eight-dimensional models, their isomorphism, and their fusion."""
 
+from fractions import Fraction
+
 import pytest
 
 from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO
@@ -205,6 +207,11 @@ def test_fusion_graph_is_the_star():
                                 [0, 0, 0, 0, 1],
                                 [1, 1, 1, 1, 0]]
     assert g.dims == [1, 1, 1, 1, 2]
+    # so the edge weights m_ij d_j / d_i are 2 inward and 1/2 outward
+    m, d = g.multiplicities, g.dims
+    assert [Fraction(m[i][4] * d[4], d[i]) for i in range(4)] == [2] * 4
+    assert [Fraction(m[4][j] * d[j], d[4]) for j in range(4)] == [
+        Fraction(1, 2)] * 4
 
 
 def test_fusion_rules_export():

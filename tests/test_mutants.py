@@ -6,6 +6,7 @@ mutant when it is the only one to do so.
 """
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     hopf_from_dict, hopf_to_dict, verify_hopf_axioms
 from hopfcheck.linalg import left_inverse
 from hopfcheck.models import build_kp, build_phi_and_verify, build_smash, \
-    build_vtilde_twist
+    build_vtilde_twist, kp_fusion_rules
 from hopfcheck.multimatrix import (SCALARS, LinearMap, MultiMatrixAlgebra,
                                    tensor_compose)
 from test_hopf_core import assert_matches_reference, mutant
@@ -141,9 +142,8 @@ def test_groupoid_basis_mutants_fail_as_their_block_transports():
 OPEN = ("coproduct_unital", "counit_multiplicative")
 
 
-def first_failure(h):
-    """The first failing check of h, which must carry a witness."""
-    rep = verify_hopf_axioms(h)
+def first_failure(rep):
+    """The first failing check of a report, which must carry a witness."""
     name = next(k for k, ok in rep.checks.items() if not ok)
     assert rep.witnesses.get(name), name
     return name
@@ -208,7 +208,7 @@ def test_every_recorded_hopf_check_fails_first_on_some_structure():
     # structure for each check that no such mutant makes the first failure
     kp = build_kp().hopf
     tally = Counter(
-        first_failure(mutant(kp, which, j, k, mode))
+        first_failure(verify_hopf_axioms(mutant(kp, which, j, k, mode)))
         for which in ("coproduct", "counit", "antipode")
         for j in range(kp.dim) for k in range(getattr(kp, which).target.dim)
         for mode in ("plus", "swap"))
@@ -217,7 +217,8 @@ def test_every_recorded_hopf_check_fails_first_on_some_structure():
     built = {"counit_right": counit_right_first(),
              "coproduct_multiplicative": coproduct_multiplicative_first(),
              "coproduct_star": coproduct_star_first()}
-    assert {name: first_failure(h) for name, h in built.items()} == {
+    assert {name: first_failure(verify_hopf_axioms(h))
+            for name, h in built.items()} == {
         name: name for name in built}
     for h in built.values():
         assert_matches_reference(h)
@@ -230,3 +231,54 @@ def test_every_recorded_hopf_check_fails_first_on_some_structure():
                         "counit_multiplicative"]
     assert [name for name in recorded
             if name not in caught and name not in OPEN] == []
+
+
+# category reports: for each recorded name, an input that makes it the first
+# failure, with a witness
+
+_CHI = ty.chi
+
+CHI_MUTANTS = {
+    "symmetric": lambda x, y: -_CHI(x, y) if (x, y) == (1, 2) else _CHI(x, y),
+    # symmetric and nondegenerate, but chi(1 ^ 2, 3) != chi(1, 3) chi(2, 3)
+    "bimultiplicative":
+        lambda x, y: -_CHI(x, y) if x == y == 3 else _CHI(x, y),
+    "nondegenerate": lambda x, y: ONE,
+}
+
+RULES_MUTANTS = [
+    ({"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]},
+     "relabelings_give_xor"),
+    ({"fund_after_line": [1, 1, 1, 2]}, "big_absorbs_invertibles"),
+    ({"fund_before_line": [1, 0, 1, 1]}, "big_absorbs_invertibles"),
+    ({"lines_in_square": [1, 1, 2, 1]}, "square_sums_invertibles"),
+    ({"fund_in_square": 1}, "square_sums_invertibles"),
+]
+
+
+def test_every_recorded_category_check_has_a_first_failure_mutant():
+    assert list(ty.bicharacter_checks().checks) == list(CHI_MUTANTS)
+    assert (list(ty.fusion_ring_match(kp_fusion_rules()).checks)
+            == list(dict.fromkeys(first for _, first in RULES_MUTANTS)))
+
+
+@pytest.mark.parametrize("first", list(CHI_MUTANTS))
+def test_each_bicharacter_check_fails_first_on_some_chi(monkeypatch, first):
+    monkeypatch.setattr(ty, "chi", CHI_MUTANTS[first])
+    assert first_failure(ty.bicharacter_checks()) == first
+
+
+@pytest.mark.parametrize("edit, first", RULES_MUTANTS,
+                         ids=[next(iter(edit)) for edit, _ in RULES_MUTANTS])
+def test_each_fusion_check_fails_first_on_some_rules(edit, first):
+    rules = {**kp_fusion_rules(), **edit}
+    assert first_failure(ty.fusion_ring_match(rules)) == first
+
+
+def test_a_bicharacter_mutant_fails_through_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(ty, "chi", CHI_MUTANTS["nondegenerate"])
+    assert cli.main(["verify", "--check", "ty.bicharacter", "--json"]) == 1
+    result = json.loads(capsys.readouterr().out)
+    assert result["verdict"] == "fail"
+    assert result["witness"] == ("failing: nondegenerate: chi(x, y) == 1 "
+                                 "for every y at x = 1")
