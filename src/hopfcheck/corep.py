@@ -33,6 +33,9 @@ class Corep:
 
 
 def verify_corep(u: Corep) -> Report:
+    """Check that u is a unitary corepresentation.  counit can fail first
+    only when u.hopf is not a verified Hopf algebra: by its counit law,
+    comultiplicative gives u = eps(u) u, and a unitary u is invertible."""
     h = u.hopf
     n = u.size
     alg = h.algebra
@@ -123,11 +126,6 @@ class OneDimGroup(NamedTuple):
     irreps: list[Corep]
     elements: list[AlgElement]
     table: list[list[int]]
-    identity_index: int
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
 
 def one_dim_group(irreps: list[Corep]) -> OneDimGroup:
@@ -178,20 +176,18 @@ def one_dim_group(irreps: list[Corep]) -> OneDimGroup:
     elements = [unit] + [u.entries[0][0] for u in irreps
                          if u.size == 1 and u.entries[0][0] != unit]
     table = [[elements.index(a * b) for b in elements] for a in elements]
-    return OneDimGroup(irreps, elements, table, 0)
+    return OneDimGroup(irreps, elements, table)
 
 
 class FusionGraph(NamedTuple):
-    labels: list[str]
     dims: list[int]
     multiplicities: list[list[int]]
 
 
-def fusion_graph(fund: Corep, certified: OneDimGroup,
-                 labels: list[str]) -> FusionGraph:
+def fusion_graph(fund: Corep, certified: OneDimGroup) -> FusionGraph:
     """Multiplicity graph of tensoring with fund, over the irreducibles
-    that one_dim_group certified as a complete list, so completeness and
-    irreducibility of the vertices need no flag."""
+    that one_dim_group certified as a complete list, in its order, so
+    completeness and irreducibility of the vertices need no flag."""
     irreps = certified.irreps
     dims = [u.size for u in irreps]
     mult = [[hom_dim(y, tensor_corep(fund, x)) for y in irreps] for x in irreps]
@@ -199,4 +195,4 @@ def fusion_graph(fund: Corep, certified: OneDimGroup,
         total = sum(mult[i][j] * dims[j] for j in range(len(irreps)))
         if total != fund.size * x.size:
             raise ValueError("fusion multiplicities do not exhaust the tensor product")
-    return FusionGraph(labels, dims, mult)
+    return FusionGraph(dims, mult)

@@ -150,12 +150,16 @@ def generate_group(generators: Sequence[Mat2], cap: int = 64,
     to cap elements (and never beyond MAX_GROUP_ORDER).
 
     Element 0 is the identity and the distinct generators follow in their
-    given order.  The closure takes each product x * g_s once and records
-    its index as right[s][x]; an element b first reached as w * g_s then has
+    given order; a repeated generator is dropped, which changes neither.
+    The closure takes each product x * g_s once and records its index as
+    right[s][x]; an element b first reached as w * g_s then has
     table[a][b] = right[s][table[a][w]], since a (w g_s) = (a w) g_s.
     """
     cap = min(cap, MAX_GROUP_ORDER)
     identity = Mat2.identity()
+    generators = list(dict.fromkeys(generators))
+    if len({identity, *generators}) > cap:
+        raise GroupClosureError(f"group not closed within {cap} elements")
     for g in generators:
         if not g.is_unitary():
             raise GroupClosureError(f"generator {g!r} is not unitary")
@@ -185,7 +189,8 @@ def generate_group(generators: Sequence[Mat2], cap: int = 64,
     for w, s in reached:
         cols.append([right[s][a] for a in cols[w]])
     return FiniteMatrixGroup(elements, [list(r) for r in zip(*cols)],
-                             names or [f"g{k}" for k in range(n)])
+                             [f"g{k}" for k in range(n)] if names is None
+                             else names)
 
 
 class ConjugationAction:
@@ -208,11 +213,6 @@ class ConjugationAction:
             for b in range(n):
                 if perm[group.table[a][b]] != group.table[perm[a]][perm[b]]:
                     raise ActionError("conjugation action is not an automorphism")
-
-    @property
-    def order(self) -> int:
-        n = len(self.perm)
-        return 1 if self.perm == list(range(n)) else 2
 
 
 def conjugation_action(group: FiniteMatrixGroup, u: Mat2) -> ConjugationAction:

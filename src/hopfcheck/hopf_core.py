@@ -311,7 +311,12 @@ def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
 
     A failing check's witness names a basis element of h1, or for
     surjective and injective the rank of the image, which is computed only
-    when require is "iso".
+    when require is "iso".  counit and antipode can fail first only when
+    an end is not a verified Hopf algebra: otherwise, once f passes
+    multiplicative, unital and comultiplicative, eps_2 f is a character
+    equal to its own convolution square, so eps_1 (characters form a
+    group), and f S_1 and S_2 f are a left and a right convolution inverse
+    of f, so equal.
     """
     if require not in ("hom", "iso"):
         raise ValueError(f"unknown requirement {require!r}")

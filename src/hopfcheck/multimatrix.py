@@ -51,9 +51,6 @@ class _BasisAlgebra:
 
     __slots__ = ()
 
-    def element(self, coords: Vector) -> AlgElement:
-        return AlgElement(self, coords)
-
     def zero(self) -> AlgElement:
         return AlgElement(self, {})
 

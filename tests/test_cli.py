@@ -165,6 +165,17 @@ def test_malformed_model_is_a_usage_error(capsys, tmp_path, text):
     assert "model" in err
 
 
+def test_deeply_nested_model_is_a_usage_error(capsys, tmp_path):
+    # json.load recurses once per nested array, past the recursion limit
+    path = tmp_path / "model.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "verify", "--check", "model.twist-axioms",
+                         "--model", str(path))
+    assert code == 2
+    assert not out
+    assert err.startswith("cannot read model")
+
+
 def test_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--check", "nosuch")
     assert code == 2
@@ -232,7 +243,7 @@ def with_failure(report, name, witness):
      "the words reach rank 5, not the dimension 8"),
     ("kp.tensor-square", "kp_tensor_square", "tensor_square_decomposes",
      "entry (0, 1) of U (x) U is not sum_k P_k(0, 1) u_k"),
-    ("kp.one-dim", "kp_tensor_square", "matches_search", ""),
+    ("kp.one-dim", "kp_tensor_square", "klein_squares", ""),
 ])
 def test_a_failing_pass_expected_check_names_it(capsys, monkeypatch, check,
                                                  builder, name, witness):
@@ -248,7 +259,7 @@ def test_a_failing_pass_expected_check_names_it(capsys, monkeypatch, check,
 
 
 def test_a_check_reads_only_its_named_checks(capsys, monkeypatch):
-    # kp.one-dim reads five of the tensor square's checks, not the split
+    # kp.one-dim reads two of the tensor square's checks, not the split
     ts = models.kp_tensor_square()
     broken = ts._replace(report=with_failure(
         ts.report, "tensor_square_decomposes", "entry (0, 1)"))

@@ -69,9 +69,7 @@ def test_one_dim_group_of_two_point_algebra():
     h = cyclic_function_hopf(-I2, cap=4)
     e, g = h.algebra.basis()
     found = one_dim_group([Corep(h, [[e + g]]), Corep(h, [[e - g]])])
-    assert found.order == 2
     assert found.elements == [h.algebra.unit(), e - g]
-    assert found.identity_index == 0
     assert found.table == [[0, 1], [1, 0]]
 
 
@@ -79,9 +77,9 @@ def test_one_dim_group_of_kp_is_klein():
     # certified from the four printed lines and the fundamental, unit first
     ts = kp_tensor_square()
     found = ts.group
-    assert found.order == 4
-    e = found.identity_index
-    assert e == 0 and found.elements == ts.printed
+    assert found.elements == ts.printed
+    assert found.elements[0] == build_kp().hopf.algebra.unit()
+    e = 0
     for a in range(4):
         assert found.table[a][a] == e
         assert found.table[e][a] == a
@@ -134,7 +132,10 @@ def test_coreps_of_two_hopf_structures_do_not_mix():
 def test_fusion_graph_labels_and_flags():
     from hopfcheck.models import kp_fusion_graph
     g = kp_fusion_graph()
-    assert g.labels == ["u1", "u2", "u3", "u4", "fund"]
+    # the vertices u1 .. u4 are the entered lines, then the fundamental
+    ts = kp_tensor_square()
+    assert [u.entries for u in ts.group.irreps] == [
+        [[x]] for x in ts.printed] + [build_fundamental().ukp.entries]
     # complete and irreducible: the graph's vertices are the certified list
     irreps = kp_tensor_square().group.irreps
     assert sum(d * d for d in g.dims) == build_kp().hopf.dim

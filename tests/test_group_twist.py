@@ -252,7 +252,7 @@ def test_transport_rejects_elements_of_another_algebra():
     blocks = sm.hopf.algebra
     lines = MultiMatrixAlgebra((1,) * 16)
     one = MultiMatrixAlgebra((1,))
-    for ambient, unit in ((sm.hopf, lines.element(blocks.unit().coords)),
+    for ambient, unit in ((sm.hopf, AlgElement(lines, blocks.unit().coords)),
                           (sm.hopf, sm.groupoid_hopf.algebra.unit()),
                           (sm.groupoid_hopf, blocks.unit())):
         with pytest.raises(SubalgebraError, match="^chosen elements do not "
@@ -370,12 +370,36 @@ def test_seeded_generator_lists_give_the_same_group():
         assert g.elements[:4] == [I2] + firsts
 
 
-@pytest.mark.parametrize("names", [["a"], [f"g{k}" for k in range(9)]])
+@pytest.mark.parametrize("names", [["a"], [f"g{k}" for k in range(9)], []])
 def test_names_must_match_the_elements(names):
     # a short list once built an order-8 group that failed later, with an
     # IndexError in its function algebra
     with pytest.raises(ValueError, match=f"^{len(names)} names for 8 elements$"):
         generate_group([S1, S2], cap=8, names=names)
+
+
+def test_repeated_generators_cost_no_products(monkeypatch):
+    # a model file may list a generator any number of times
+    count = [0]
+    mul = Mat2.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Mat2, "__mul__", counted)
+    once = generate_group([S1, S2], cap=8)
+    products, count[0] = count[0], 0
+    repeated = generate_group([S1, S2] * 2000, cap=8)
+    assert count[0] == products
+    assert (repeated.elements, repeated.table) == (once.elements, once.table)
+    # more distinct generators than the cap allows: refused before any
+    # product
+    count[0] = 0
+    with pytest.raises(GroupClosureError,
+                       match="^group not closed within 8 elements$"):
+        generate_group(once.elements + [IIM], cap=8)
+    assert count[0] == 0
 
 
 def test_latin_square_check_rejects_a_swapped_row():
@@ -432,7 +456,7 @@ def test_wrong_closed_form_antipode_is_caught(monkeypatch):
     assert ranks == []
     ta = h.coproduct.target
     one = alg.unit()
-    dcol = [ta.element(c) for c in h.coproduct.cols]
+    dcol = [AlgElement(ta, c) for c in h.coproduct.cols]
     for factor in (lambda b: b.tensor(one), lambda b: one.tensor(b)):
         vecs = [(factor(b) * dcol[q]).coords
                 for b in alg.basis() for q in range(n)]

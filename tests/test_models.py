@@ -6,7 +6,7 @@ import pytest
 
 from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO
 from hopfcheck import models
-from hopfcheck.group_twist import Mat2
+from hopfcheck.group_twist import generate_group
 from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     commutativity_flags, verify_hopf_axioms
 from hopfcheck.models import (build_fundamental, build_kp,
@@ -55,18 +55,15 @@ def test_kp_counit_and_antipode_on_lines():
 def test_vtilde_model_checks():
     vt = build_vtilde()
     assert vt.group.order == 8
-    assert vt.action.order == 2
-    assert vt.action.perm[vt.indices["s1"]] == vt.indices["-s2"]
+    ix, perm = vt.indices, vt.action.perm
+    # the action facts build_vtilde proves in its docstring
+    assert perm[ix["s1"]] == ix["-s2"] and perm[ix["s2"]] == ix["-s1"]
+    assert perm[ix["-I"]] == ix["-I"]
+    assert perm != list(range(8))
+    generated = generate_group([models.S1, models.S2], cap=8)
+    assert set(generated.elements) == set(vt.group.elements)
     assert set(vt.indices) == {"I", "-I", "s1", "-s1", "s2", "-s2",
                                "s3", "-s3"}
-
-
-def test_vtilde_names_its_first_failing_check(monkeypatch):
-    # the identity action is an automorphism, but not the one entered
-    monkeypatch.setattr(models, "U_ACT", Mat2.identity())
-    with pytest.raises(models.ModelMismatchError, match=(
-            "^group model fails action_sends_s1_to_minus_s2$")):
-        build_vtilde.__wrapped__()
 
 
 def test_vtilde_function_algebra_flags():
@@ -171,12 +168,20 @@ def test_fundamental_relations_and_span():
     assert f.report.passed
     assert f.word_ranks == [(0, 1), (1, 5), (2, 8), (3, 8)]
     assert f.report.checks["surjective"]
+    # the relations build_fundamental proves from unitarity
+    (a, b), (c, d) = f.uprime.entries
+    one = a.parent.unit()
+    assert a * c == -(c * a) and a * b == -(b * a)
+    assert c * b == b * c
+    assert a.star() * a + b * c == one == a * d + c * b
 
 
 def test_tensor_square_checks():
     ts = kp_tensor_square()
     assert ts.report.passed
-    assert len(ts.report.checks) == 10
+    assert list(ts.report.checks) == ["projections_rank_one", "unit_is_first",
+                                      "klein_squares",
+                                      "tensor_square_decomposes"]
     unit = build_kp().hopf.algebra.unit()
     assert ts.printed[0] == unit
     # trace of each projection is exactly one

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck.cyclotomic import (HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
                                   mat_mul)
-from hopfcheck.multimatrix import (SCALARS, GroupoidAlgebra,
+from hopfcheck.multimatrix import (SCALARS, AlgElement, GroupoidAlgebra,
                                    LinearMap, MultiMatrixAlgebra, partners,
                                    tensor_algebra, tensor_compose, tensor_map)
 
@@ -40,7 +40,7 @@ def blocks(x):
 
 def elements(alg):
     return st.builds(
-        lambda vals: alg.element({j: v for j, v in enumerate(vals) if v}),
+        lambda vals: AlgElement(alg, {j: v for j, v in enumerate(vals) if v}),
         st.tuples(*[scalars] * alg.dim))
 
 
@@ -101,7 +101,8 @@ def test_mixed_algebras_are_rejected():
 
 D = MultiMatrixAlgebra((1, 2, 3))
 sparse_elements = st.dictionaries(st.integers(0, D.dim - 1), scalars,
-                                  max_size=9).map(D.element)
+                                  max_size=9).map(
+                                      lambda c: AlgElement(D, c))
 
 
 @settings(max_examples=300)

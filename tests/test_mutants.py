@@ -13,15 +13,17 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck import cli
+from hopfcheck import cli, models
 from hopfcheck.category_checks import ty
-from hopfcheck.cyclotomic import Cyc, HALF, ONE, ZERO, ZETA
-from hopfcheck.group_twist import block_basis
-from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
+from hopfcheck.corep import Corep, fusion_graph, verify_corep
+from hopfcheck.cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA
+from hopfcheck.group_twist import FiniteMatrixGroup, Mat2, block_basis
+from hopfcheck.hopf_core import HopfAlgebra, Report, check_hopf_morphism, \
     hopf_from_dict, hopf_to_dict, verify_hopf_axioms
 from hopfcheck.linalg import left_inverse
-from hopfcheck.models import build_kp, build_phi_and_verify, build_smash, \
-    build_vtilde_twist, kp_fusion_rules
+from hopfcheck.models import build_fundamental, build_kp, \
+    build_phi_and_verify, build_smash, build_vtilde, build_vtilde_twist, \
+    kp_fusion_graph, kp_fusion_rules, kp_tensor_square, star_shape_checks
 from hopfcheck.multimatrix import (SCALARS, LinearMap, MultiMatrixAlgebra,
                                    tensor_compose)
 from test_hopf_core import assert_matches_reference, mutant
@@ -142,11 +144,20 @@ def test_groupoid_basis_mutants_fail_as_their_block_transports():
 OPEN = ("coproduct_unital", "counit_multiplicative")
 
 
-def first_failure(rep):
-    """The first failing check of a report, which must carry a witness."""
+def first_failure(rep, witnessed=True):
+    """The first failing check of a report, which must carry a witness
+    when the check records one."""
     name = next(k for k, ok in rep.checks.items() if not ok)
-    assert rep.witnesses.get(name), name
+    assert not witnessed or rep.witnesses.get(name), name
     return name
+
+
+def assert_census(recorded, caught, open_names):
+    """Every recorded name is caught first by some input or is open, and
+    no open name is caught."""
+    assert not set(caught) & set(open_names)
+    assert [name for name in recorded
+            if name not in caught and name not in open_names] == []
 
 
 def on_two_points(delta, antipode):
@@ -181,21 +192,24 @@ def coproduct_multiplicative_first():
                                                 e1.scale(-half)])
 
 
+T, T_INV = ((ONE, ONE), (ZERO, ONE)), ((ONE, -ONE), (ZERO, ONE))
+
+
+def block_conjugation(t, t_inv):
+    """e_kl -> t e_kl t^-1 on KP's M_2 block, the identity on its scalars;
+    for t = T an algebra automorphism, but not a *-automorphism."""
+    alg = build_kp().hopf.algebra
+    return LinearMap(alg, alg, [{p: ONE} for p in range(4)] + [
+        {alg.index(4, i, j): t[i][k] * t_inv[l][j]
+         for i in range(2) for j in range(2)}
+        for k in range(2) for l in range(2)])
+
+
 def coproduct_star_first():
-    # KP carried through sigma = Ad T on its M_2 block, T = [[1, 1], [0, 1]]:
-    # an algebra automorphism, but not a *-automorphism
+    # KP carried through sigma = Ad T on its M_2 block
     kp = build_kp().hopf
     alg = kp.algebra
-
-    def conjugation(t, t_inv):
-        # e_kl -> t e_kl t^-1 on the block, the identity on the scalars
-        return LinearMap(alg, alg, [{p: ONE} for p in range(4)] + [
-            {alg.index(4, i, j): t[i][k] * t_inv[l][j]
-             for i in range(2) for j in range(2)}
-            for k in range(2) for l in range(2)])
-
-    t, t_inv = ((ONE, ONE), (ZERO, ONE)), ((ONE, -ONE), (ZERO, ONE))
-    sigma, sigma_inv = conjugation(t, t_inv), conjugation(t_inv, t)
+    sigma, sigma_inv = block_conjugation(T, T_INV), block_conjugation(T_INV, T)
     return HopfAlgebra(alg,
                        tensor_compose(sigma, sigma, kp.coproduct)
                        .compose(sigma_inv),
@@ -222,15 +236,12 @@ def test_every_recorded_hopf_check_fails_first_on_some_structure():
         name: name for name in built}
     for h in built.values():
         assert_matches_reference(h)
-    caught = set(tally) | set(built)
-    assert not caught & set(OPEN)
     recorded = list(verify_hopf_axioms(kp).checks)
     assert recorded == ["coassociative", "counit_left", "counit_right",
                         "antipode_left", "coproduct_multiplicative",
                         "coproduct_unital", "coproduct_star",
                         "counit_multiplicative"]
-    assert [name for name in recorded
-            if name not in caught and name not in OPEN] == []
+    assert_census(recorded, set(tally) | set(built), OPEN)
 
 
 # category reports: for each recorded name, an input that makes it the first
@@ -282,3 +293,320 @@ def test_a_bicharacter_mutant_fails_through_the_cli(capsys, monkeypatch):
     assert result["verdict"] == "fail"
     assert result["witness"] == ("failing: nondegenerate: chi(x, y) == 1 "
                                  "for every y at x = 1")
+
+
+# model-layer reports: for each recorded name, an input that makes it the
+# first failure, or an entry in the report's open tuple with the reason no
+# input is known to; builders run through __wrapped__, so no cache keeps a
+# mutant
+
+def edited(f, j, k, value):
+    """The linear map f with coefficient (k, j) set to value."""
+    cols = [dict(c) for c in f.cols]
+    cols[j][k] = value
+    return LinearMap(f.source, f.target, cols)
+
+
+def recorded_names(monkeypatch, builder):
+    """The names recorded by the Reports that builder creates."""
+    reports = []
+
+    class Spy(Report):
+        def __init__(self):
+            super().__init__()
+            reports.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(models, "Report", Spy)
+        builder()
+    return [name for rep in reports for name in rep.checks]
+
+
+_R = INV_SQRT2
+VTILDE_MUTANTS = {
+    "s3_is_s1_s2": {"S3": -models.S3},
+    "s2_s1_is_minus_s3": {"S1": Mat2([[ONE, ZERO], [ZERO, -ONE]]),
+                          "S2": Mat2([[IM, ZERO], [ZERO, IM]]),
+                          "S3": Mat2([[IM, ZERO], [ZERO, -IM]])},
+    # the identity action is an automorphism, but not the one entered
+    "action_sends_s1_to_minus_s2": {"U_ACT": Mat2.identity()},
+    "dense_entry_witness_s1": {
+        "S1": Mat2([[ZERO, ONE], [ONE, ZERO]]),
+        "S2": Mat2([[ONE, ZERO], [ZERO, -ONE]]),
+        "S3": Mat2([[ZERO, -ONE], [ONE, ZERO]]),
+        "U_ACT": Mat2([[_R, -_R], [-_R, -_R]])},
+}
+
+
+def test_every_group_check_has_a_first_failure_mutant(monkeypatch):
+    assert recorded_names(monkeypatch, build_vtilde.__wrapped__) == list(
+        VTILDE_MUTANTS)
+
+
+@pytest.mark.parametrize("first", list(VTILDE_MUTANTS))
+def test_each_group_check_fails_first_on_some_matrices(monkeypatch, first):
+    for name, m in VTILDE_MUTANTS[first].items():
+        monkeypatch.setattr(models, name, m)
+    with pytest.raises(models.ModelMismatchError,
+                       match=f"^group model fails {first}$"):
+        build_vtilde.__wrapped__()
+
+
+# the builder raises unless the transported coproduct is the entered table,
+# and both checks read that table
+TWIST_OPEN = ("odd_coproduct_display", "noncocommutative")
+
+
+def test_every_twist_check_fails_first_or_is_open(monkeypatch):
+    coset = list(models.build_coset_twist())
+    coset[0] = build_smash().delta_lambda(0, 1)    # not in the twist
+    with monkeypatch.context() as m:
+        m.setattr(models, "build_coset_twist", lambda: coset)
+        caught = {first_failure(build_vtilde_twist.__wrapped__().report)}
+    assert caught == {"matches_coset_presentation"}
+    assert_census(build_vtilde_twist().report.checks, caught, TWIST_OPEN)
+
+
+def kp_with(**handles):
+    """build_kp's record with some handles replaced."""
+    kp = build_kp()
+    return lambda: kp._replace(handles={**kp.handles, **handles})
+
+
+def phi_inputs():
+    """For each name of build_phi_and_verify's report that some input fails
+    first, that input as module attributes to set."""
+    h, alg = build_kp().handles, build_kp().hopf.algebra
+    zero_block = Mat2([[ZERO, ZERO], [ZERO, ZERO]])
+    return {
+        "multiplicative": {"build_kp": kp_with(gamma=h["gamma"].scale(2))},
+        # the matrix block goes to 0, so 1 goes to the four lines
+        "unital": {"V_CONJ": zero_block},
+        # orthogonal idempotents summing to 1, one of them not self-adjoint
+        "star": {"V_CONJ": zero_block, "build_kp": kp_with(
+            eps=h["eps"] + h["e11"] + h["e12"],
+            gamma=h["gamma"] + h["e22"] - h["e12"])},
+        # a *-automorphism that swaps two lines
+        "comultiplicative": {"build_kp": kp_with(alpha=h["beta"],
+                                                 beta=h["alpha"])},
+        # x -> eps(x) 1
+        "surjective": {"V_CONJ": zero_block, "build_kp": kp_with(
+            eps=alg.unit(), alpha=alg.zero(), beta=alg.zero(),
+            gamma=alg.zero())},
+        # -W conjugates as W does, so the twist's table is unchanged
+        **{f"v_aligns_{w}_conjugator": {f"W_{w.upper()}": -getattr(
+            models, f"W_{w.upper()}")} for w in ("alphap", "betap", "gammap")},
+    }
+
+
+# both ends are verified Hopf algebras, so a map that passes multiplicative,
+# unital and comultiplicative passes counit and antipode (see
+# check_hopf_morphism); both ends have dimension 8, so a rank that is not
+# injective is not surjective, which fails first
+PHI_OPEN = ("counit", "antipode", "injective")
+
+
+def test_every_phi_check_fails_first_or_is_open(monkeypatch):
+    build_vtilde_twist()
+    caught = set()
+    for first, attrs in phi_inputs().items():
+        with monkeypatch.context() as m:
+            for name, value in attrs.items():
+                m.setattr(models, name, value)
+            rep = build_phi_and_verify.__wrapped__().report
+        assert first_failure(rep) == first
+        caught.add(first)
+    assert_census(build_phi_and_verify().report.checks, caught, PHI_OPEN)
+
+
+def conjugated_group(w, w_inv):
+    """The twist record with its group's matrices h replaced by w h w_inv,
+    so the fundamental's raw entries become w U w_inv."""
+    tw = build_vtilde_twist()
+    g = tw.vtilde.group
+    group = FiniteMatrixGroup([w * h * w_inv for h in g.elements], g.table,
+                              g.names)
+    return tw._replace(vtilde=tw.vtilde._replace(group=group))
+
+
+def fundamental_inputs():
+    """For each name of build_fundamental's report that some input fails
+    first, the twist and base change it reads."""
+    tw, phi = build_vtilde_twist(), build_phi_and_verify()
+    hopf = tw.hopf
+    unit = hopf.algebra.unit()
+    alphap = tw.handles["alphap"].coords
+    counit = edited(hopf.counit, next(iter(alphap)), 0, ONE)
+
+    def phi_mutant(j, k):
+        v = phi.map.cols[j].get(k, ZERO)
+        return phi._replace(map=edited(phi.map, j, k, ZERO if v else ZETA))
+
+    return {
+        "comultiplicative": (tw._replace(
+            to_twist=lambda x: tw.to_twist(x).scale(2)), phi),
+        # eps(alphap) = 1 makes eps(u_11) = 0
+        "counit": (tw._replace(hopf=hopf._replace(counit=counit)), phi),
+        # T U T^-1 with T not unitary
+        "unitary": (conjugated_group(Mat2(T), Mat2(T_INV)), phi),
+        # W U W^* for a real rotation W
+        "star_11_22": (conjugated_group(Mat2([[_R, _R], [-_R, _R]]),
+                                        Mat2([[_R, -_R], [_R, _R]])), phi),
+        # U -> the identity matrix, through x -> eps(x) 1
+        "surjective": (tw._replace(to_twist=lambda x: unit.scale(
+            hopf.counit_value(tw.to_twist(x)))), phi),
+        "image_star_11_22": (tw, phi_mutant(0, 1)),
+        "image_star_12_21": (tw, phi_mutant(2, 0)),
+    }
+
+
+# a 2x2 unitary corepresentation of the twist with d = a^* is W U W^* or
+# W diag(g, h) W^* for a unitary W; the twist's group-likes are self-adjoint,
+# and sigma_x conj(W) sigma_x = diag(p, q) W forces p = q, so b = c^* holds
+FUNDAMENTAL_OPEN = ("star_12_21",)
+
+
+def test_every_fundamental_check_fails_first_or_is_open(monkeypatch):
+    caught = set()
+    for first, (tw, phi) in fundamental_inputs().items():
+        with monkeypatch.context() as m:
+            m.setattr(models, "build_vtilde_twist", lambda tw=tw: tw)
+            m.setattr(models, "build_phi_and_verify", lambda phi=phi: phi)
+            rep = build_fundamental.__wrapped__().report
+        assert first_failure(rep, witnessed=first not in (
+            "star_11_22", "image_star_11_22", "image_star_12_21")) == first
+        caught.add(first)
+    assert_census(build_fundamental().report.checks, caught, FUNDAMENTAL_OPEN)
+
+
+def tensor_square_inputs():
+    """For each name of kp_tensor_square's report that some input fails
+    first, the module attributes to set."""
+    p = models._P_TABLES
+    h = build_kp().handles
+    merged = (4, tuple(tuple(2 * x + y for x, y in zip(r0, r1))
+                       for r0, r1 in zip(p[0][1], p[1][1])))
+    return {
+        # P_0 + P_1 has trace 2
+        "projections_rank_one": {"_P_TABLES": (merged,) + p[1:]},
+        # the lines come out in the order u_2, u_3, u_0, u_1
+        "unit_is_first": {"build_kp": kp_with(e11=-h["e11"], e22=-h["e22"])},
+        "tensor_square_decomposes": {"_P_TABLES": (p[0], p[3], p[2], p[1])},
+    }
+
+
+# one_dim_group accepts only the four group-likes of KP, which all square
+# to 1; a first failure needs another Hopf algebra
+TENSOR_SQUARE_OPEN = ("klein_squares",)
+
+
+def test_every_tensor_square_check_fails_first_or_is_open(monkeypatch):
+    build_fundamental()
+    caught = set()
+    for first, attrs in tensor_square_inputs().items():
+        with monkeypatch.context() as m:
+            for name, value in attrs.items():
+                m.setattr(models, name, value)
+            rep = kp_tensor_square.__wrapped__().report
+        assert first_failure(
+            rep, witnessed=first == "tensor_square_decomposes") == first
+        caught.add(first)
+    assert_census(kp_tensor_square().report.checks, caught,
+                  TENSOR_SQUARE_OPEN)
+
+
+def test_every_star_shape_check_fails_first_on_some_graph():
+    ts = kp_tensor_square()
+    g1, g2 = ts.printed[1], ts.printed[2]
+    zero = g1.parent.zero()
+    (a, b), (c, d) = build_fundamental().ukp.entries
+    star = kp_fusion_graph()
+    graphs = [
+        # a 2x2 fund that is the sum of two lines sends each line to two
+        (fusion_graph(Corep(build_kp().hopf, [[g1, zero], [zero, g2]]),
+                      ts.group), "leaves_feed_center"),
+        # the fundamental plus a line keeps every star edge and adds more
+        (fusion_graph(Corep(build_kp().hopf, [[a, b, zero], [c, d, zero],
+                                              [zero, zero, g1]]), ts.group),
+         "leaves_feed_center"),
+        # row sums m_ij d_j == 2 d_i, as fusion_graph demands of a 2x2 fund
+        (star._replace(multiplicities=star.multiplicities[:4] + [
+            [2, 2, 0, 0, 0]]), "center_feeds_leaves"),
+        # a loop at the center, as in the graph of a larger fund
+        (star._replace(multiplicities=star.multiplicities[:4] + [
+            [1, 1, 1, 1, 1]]), "center_feeds_leaves"),
+    ]
+    assert [first_failure(star_shape_checks(graph), witnessed=False)
+            for graph, _ in graphs] == [first for _, first in graphs]
+    assert_census(star_shape_checks(star).checks,
+                  {first for _, first in graphs}, ())
+
+
+def corep_inputs():
+    """For each name of verify_corep, a corepresentation that fails it
+    first."""
+    kp = build_kp().hopf
+    g = kp_tensor_square().printed[1]        # eps - alpha - beta + gamma + ...
+    alpha = build_kp().handles["alpha"].coords
+    counit = edited(kp.counit, next(iter(alpha)), 0, ONE)
+    (a, b), (c, d) = build_fundamental().ukp.entries
+    # T U T^-1 with T = [[1, 1], [0, 1]]
+    skew = [[a + c, b + d - a - c], [c, d - c]]
+    return {
+        "comultiplicative": Corep(kp, [[g.scale(2)]]),
+        "counit": Corep(kp._replace(counit=counit), [[g]]),
+        "unitary": Corep(kp, skew),
+    }
+
+
+def test_every_corep_check_fails_first_on_some_matrix():
+    inputs = corep_inputs()
+    assert {first: first_failure(verify_corep(u))
+            for first, u in inputs.items()} == {k: k for k in inputs}
+    assert_census(verify_corep(build_fundamental().ukp).checks, inputs, ())
+
+
+def morphism_inputs():
+    """For each name of check_hopf_morphism, (f, h1, h2) failing it first."""
+    kp = build_kp().hopf
+    alg = kp.algebra
+    ident = LinearMap.identity(alg)
+    phi = build_phi_and_verify().map
+    tw = build_vtilde_twist().hopf
+    one = SCALARS.unit()
+    trivial = HopfAlgebra(SCALARS,
+                          LinearMap.from_images(SCALARS, [one.tensor(one)]),
+                          LinearMap.identity(SCALARS),
+                          LinearMap.identity(SCALARS))
+    basis = alg.basis()
+    swap = LinearMap.from_images(alg, [basis[0], basis[2], basis[1]]
+                                 + basis[3:])
+    return {
+        "multiplicative": (edited(phi, 0, 0, phi.cols[0].get(0, ZERO) + ONE),
+                           tw, kp),
+        "unital": (LinearMap(alg, alg, [{}] * alg.dim), kp, kp),
+        "star": (block_conjugation(T, T_INV), kp, kp),
+        # a *-automorphism that swaps the lines alpha and beta
+        "comultiplicative": (swap, kp, kp),
+        # the identity onto kp with its counit, or its antipode, edited
+        "counit": (ident, kp, kp._replace(counit=edited(kp.counit, 1, 0,
+                                                          ONE))),
+        "antipode": (ident, kp, kp._replace(antipode=edited(
+            kp.antipode, 5, 6, kp.antipode.cols[5].get(6, ZERO) + ONE))),
+        # x -> eps(x) 1
+        "surjective": (LinearMap.from_images(alg, [
+            alg.unit().scale(kp.counit_value(b)) for b in alg.basis()]),
+            kp, kp),
+        # eps onto the one-dimensional Hopf algebra
+        "injective": (kp.counit, kp, trivial),
+    }
+
+
+def test_every_morphism_check_fails_first_on_some_map():
+    inputs = morphism_inputs()
+    assert {first: first_failure(check_hopf_morphism(*args, require="iso"))
+            for first, args in inputs.items()} == {k: k for k in inputs}
+    phi = build_phi_and_verify()
+    assert_census(check_hopf_morphism(
+        phi.map, build_vtilde_twist().hopf, build_kp().hopf,
+        require="iso").checks, inputs, ())
