@@ -92,7 +92,6 @@ def repair_distance() -> int:
 
 
 class ModuleReport(NamedTuple):
-    source: str
     unitary: bool
     hooks: dict[str, bool]
     group_part: bool
@@ -113,7 +112,7 @@ def module_report(source: str = "repaired") -> ModuleReport:
     hooks = {}
     for ci, g in enumerate(GROUP_LABELS):
         hooks[g] = hook_equation([m[r][ci] for r in range(4)], PSI[g])
-    return ModuleReport(source, is_unitary(m), hooks, group_equation(PSI))
+    return ModuleReport(is_unitary(m), hooks, group_equation(PSI))
 
 
 def column_phase_search() -> dict:

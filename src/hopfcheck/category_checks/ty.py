@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import NamedTuple
 
-from ..cyclotomic import Cyc, HALF, ONE, ZERO, is_unitary
+from ..cyclotomic import Cyc, ONE, ZERO, is_unitary
 from ..report import Report
 
 RHO = 4
@@ -118,8 +118,6 @@ def _pentagon_identities(f: dict, w: int, x: int, y: int, z: int):
 
 
 class PentagonReport(NamedTuple):
-    tau: Cyc
-    literal_middle: bool
     quadruples: int
     failures: list[tuple[int, int, int, int]]
 
@@ -152,7 +150,7 @@ def pentagon_report(tau: Cyc, literal_middle: bool = False,
             failures.append(quadruple)
             if len(failures) >= max_failures:
                 break
-    return PentagonReport(tau, literal_middle, count, failures)
+    return PentagonReport(count, failures)
 
 
 def associator_unitarity(tau: Cyc) -> tuple[bool, tuple | None]:
@@ -201,5 +199,3 @@ def fusion_ring_match(rules: dict) -> Report:
                   f"lines_in_square {lines}, fund_in_square {fund}")
     return report
 
-
-TAU = HALF

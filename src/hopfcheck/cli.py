@@ -46,12 +46,8 @@ def _verdict(report: Report, pass_text: str,
              names: tuple[str, ...] = ()) -> tuple[bool, str]:
     """pass_text when the named checks hold (all checks when none are
     named), else the first failing one as `failing: <check>: <witness>`."""
-    bad = next((k for k in names or report.checks if not report.checks[k]),
-               None)
-    if bad is None:
-        return True, pass_text
-    witness = report.witnesses.get(bad)
-    return False, f"failing: {bad}: {witness}" if witness else f"failing: {bad}"
+    failure = report.first_failure(names)
+    return (False, f"failing: {failure}") if failure else (True, pass_text)
 
 
 # build_kp, build_vtilde, build_smash and twist_from_model_dict raise unless

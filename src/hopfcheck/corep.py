@@ -190,7 +190,8 @@ def fusion_graph(fund: Corep, certified: OneDimGroup) -> FusionGraph:
     completeness and irreducibility of the vertices need no flag."""
     irreps = certified.irreps
     dims = [u.size for u in irreps]
-    mult = [[hom_dim(y, tensor_corep(fund, x)) for y in irreps] for x in irreps]
+    mult = [[hom_dim(y, fx) for y in irreps]
+            for fx in (tensor_corep(fund, x) for x in irreps)]
     for i, x in enumerate(irreps):
         total = sum(mult[i][j] * dims[j] for j in range(len(irreps)))
         if total != fund.size * x.size:

@@ -10,9 +10,9 @@ crossed product is the one Hopf structure written in closed form, and
 nothing is trusted from its construction alone: on its groupoid basis
 delta_h lam^k it passes every axiom of verify_hopf_axioms, once, in integer
 arithmetic.  C(G) (its lam^0 part), its blocks and every twist are
-restrictions of that one structure, each accepted when its inclusion passes
-check_hopf_morphism, which proves its axioms from the crossed product's
-(see SmashProduct and subalgebra_hopf).
+restrictions of that one structure, each accepted when its inclusion is a
+*-bialgebra map, which proves its axioms from the crossed product's (see
+SmashProduct and subalgebra_hopf).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary, mat_mul
 from .linalg import LinAlgError, left_inverse
-from .hopf_core import (HopfAlgebra, Report, _morphism_report,
+from .hopf_core import (HopfAlgebra, Report, _bialgebra_map_report,
                         verify_hopf_axioms)
 from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
                           MultiMatrixAlgebra, Scalar, _cyc, tensor_algebra,
@@ -196,9 +196,10 @@ def generate_group(generators: Sequence[Mat2], cap: int = 64,
 class ConjugationAction:
     """An action of Z/2 on a finite group by the involution h -> perm[h].
 
-    Construction checks that perm is an involutive automorphism of the group
-    table, so an action that exists gives the Hopf *-automorphism
-    delta_h -> delta_perm[h] of C(G) that SmashProduct relies on.
+    Construction checks that perm is an involutive permutation, which the
+    product and star of SmashProduct's action groupoid need.  That it is an
+    automorphism is not checked: conjugation_action's is, as u ab u* =
+    (u a u*)(u b u*), and SmashProduct's axiom run rejects any other.
     """
 
     def __init__(self, group: FiniteMatrixGroup, unitary: Mat2,
@@ -209,10 +210,6 @@ class ConjugationAction:
             raise ActionError("action is not a permutation of the group")
         if [perm[perm[k]] for k in range(n)] != list(range(n)):
             raise ActionError("conjugation action is not an involution")
-        for a in range(n):
-            for b in range(n):
-                if perm[group.table[a][b]] != group.table[perm[a]][perm[b]]:
-                    raise ActionError("conjugation action is not an automorphism")
 
 
 def conjugation_action(group: FiniteMatrixGroup, u: Mat2) -> ConjugationAction:
@@ -243,8 +240,11 @@ class SmashProduct:
     lam^k, eps(delta_h lam^k) = [h = e] and S(delta_h lam^k) =
     delta_{theta^k(h^-1)} lam^k (Majid, Foundations of Quantum Group
     Theory, 1.6) have coefficients 0 and 1, and groupoid_hopf is verified
-    once, in integers, or AxiomFailure is raised.  The action is a Hopf
-    *-automorphism of C(G) by construction (see ConjugationAction).
+    once, in integers, or AxiomFailure is raised.  That run also proves the
+    action theta an automorphism of G: Delta(delta_a lam delta_theta(a) lam)
+    = Delta(delta_a), but the product of the two coproducts keeps only the
+    delta_x (x) delta_y with theta(x) theta(y) = theta(a), so for any other
+    involution coproduct_multiplicative fails, and the laws before it hold.
 
     hopf is the same structure on the blocks of block_basis, and
     function_hopf is C(G) on function_basis, each restricted from
@@ -443,21 +443,26 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     """Transport the ambient Hopf structure onto a multimatrix basis.
 
     basis_els[t], an element of the ambient algebra, plays the role of
-    target basis vector t.  With B the
-    inclusion of their span and L one exact left inverse of B, the coproduct
-    is (L (x) L) Delta B, the counit eps B and the antipode L S B.  The
-    transport is accepted only when B passes check_hopf_morphism, and
+    target basis vector t.  With B the inclusion of their span and L one
+    exact left inverse of B, the coproduct is (L (x) L) Delta B, the counit
+    eps B and the antipode L S B.  The transport is accepted only when B is
+    a *-bialgebra map (multiplicative, unital, star, comultiplicative), and
     SubalgebraError names the first failing check and its witness.
 
-    That check is the proof that the result is a Hopf *-algebra, so it is
-    not verified again.  B is injective, since L B = 1, and so are B (x) B
-    and B (x) B (x) B.  B is a unital *-algebra map with
-    (B (x) B) Delta' = Delta B, eps' = eps B and B S' = S B, so each Hopf
-    law of the result, applied through B, B (x) B or B (x) B (x) B, becomes
-    the same law of the verified ambient, and injectivity carries it back.
-    Cancellation follows from those laws (see verify_hopf_axioms).
-    Returns (hopf, solver): solver expresses ambient elements in the chosen
-    basis.
+    That is the proof that the result is a Hopf *-algebra, so it is not
+    verified again.  C = im B is then a sub-bialgebra of the verified
+    finite-dimensional ambient A, as Delta B = (B (x) B) Delta'.  Under
+    convolution, Hom(C, C) is a unital subalgebra of Hom(C, A), where id_C
+    has the inverse S|_C.  An inverse in a finite-dimensional algebra is a
+    polynomial in the element (read it off the minimal polynomial), so S
+    maps C into C, which B L fixes: B S' = B L S B = S B.  With eps' = eps B
+    by definition, a morphism's counit and antipode checks would compare
+    equal maps.  B is injective, since L B = 1, and so are B (x) B and
+    B (x) B (x) B, so each Hopf law of the result, applied through B,
+    B (x) B or B (x) B (x) B, becomes the same law of the verified ambient,
+    and injectivity carries it back.  Cancellation follows from those laws
+    (see verify_hopf_axioms).  Returns (hopf, solver): solver expresses
+    ambient elements in the chosen basis.
     """
     amb = ambient.algebra
     if any(x.parent != amb for x in basis_els):
@@ -480,7 +485,7 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     hopf = HopfAlgebra(target, tensor_compose(left, left, delta_b),
                        ambient.counit.compose(incl),
                        left.compose(ambient.antipode).compose(incl))
-    report = _morphism_report(incl, hopf, ambient, delta_b)
+    report = _bialgebra_map_report(incl, hopf, ambient, delta_b)
     if not report.passed:
         raise SubalgebraError(f"inclusion fails {report.first_failure()}")
     return hopf, solver

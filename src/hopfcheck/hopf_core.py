@@ -15,9 +15,9 @@ determines are accepted, since a bialgebra has at most one counit and one
 antipode, so a typo in a coproduct table cannot be papered over by a
 matching typo in the antipode.  verify_hopf_axioms checks them on every
 structure but the restricted ones (a function algebra, a graded twist, a
-crossed product's blocks): those are accepted when check_hopf_morphism
-passes their inclusion into the verified ambient, which holds their counit
-and antipode to the ambient's (see group_twist.subalgebra_hopf).
+crossed product's blocks): those are accepted when their inclusion into
+the verified ambient is a *-bialgebra map, which holds their counit and
+antipode to the ambient's (see group_twist.subalgebra_hopf).
 
 The coproduct and a Hopf *-morphism are unital *-algebra maps (A -> A (x) A
 and A -> B), and one routine checks that for both; the counit is checked
@@ -34,10 +34,10 @@ the rows of A (x) A in another order, the Kronecker order of the blocks.
 
 from __future__ import annotations
 
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 from .cyclotomic import Cyc, ONE, ZERO
-from .linalg import Vector, exact_rank, solve_unique
+from .linalg import Vector, solve_unique
 from .multimatrix import (SCALARS, AlgElement, Algebra, LinearMap,
                           MultiMatrixAlgebra, partners, tensor_algebra,
                           tensor_compose)
@@ -302,51 +302,41 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
     return rep
 
 
-Requirement = Literal["hom", "iso"]
+def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra,
+                        h2: HopfAlgebra) -> Report:
+    """Check that f is a morphism of Hopf *-algebras.
 
-
-def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
-                        require: Requirement = "hom") -> Report:
-    """Check that f is a morphism of Hopf *-algebras, plus rank conditions.
-
-    A failing check's witness names a basis element of h1, or for
-    surjective and injective the rank of the image, which is computed only
-    when require is "iso".  counit and antipode can fail first only when
-    an end is not a verified Hopf algebra: otherwise, once f passes
-    multiplicative, unital and comultiplicative, eps_2 f is a character
-    equal to its own convolution square, so eps_1 (characters form a
-    group), and f S_1 and S_2 f are a left and a right convolution inverse
-    of f, so equal.
+    A failing check's witness names a basis element of h1.  counit and
+    antipode can fail first only when an end is not a verified Hopf
+    algebra: otherwise, once f passes multiplicative, unital and
+    comultiplicative, eps_2 f is a character equal to its own convolution
+    square, so eps_1 (characters form a group), and f S_1 and S_2 f are a
+    left and a right convolution inverse of f, so equal.
     """
-    if require not in ("hom", "iso"):
-        raise ValueError(f"unknown requirement {require!r}")
     if f.source != h1.algebra or f.target != h2.algebra:
         raise ValueError("map endpoints do not match the Hopf algebras")
-    return _morphism_report(f, h1, h2, h2.coproduct.compose(f), require)
+    rep = _bialgebra_map_report(f, h1, h2, h2.coproduct.compose(f))
+    for name, lhs, rhs in (
+            ("counit", h2.counit.compose(f), h1.counit),
+            ("antipode", f.compose(h1.antipode), h2.antipode.compose(f))):
+        rep.record(name, lhs == rhs, _diff_witness(h1.algebra, lhs, rhs))
+    return rep
 
 
-def _morphism_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
-                     delta_f: LinearMap, require: Requirement = "hom",
-                     ) -> Report:
-    """check_hopf_morphism's checks, given delta_f = Delta_2 f, which a
-    caller that has already built it (group_twist.subalgebra_hopf) hands
-    over instead of composing it again."""
+def _bialgebra_map_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
+                          delta_f: LinearMap) -> Report:
+    """Record multiplicative, unital, star and comultiplicative: that f is
+    a unital *-algebra map with (f (x) f) Delta_1 = Delta_2 f, given
+    delta_f = Delta_2 f, which a caller that has already built it
+    (group_twist.subalgebra_hopf) hands over instead of composing it
+    again."""
     a1, a2 = h1.algebra, h2.algebra
     rep = Report()
     _star_algebra_map(rep, "", a1, a1.unit().coords, f.cols, partners(a2),
                       a2.star_index, a2.unit().coords)
-    for name, lhs, rhs in (
-            ("comultiplicative", tensor_compose(f, f, h1.coproduct), delta_f),
-            ("counit", h2.counit.compose(f), h1.counit),
-            ("antipode", f.compose(h1.antipode), h2.antipode.compose(f))):
-        rep.record(name, lhs == rhs, _diff_witness(a1, lhs, rhs))
-
-    if require == "iso":
-        rank = exact_rank(f.cols)
-        wit = (f"image has rank {rank}, source dimension {a1.dim}, target "
-               f"dimension {a2.dim}")
-        rep.record("surjective", rank == a2.dim, wit)
-        rep.record("injective", rank == a1.dim == a2.dim, wit)
+    lhs = tensor_compose(f, f, h1.coproduct)
+    rep.record("comultiplicative", lhs == delta_f,
+               _diff_witness(a1, lhs, delta_f))
     return rep
 
 

@@ -18,9 +18,10 @@ class Report:
     def passed(self) -> bool:
         return all(self.checks.values())
 
-    def first_failure(self) -> str:
-        """The first failing check's name, with its witness when it has
-        one; empty when every check passes."""
-        name = next((k for k, ok in self.checks.items() if not ok), "")
+    def first_failure(self, names: tuple[str, ...] = ()) -> str:
+        """The first failing check among names (all checks when none are
+        named), with its witness when it has one; empty when they pass."""
+        name = next((k for k in names or self.checks if not self.checks[k]),
+                    "")
         witness = self.witnesses.get(name)
         return f"{name}: {witness}" if witness else name

@@ -171,10 +171,6 @@ def test_big_f_symbol_is_a_scaled_bicharacter():
                     == HALF * ty.chi(u, v))
 
 
-def test_default_scale_constant():
-    assert ty.TAU == HALF
-
-
 def test_fusion_ring_match():
     assert ty.fusion_ring_match(kp_fusion_rules()).passed
 

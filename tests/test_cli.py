@@ -363,6 +363,13 @@ def test_verify_all_solves_each_intertwiner_space_once():
     assert code == 0 and len(seen) == 40
 
 
+def test_verify_all_builds_each_fusion_row_product_once():
+    # the fusion graph's five fund (x) x, one per row, kp_tensor_square's
+    # fund (x) fund and kp_fusion_rules' four x (x) fund
+    code, seen = spy_on_verify_all("corep", "tensor_corep", "0")
+    assert code == 0 and len(seen) == 10
+
+
 def test_verify_all_verifies_each_corepresentation_once():
     # the twist's fundamental in build_fundamental, and the five members of
     # the certificate; the fundamental's image under phi is verified there

@@ -95,10 +95,11 @@ def test_perturbed_kp_coproduct_fails():
 
 def test_identity_is_an_isomorphism():
     kp = build_kp().hopf
-    rep = check_hopf_morphism(LinearMap.identity(kp.algebra), kp, kp,
-                              require="iso")
+    ident = LinearMap.identity(kp.algebra)
+    rep = check_hopf_morphism(ident, kp, kp)
     assert rep.passed
     assert rep.checks["antipode"]
+    assert exact_rank(ident.cols) == kp.dim
 
 
 def test_identity_is_a_morphism_of_the_groupoid_structure():
@@ -113,15 +114,14 @@ def test_identity_is_a_morphism_of_the_groupoid_structure():
 
 def test_antipode_edit_fails_only_the_antipode_check():
     # the identity onto kp with one antipode column edited keeps every
-    # algebra, coalgebra and rank condition; only f S == S' f can fail
+    # algebra and coalgebra condition; only f S == S' f can fail
     kp = build_kp().hopf
     alg = kp.algebra
     cols = [dict(c) for c in kp.antipode.cols]
     cols[5][6] = cols[5].get(6, ZERO) + ONE
     edited = HopfAlgebra(alg, kp.coproduct, kp.counit,
                          LinearMap(alg, alg, cols))
-    rep = check_hopf_morphism(LinearMap.identity(alg), kp, edited,
-                              require="iso")
+    rep = check_hopf_morphism(LinearMap.identity(alg), kp, edited)
     assert [k for k, ok in rep.checks.items() if not ok] == ["antipode"]
     assert rep.witnesses == {"antipode": (
         f"images of {alg.basis_name(5)} differ: coefficient "
@@ -131,26 +131,13 @@ def test_antipode_edit_fails_only_the_antipode_check():
 
 def test_counit_section_is_a_hom_but_not_surjective():
     # x -> eps(x) 1 preserves every piece of structure yet collapses the
-    # algebra onto scalars, so only the rank requirement can reject it
+    # algebra onto scalars, so only a rank can reject it
     kp = build_kp().hopf
     unit = kp.algebra.unit()
     images = [unit.scale(kp.counit_value(b)) for b in kp.algebra.basis()]
     f = LinearMap.from_images(kp.algebra, images)
-    assert check_hopf_morphism(f, kp, kp, require="hom").passed
-    rep = check_hopf_morphism(f, kp, kp, require="iso")
-    assert not rep.passed
-    assert not rep.checks["surjective"] and not rep.checks["injective"]
-    assert rep.witnesses["surjective"] == (
-        "image has rank 1, source dimension 8, target dimension 8")
-    assert rep.witnesses["injective"] == rep.witnesses["surjective"]
-    assert set(rep.witnesses) == {"surjective", "injective"}
-
-
-def test_surjective_is_not_a_requirement():
-    kp = build_kp().hopf
-    ident = LinearMap.from_images(kp.algebra, kp.algebra.basis())
-    with pytest.raises(ValueError, match="unknown requirement 'surjective'"):
-        check_hopf_morphism(ident, kp, kp, require="surjective")
+    assert check_hopf_morphism(f, kp, kp).passed
+    assert exact_rank(f.cols) == 1
 
 
 def test_transpose_is_not_multiplicative():
@@ -178,7 +165,7 @@ def test_non_unitary_conjugation_is_not_a_star_map():
     rep = check_hopf_morphism(LinearMap.from_images(alg, images), kp, kp)
     assert rep.checks["multiplicative"] and rep.checks["unital"]
     assert rep.witnesses["star"] == "*-structure mismatch at m[0,1]"
-    # no rank is asked for, so none is computed
+    # a morphism check takes no rank
     assert "surjective" not in rep.checks
 
 

@@ -9,6 +9,7 @@ from hopfcheck import models
 from hopfcheck.group_twist import generate_group
 from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
     commutativity_flags, verify_hopf_axioms
+from hopfcheck.linalg import exact_rank
 from hopfcheck.models import (build_fundamental, build_kp,
                               build_phi_and_verify, build_smash,
                               build_vtilde, build_vtilde_twist,
@@ -256,7 +257,8 @@ def test_basis_order_does_not_matter(perm):
     kp = build_kp().hopf
     moved, fwd = permuted_model(perm)
     assert verify_hopf_axioms(moved).passed
-    assert check_hopf_morphism(fwd, moved, kp, require="iso").passed
+    assert check_hopf_morphism(fwd, moved, kp).passed
+    assert exact_rank(fwd.cols) == kp.dim
 
 
 def test_entered_table_mismatch_is_named(monkeypatch):

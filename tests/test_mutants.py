@@ -13,19 +13,20 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck import cli, models
+from hopfcheck import cli, hopf_core, models
 from hopfcheck.category_checks import ty
 from hopfcheck.corep import Corep, fusion_graph, verify_corep
 from hopfcheck.cyclotomic import Cyc, HALF, IM, INV_SQRT2, ONE, ZERO, ZETA
-from hopfcheck.group_twist import FiniteMatrixGroup, Mat2, block_basis
+from hopfcheck.group_twist import FiniteMatrixGroup, Mat2, SubalgebraError, \
+    block_basis, coset_basis, function_basis, subalgebra_hopf
 from hopfcheck.hopf_core import HopfAlgebra, Report, check_hopf_morphism, \
     hopf_from_dict, hopf_to_dict, verify_hopf_axioms
 from hopfcheck.linalg import left_inverse
 from hopfcheck.models import build_fundamental, build_kp, \
     build_phi_and_verify, build_smash, build_vtilde, build_vtilde_twist, \
     kp_fusion_graph, kp_fusion_rules, kp_tensor_square, star_shape_checks
-from hopfcheck.multimatrix import (SCALARS, LinearMap, MultiMatrixAlgebra,
-                                   tensor_compose)
+from hopfcheck.multimatrix import (SCALARS, AlgElement, LinearMap,
+                                   MultiMatrixAlgebra, tensor_compose)
 from test_hopf_core import assert_matches_reference, mutant
 
 
@@ -42,7 +43,7 @@ def test_every_phi_mutant_is_rejected_with_a_witness():
         v = cols[j].get(k, ZERO)
         cols[j][k] = v + ONE if mode == "plus" else (ZERO if v else ZETA)
         rep = check_hopf_morphism(LinearMap(phi.source, phi.target, cols),
-                                  tw, kp, require="iso")
+                                  tw, kp)
         failing = [name for name, ok in rep.checks.items() if not ok]
         assert failing and rep.witnesses.get(failing[0]), (j, k, mode)
         if len(failing) == 1:
@@ -136,6 +137,92 @@ def test_groupoid_basis_mutants_fail_as_their_block_transports():
         assert failing and rep.witnesses.get(failing[0]), (which, j, k)
         assert failing == [name for name, ok in blocks.checks.items()
                            if not ok], (which, j, k)
+
+
+TRANSPORT_CHECKS = ["multiplicative", "unital", "star", "comultiplicative"]
+
+
+def basis_mutant(rng, amb, basis):
+    """One seeded edit of a transport basis: a coefficient + 1 or zero <->
+    z, a basis vector delta_h lam^k in place of an element, an element plus
+    another, two elements swapped, an element times z, i or -1, an element
+    replaced by its star, or every element conjugated by a unitary
+    sum_h c_h delta_h with each c_h a power of i (the span stays a unital
+    *-subalgebra, but need not stay a subcoalgebra)."""
+    out = list(basis)
+    t, s = rng.sample(range(len(basis)), 2)
+    kind = rng.randrange(7)
+    if kind == 0:
+        c = rng.randrange(amb.dim)
+        coords = dict(basis[t].coords)
+        v = coords.get(c, ZERO)
+        coords[c] = v + ONE if rng.randrange(2) else (ZERO if v else ZETA)
+        out[t] = AlgElement(amb, coords)
+    elif kind == 1:
+        out[t] = AlgElement(amb, {rng.randrange(amb.dim): ONE})
+    elif kind == 2:
+        out[t] = basis[t] + basis[s]
+    elif kind == 3:
+        out[t], out[s] = basis[s], basis[t]
+    elif kind == 4:
+        out[t] = basis[t].scale(rng.choice((ZETA, IM, -ONE)))
+    elif kind == 5:
+        out[t] = basis[t].star()
+    else:
+        u = AlgElement(amb, {k: rng.choice((ONE, IM, -ONE, -IM))
+                             for k in amb.unit().coords})
+        out = [u * x * u.star() for x in basis]
+    return out
+
+
+def test_every_transport_mutant_fails_first_at_a_recorded_check(monkeypatch):
+    """The transport records the four *-bialgebra checks of its inclusion
+    only.  Seeded mutants of the order-8 coset, block and function bases are
+    either rejected, as linearly dependent or at one of those four checks
+    with its witness, or accepted; an accepted one passes every Hopf axiom,
+    and its inclusion passes the counit and antipode checks the transport
+    leaves out (see subalgebra_hopf)."""
+    sm = build_smash()
+    gh = sm.groupoid_hopf
+    amb = gh.algebra
+    reports = []
+
+    class Spy(Report):
+        def __init__(self):
+            super().__init__()
+            reports.append(self)
+
+    rng = random.Random(29)
+    tally = Counter()
+    for target, basis in (coset_basis(sm, build_vtilde().grading),
+                          block_basis(sm), function_basis(sm)):
+        for _ in range(80):
+            edited = basis_mutant(rng, amb, basis)
+            reports.clear()
+            with monkeypatch.context() as m:
+                m.setattr(hopf_core, "Report", Spy)
+                try:
+                    hopf = subalgebra_hopf(gh, edited, target)[0]
+                except SubalgebraError as exc:
+                    message = str(exc)
+                else:
+                    message = ""
+            if message == "chosen elements are not linearly independent":
+                assert reports == []
+                tally["dependent"] += 1
+                continue
+            assert [list(rep.checks) for rep in reports] == [TRANSPORT_CHECKS]
+            if message:
+                tally[first_failure(reports[0])] += 1
+                assert message == (
+                    f"inclusion fails {reports[0].first_failure()}")
+                continue
+            tally["accepted"] += 1
+            assert verify_hopf_axioms(hopf).passed
+            incl = LinearMap(target, amb, [x.coords for x in edited])
+            assert check_hopf_morphism(incl, hopf, gh).passed
+    assert tally["accepted"] and tally["multiplicative"], tally
+    assert tally["comultiplicative"], tally
 
 
 # recorded checks of verify_hopf_axioms that no structure has yet made the
@@ -408,15 +495,19 @@ PHI_OPEN = ("counit", "antipode", "injective")
 
 def test_every_phi_check_fails_first_or_is_open(monkeypatch):
     build_vtilde_twist()
-    caught = set()
+    caught = {}
     for first, attrs in phi_inputs().items():
         with monkeypatch.context() as m:
             for name, value in attrs.items():
                 m.setattr(models, name, value)
             rep = build_phi_and_verify.__wrapped__().report
         assert first_failure(rep) == first
-        caught.add(first)
+        caught[first] = rep
     assert_census(build_phi_and_verify().report.checks, caught, PHI_OPEN)
+    # the map x -> eps(x) 1 has rank 1; both rank checks give it
+    rank = caught["surjective"].witnesses
+    assert rank["surjective"] == rank["injective"] == (
+        "image has rank 1, source dimension 8, target dimension 8")
 
 
 def conjugated_group(w, w_inv):
@@ -573,11 +664,6 @@ def morphism_inputs():
     ident = LinearMap.identity(alg)
     phi = build_phi_and_verify().map
     tw = build_vtilde_twist().hopf
-    one = SCALARS.unit()
-    trivial = HopfAlgebra(SCALARS,
-                          LinearMap.from_images(SCALARS, [one.tensor(one)]),
-                          LinearMap.identity(SCALARS),
-                          LinearMap.identity(SCALARS))
     basis = alg.basis()
     swap = LinearMap.from_images(alg, [basis[0], basis[2], basis[1]]
                                  + basis[3:])
@@ -593,20 +679,14 @@ def morphism_inputs():
                                                           ONE))),
         "antipode": (ident, kp, kp._replace(antipode=edited(
             kp.antipode, 5, 6, kp.antipode.cols[5].get(6, ZERO) + ONE))),
-        # x -> eps(x) 1
-        "surjective": (LinearMap.from_images(alg, [
-            alg.unit().scale(kp.counit_value(b)) for b in alg.basis()]),
-            kp, kp),
-        # eps onto the one-dimensional Hopf algebra
-        "injective": (kp.counit, kp, trivial),
     }
 
 
 def test_every_morphism_check_fails_first_on_some_map():
     inputs = morphism_inputs()
-    assert {first: first_failure(check_hopf_morphism(*args, require="iso"))
+    assert {first: first_failure(check_hopf_morphism(*args))
             for first, args in inputs.items()} == {k: k for k in inputs}
     phi = build_phi_and_verify()
     assert_census(check_hopf_morphism(
-        phi.map, build_vtilde_twist().hopf, build_kp().hopf,
-        require="iso").checks, inputs, ())
+        phi.map, build_vtilde_twist().hopf, build_kp().hopf).checks,
+        inputs, ())
