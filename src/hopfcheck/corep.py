@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .cyclotomic import Cyc, ONE, ZERO
 from .hopf_core import HopfAlgebra, Report
-from .linalg import Vector, exact_nullspace
+from .linalg import Vector, axpy, exact_nullspace, sum_terms
 from .multimatrix import AlgElement
 
 
@@ -43,14 +43,17 @@ def verify_corep(u: Corep) -> Report:
     rep = Report()
     pairs = [(i, j) for i in range(n) for j in range(n)]
 
-    def tensor_sum(i: int, j: int) -> AlgElement:
-        got = h.coproduct.target.zero()
+    def tensor_sum(i: int, j: int) -> Vector:
+        # e_p (x) e_q sits at p * dim + q
+        acc: Vector = {}
         for k in range(n):
-            got = got + e[i][k].tensor(e[k][j])
-        return got
+            for p, x in e[i][k].coords.items():
+                axpy(acc, x, e[k][j].coords, p * alg.dim)
+        return acc
 
     wit = next((f"coproduct of entry ({i},{j}) is not sum_k u[{i}k] tensor u[k{j}]"
-                for i, j in pairs if tensor_sum(i, j) != h.coproduct(e[i][j])), "")
+                for i, j in pairs
+                if tensor_sum(i, j) != h.coproduct.apply_coords(e[i][j].coords)), "")
     rep.record("comultiplicative", not wit, wit)
 
     wit = next((f"counit of entry ({i},{j}) is not {ONE if i == j else ZERO}"
@@ -58,16 +61,15 @@ def verify_corep(u: Corep) -> Report:
                 if h.counit_value(e[i][j]) != (ONE if i == j else ZERO)), "")
     rep.record("counit", not wit, wit)
 
-    one, zero = alg.unit(), alg.zero()
+    unit, st = alg.unit().coords, [[x.star() for x in r] for r in e]
 
     def unitary_at(i: int, j: int) -> bool:
-        want = one if i == j else zero
-        left = alg.zero()
-        right = alg.zero()
+        left: Vector = {}
+        right: Vector = {}
         for k in range(n):
-            left = left + e[i][k] * e[j][k].star()
-            right = right + e[k][i].star() * e[k][j]
-        return left == want and right == want
+            axpy(left, ONE, (e[i][k] * st[j][k]).coords)
+            axpy(right, ONE, (st[k][i] * e[k][j]).coords)
+        return left == right == (unit if i == j else {})
 
     wit = next((f"unitarity fails at entry ({i},{j})"
                 for i, j in pairs if not unitary_at(i, j)), "")
@@ -96,18 +98,15 @@ def intertwiners(u: Corep, v: Corep) -> list[list[list[Cyc]]]:
     rows: list[Vector] = []
     for i in range(nv):
         for j in range(nu):
-            eq: dict[int, Vector] = {}
+            # per coordinate c: (T u)_ij - (v T)_ij, unknown T[a, b] at a * nu + b
+            eq: dict[int, list] = {}
             for k in range(nu):
                 for c, val in u.entries[k][j].coords.items():
-                    row = eq.setdefault(c, {})
-                    key = i * nu + k
-                    row[key] = row.get(key, ZERO) + val
+                    eq.setdefault(c, []).append((i * nu + k, val))
             for l in range(nv):
                 for c, val in v.entries[i][l].coords.items():
-                    row = eq.setdefault(c, {})
-                    key = l * nu + j
-                    row[key] = row.get(key, ZERO) - val
-            rows.extend(r for r in eq.values() if r)
+                    eq.setdefault(c, []).append((l * nu + j, -val))
+            rows.extend(r for t in eq.values() if (r := sum_terms(t)))
     basis = exact_nullspace(rows, nv * nu)
     out = []
     for vec in basis:

@@ -4,19 +4,19 @@ The algebra is a multimatrix or a groupoid algebra (multimatrix), read only
 through its basis table: a product of basis elements is one basis element
 or zero, and star permutes the basis.  A Hopf structure is a coproduct,
 counit and antipode as linear maps; every axiom is checked as an exact
-identity of sparse vectors, in integers when all coefficients are, and
-failures carry witnesses.  The counit and antipode are never entered by
-hand: they are solved for from the coproduct (entered tables), written in
-closed form from the group table (the crossed product of a function algebra
-by an order-2 action, group_twist), restricted from a verified ambient
-structure (group_twist.subalgebra_hopf), or read from a dump
-(hopf_from_dict).  Whatever the source, only the unique ones the coproduct
-determines are accepted, since a bialgebra has at most one counit and one
-antipode, so a typo in a coproduct table cannot be papered over by a
-matching typo in the antipode.  verify_hopf_axioms checks them on every
+identity of sparse vectors, summed by linalg.sum_terms, in integers when
+all coefficients are, and failures carry witnesses.  The counit and antipode
+are never entered by hand: they are solved for from the coproduct (entered
+tables), written in closed form from the group table (the crossed product
+of a function algebra by an order-2 action, group_twist), restricted from a
+verified ambient structure (group_twist.subalgebra_hopf), or read from a
+dump (hopf_from_dict).  Whatever the source, only the unique ones the
+coproduct determines are accepted, since a bialgebra has at most one counit
+and one antipode, so a typo in a coproduct table cannot be papered over by
+a matching typo in the antipode.  verify_hopf_axioms checks them on every
 structure but the restricted ones (a function algebra, a graded twist, a
-crossed product's blocks): those are accepted when their inclusion into
-the verified ambient is a *-bialgebra map, which holds their counit and
+crossed product's blocks): those are accepted when their inclusion into the
+verified ambient is a *-bialgebra map, which holds their counit and
 antipode to the ambient's (see group_twist.subalgebra_hopf).
 
 The coproduct and a Hopf *-morphism are unital *-algebra maps (A -> A (x) A
@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .cyclotomic import Cyc, ONE, ZERO
-from .linalg import Vector, solve_unique
+from .linalg import Vector, solve_unique, sum_terms
 from .multimatrix import (SCALARS, AlgElement, Algebra, LinearMap,
                           MultiMatrixAlgebra, partners, tensor_algebra,
                           tensor_compose)
@@ -68,15 +68,15 @@ def solve_counit_antipode(alg: Algebra, coproduct: LinearMap,
     n = alg.dim
 
     # counit: (eps tensor id) Delta == id gives, per source j and target q,
-    # sum_p Delta_j[p, q] eps_p == delta_{jq}
+    # sum_p Delta_j[p, q] eps_p == delta_{jq}; a column holds each (p, q)
+    # once, so each coefficient is one term
     rows: list[Vector] = []
     rhs: list[Cyc] = []
     for j in range(n):
         eq: dict[int, Vector] = {}
         for tindex, v in coproduct.cols[j].items():
             p, q = divmod(tindex, n)
-            row = eq.setdefault(q, {})
-            row[p] = row.get(p, ZERO) + v
+            eq.setdefault(q, {})[p] = v
         for q in range(n):
             rows.append(eq.get(q, {}))
             rhs.append(ONE if q == j else ZERO)
@@ -89,19 +89,15 @@ def solve_counit_antipode(alg: Algebra, coproduct: LinearMap,
     rows = []
     rhs = []
     for j in range(n):
-        eq = {}
+        terms: dict[int, list] = {}
         for tindex, v in coproduct.cols[j].items():
             p, q = divmod(tindex, n)
             for r in range(n):
-                t = alg.mul_basis(r, q)
-                if t is None:
-                    continue
-                row = eq.setdefault(t, {})
-                key = r * n + p
-                row[key] = row.get(key, ZERO) + v
+                if (t := alg.mul_basis(r, q)) is not None:
+                    terms.setdefault(t, []).append((r * n + p, v))
         ej = eps[j]
         for t in range(n):
-            row = eq.get(t, {})
+            row = sum_terms(terms.get(t, ()))
             b = ej * unit.get(t, ZERO) if ej else ZERO
             if not row and not b:
                 continue
@@ -159,8 +155,8 @@ def _star_algebra_map(rep: Report, prefix: str, alg, unit: Vector,
         want = imgs[r] if r is not None else {}
         if reach[p].isdisjoint(y):
             return bool(want)
-        return want != _sum_terms((m, v * w) for k, v in x.items()
-                                  for l, m in partners[k] if (w := y.get(l)))
+        return want != sum_terms((m, v * w) for k, v in x.items()
+                                 for l, m in partners[k] if (w := y.get(l)))
 
     wit = next((f"image of {alg.basis_name(p)} * {alg.basis_name(q)} is not "
                 "the product of images"
@@ -168,23 +164,14 @@ def _star_algebra_map(rep: Report, prefix: str, alg, unit: Vector,
                "")
     rep.record(f"{prefix}multiplicative", not wit, wit)
     rep.record(f"{prefix}unital",
-               _sum_terms((k, c * v) for u, c in unit.items()
-                          for k, v in imgs[u].items()) == tunit,
+               sum_terms((k, c * v) for u, c in unit.items()
+                         for k, v in imgs[u].items()) == tunit,
                "image of the unit is not the unit")
     wit = next((f"*-structure mismatch at {alg.basis_name(p)}"
                 for p in range(n)
                 if imgs[alg.star_index(p)]
                 != {star(k): _conj(v) for k, v in imgs[p].items()}), "")
     rep.record(f"{prefix}star", not wit, wit)
-
-
-def _sum_terms(terms) -> Vector:
-    """Sum (key, coefficient) pairs into a vector without zero entries."""
-    acc: Vector = {}
-    for k, v in terms:
-        old = acc.get(k)
-        acc[k] = v if old is None else old + v
-    return {k: v for k, v in acc.items() if v}
 
 
 def verify_hopf_axioms(h: HopfAlgebra) -> Report:
@@ -261,27 +248,27 @@ def verify_hopf_axioms(h: HopfAlgebra) -> Report:
         record(name, True)
 
     law("coassociative",
-        lambda j: _sum_terms(((a * n + b) * n + q, v * w)
-                             for p, q, v in terms[j] for a, b, w in terms[p]),
-        lambda j: _sum_terms(((p * n + a) * n + b, v * w)
-                             for p, q, v in terms[j] for a, b, w in terms[q]),
+        lambda j: sum_terms(((a * n + b) * n + q, v * w)
+                            for p, q, v in terms[j] for a, b, w in terms[p]),
+        lambda j: sum_terms(((p * n + a) * n + b, v * w)
+                            for p, q, v in terms[j] for a, b, w in terms[q]),
         lambda: tensor_algebra(tensor_algebra(alg, alg), alg))
 
     # k (x) A and A (x) k have the indices of A
     ident = [{j: one} for j in range(n)]
     law("counit_left",
-        lambda j: _sum_terms((q, v * eps[p]) for p, q, v in terms[j] if eps[p]),
+        lambda j: sum_terms((q, v * eps[p]) for p, q, v in terms[j] if eps[p]),
         ident.__getitem__, lambda: tensor_algebra(SCALARS, alg))
     law("counit_right",
-        lambda j: _sum_terms((p, v * eps[q]) for p, q, v in terms[j] if eps[q]),
+        lambda j: sum_terms((p, v * eps[q]) for p, q, v in terms[j] if eps[q]),
         ident.__getitem__, lambda: tensor_algebra(alg, SCALARS))
 
     eta_eps = [{t: eps[j] * u for t, u in unit.items()} if eps[j] else {}
                for j in range(n)]
     law("antipode_left",
-        lambda j: _sum_terms((t, v * s) for p, q, v in terms[j]
-                             for r, s in scols[p].items()
-                             if (t := mul(r, q)) is not None),
+        lambda j: sum_terms((t, v * s) for p, q, v in terms[j]
+                            for r, s in scols[p].items()
+                            if (t := mul(r, q)) is not None),
         eta_eps.__getitem__)
 
     # Delta is a unital *-algebra map, and eps is multiplicative
@@ -319,7 +306,8 @@ def check_hopf_morphism(f: LinearMap, h1: HopfAlgebra,
     for name, lhs, rhs in (
             ("counit", h2.counit.compose(f), h1.counit),
             ("antipode", f.compose(h1.antipode), h2.antipode.compose(f))):
-        rep.record(name, lhs == rhs, _diff_witness(h1.algebra, lhs, rhs))
+        wit = _diff_witness(h1.algebra, lhs, rhs)
+        rep.record(name, not wit, wit)
     return rep
 
 
@@ -334,9 +322,8 @@ def _bialgebra_map_report(f: LinearMap, h1: HopfAlgebra, h2: HopfAlgebra,
     rep = Report()
     _star_algebra_map(rep, "", a1, a1.unit().coords, f.cols, partners(a2),
                       a2.star_index, a2.unit().coords)
-    lhs = tensor_compose(f, f, h1.coproduct)
-    rep.record("comultiplicative", lhs == delta_f,
-               _diff_witness(a1, lhs, delta_f))
+    wit = _diff_witness(a1, tensor_compose(f, f, h1.coproduct), delta_f)
+    rep.record("comultiplicative", not wit, wit)
     return rep
 
 

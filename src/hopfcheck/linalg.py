@@ -1,7 +1,11 @@
 """Sparse exact linear algebra over Q(z).
 
-Vectors are dicts {index: Cyc} holding only nonzero entries; matrices are
-lists of such rows.  Solutions, ranks, nullspaces and left inverses all come
+Vectors are dicts {index: Cyc} holding only nonzero entries, a missing
+index meaning zero; matrices are lists of such rows.  This module owns that
+rule: every sum of vectors in the package goes through axpy (acc += c vec,
+in place) or sum_terms (a vector from (index, coefficient) pairs).  Neither
+leaves a zero entry or adds to a missing index, and axpy takes no product
+when c is one.  Solutions, ranks, nullspaces and left inverses all come
 from one exact Gauss-Jordan elimination over the field, pivoting on the
 lowest column.
 """
@@ -25,8 +29,37 @@ class NonUniqueSolution(LinAlgError):
     pass
 
 
+def axpy(acc: Vector, c: Cyc, vec: Vector, shift: int = 0) -> Vector:
+    """acc += c * vec in place, vec's index j landing at j + shift, and
+    return acc.  c is nonzero, vec has no zero entry and is not acc; no
+    product is taken when c is one."""
+    terms = vec.items() if c == ONE else ((j, c * v) for j, v in vec.items())
+    for j, v in terms:
+        j += shift
+        old = acc.get(j)
+        if old is None:
+            acc[j] = v
+        elif v := old + v:
+            acc[j] = v
+        else:
+            del acc[j]
+    return acc
+
+
+def sum_terms(terms) -> Vector:
+    """Sum (index, coefficient) pairs into a vector without zero entries;
+    coefficients may be Cyc or int."""
+    acc: Vector = {}
+    for k, v in terms:
+        old = acc.get(k)
+        acc[k] = v if old is None else old + v
+    return {k: v for k, v in acc.items() if v}
+
+
 def _eliminate(rows: list[Vector], track_aug: int | None = None):
-    """Incremental Gauss-Jordan.  Returns list of (pivot_col, row).
+    """Incremental Gauss-Jordan.  Returns list of (pivot_col, row), row
+    holding every entry of the reduced row but its pivot, which is one, so
+    eliminating a pivot takes no product and leaves no zero to remove.
 
     With track_aug set, that column index never hosts a pivot; a row that
     reduces to aug-only weight raises NoSolution.
@@ -35,31 +68,19 @@ def _eliminate(rows: list[Vector], track_aug: int | None = None):
     for row in rows:
         row = {j: v for j, v in row.items() if v}
         for pc, prow in reduced:
-            c = row.get(pc)
-            if c is not None:
-                for j, v in prow.items():
-                    nv = row.get(j, ZERO) - c * v
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
+            if (c := row.pop(pc, None)) is not None:
+                axpy(row, -c, prow)
         if not row:
             continue
         cand = [j for j in row if j != track_aug]
         if not cand:
             raise NoSolution("inconsistent system")
         pc = min(cand)
-        inv = row[pc].inv()
-        row = {j: v * inv for j, v in row.items()}
+        if (c := row.pop(pc)) != ONE:
+            row = axpy({}, c.inv(), row)
         for _, prow in reduced:
-            c = prow.get(pc)
-            if c is not None:
-                for j, v in row.items():
-                    nv = prow.get(j, ZERO) - c * v
-                    if nv:
-                        prow[j] = nv
-                    else:
-                        prow.pop(j, None)
+            if (c := prow.pop(pc, None)) is not None:
+                axpy(prow, -c, row)
         reduced.append((pc, row))
     return reduced
 

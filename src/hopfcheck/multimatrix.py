@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .cyclotomic import Cyc, ZERO, ONE
-from .linalg import Vector
+from .linalg import Vector, axpy, sum_terms
 
 Scalar = Cyc | int | Fraction
 
@@ -176,14 +176,8 @@ class AlgElement:
         # != compares block sizes only; the pointer compare settles most calls
         if other.parent is not self.parent and other.parent != self.parent:
             raise ValueError("operands lie in different algebras")
-        coords = dict(self.coords)
-        for p, v in other.coords.items():
-            nv = coords.get(p, ZERO) + v
-            if nv:
-                coords[p] = nv
-            else:
-                coords.pop(p, None)
-        return AlgElement(self.parent, coords)
+        return AlgElement(self.parent,
+                          axpy(dict(self.coords), ONE, other.coords))
 
     def __sub__(self, other: AlgElement) -> AlgElement:
         return self + (-other)
@@ -195,19 +189,16 @@ class AlgElement:
         c = _cyc(c)
         if not c:
             return AlgElement(self.parent, {})
-        return AlgElement(self.parent, {p: c * v for p, v in self.coords.items()})
+        return AlgElement(self.parent, axpy({}, c, self.coords))
 
     def __mul__(self, other: AlgElement) -> AlgElement:
         # != compares block sizes only; the pointer compare settles most calls
         if other.parent is not self.parent and other.parent != self.parent:
             raise ValueError("operands lie in different algebras")
-        part, y, acc = partners(self.parent), other.coords, {}
-        for p, x in self.coords.items():
-            for c, r in part[p]:
-                w = y.get(c)
-                if w is not None:
-                    acc[r] = acc[r] + x * w if r in acc else x * w
-        return AlgElement(self.parent, acc)
+        part, y = partners(self.parent), other.coords
+        return AlgElement(self.parent, sum_terms(
+            (r, x * w) for p, x in self.coords.items()
+            for c, r in part[p] if (w := y.get(c)) is not None))
 
     def star(self) -> AlgElement:
         alg = self.parent
@@ -215,11 +206,10 @@ class AlgElement:
                                 for p, v in self.coords.items()})
 
     def tensor(self, other: AlgElement) -> AlgElement:
-        ta = tensor_algebra(self.parent, other.parent)
-        nb = other.parent.dim
-        return AlgElement(ta, {p * nb + q: x * y
-                               for p, x in self.coords.items()
-                               for q, y in other.coords.items()})
+        acc: Vector = {}
+        for p, x in self.coords.items():
+            axpy(acc, x, other.coords, p * other.parent.dim)
+        return AlgElement(tensor_algebra(self.parent, other.parent), acc)
 
     def describe(self) -> str:
         if not self.coords:
@@ -316,12 +306,7 @@ class LinearMap:
     def apply_coords(self, vec: Vector) -> Vector:
         acc: Vector = {}
         for j, c in vec.items():
-            for p, v in self.cols[j].items():
-                nv = acc.get(p, ZERO) + c * v
-                if nv:
-                    acc[p] = nv
-                else:
-                    acc.pop(p, None)
+            axpy(acc, c, self.cols[j])
         return acc
 
     def __call__(self, x: AlgElement) -> AlgElement:
@@ -365,7 +350,8 @@ class LinearMap:
 
 def tensor_compose(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
     """(f tensor g) after h, applied to one column of h at a time, so that
-    f tensor g is never built."""
+    f tensor g is never built: a term v e_p (x) e_q adds x g(e_q), shifted
+    to r * dim(g.target), for each entry x at r of v f(e_p)."""
     tgt = tensor_algebra(f.target, g.target)
     nb, nt = g.source.dim, g.target.dim
     cols: list[Vector] = []
@@ -373,10 +359,8 @@ def tensor_compose(f: LinearMap, g: LinearMap, h: LinearMap) -> LinearMap:
         acc: Vector = {}
         for t, v in hcol.items():
             p, q = divmod(t, nb)
-            for r, x in f.cols[p].items():
-                vx, row = v * x, r * nt
-                for s, y in g.cols[q].items():
-                    acc[row + s] = acc.get(row + s, ZERO) + vx * y
+            for r, x in axpy({}, v, f.cols[p]).items():
+                axpy(acc, x, g.cols[q], r * nt)
         cols.append(acc)
     return LinearMap(h.source, tgt, cols)
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.cyclotomic import Cyc, IM, ONE, SQRT2, ZERO, ZETA
-from hopfcheck.linalg import (LinAlgError, NoSolution, NonUniqueSolution,
+from hopfcheck.cyclotomic import (HALF, IM, INV_SQRT2, ONE, SQRT2, ZERO, ZETA,
+                                  Cyc)
+from hopfcheck.linalg import (LinAlgError, NoSolution, NonUniqueSolution, axpy,
                               exact_nullspace, exact_rank, exact_solve_unique,
-                              left_inverse, solve_unique)
+                              left_inverse, solve_unique, sum_terms)
 
 
 def dense(*vals):
@@ -161,3 +162,69 @@ def test_solve_rank_and_left_inverse_agree(system):
                 for s, w in left[c].items():
                     image[s] = image.get(s, ZERO) + w * v
             assert {s: w for s, w in image.items() if w} == {t: ONE}
+
+
+# the sparse-vector kernel against a naive sum over every index
+COEFFS = st.sampled_from([ZERO, ONE, -ONE, HALF, -HALF, ZETA, IM * INV_SQRT2])
+SPARSE = st.dictionaries(st.integers(0, 7), COEFFS, max_size=6).map(
+    lambda d: {j: v for j, v in d.items() if v})
+
+
+@settings(max_examples=200)
+@given(SPARSE, COEFFS.filter(bool), SPARSE, st.sampled_from([0, 3, 8]))
+def test_axpy_matches_a_naive_sum(acc, c, vec, shift):
+    before, want = dict(vec), {}
+    for j in range(8 + shift):
+        v = acc.get(j, ZERO) + c * vec.get(j - shift, ZERO)
+        if v:
+            want[j] = v
+    out = axpy(acc, c, vec, shift)
+    assert out is acc and acc == want
+    assert all(acc.values()) and vec == before
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 5), COEFFS), max_size=10))
+def test_sum_terms_matches_a_naive_sum(terms):
+    want = {}
+    for k in range(6):
+        v = ZERO
+        for key, c in terms:
+            if key == k:
+                v = v + c
+        if v:
+            want[k] = v
+    assert sum_terms(terms) == want
+    assert sum_terms((k, int(c == ONE)) for k, c in terms) == {
+        k: n for k in range(6)
+        if (n := sum(1 for key, c in terms if key == k and c == ONE))}
+
+
+# systems whose pivots are already one, and the same rows scaled so that
+# every pivot has to be divided out: scaling rows keeps the row space and
+# with it the reduced echelon form, so every result is the same
+UNIT_PIVOTS = [dense(ONE, ZETA, ZERO, HALF), dense(ZERO, ONE, IM, ZERO),
+               dense(ZERO, ZERO, ONE, -ONE)]
+SCALES = [HALF, ZETA, -IM * SQRT2]
+
+
+def scaled(rows):
+    return [{j: s * v for j, v in row.items()} for s, row in zip(SCALES, rows)]
+
+
+def test_unit_pivots_give_the_results_of_scaled_rows():
+    z3 = Cyc((0, 0, 0, 1))
+    null = exact_nullspace(UNIT_PIVOTS, 4)
+    assert null == [{0: z3 - HALF, 1: -IM, 2: ONE, 3: ONE}]
+    assert null == exact_nullspace(scaled(UNIT_PIVOTS), 4)
+    square = [{j: v for j, v in row.items() if j < 3} for row in UNIT_PIVOTS]
+    rhs = [ONE, ZETA, -ONE]
+    x = solve_unique(square, rhs, 3)
+    assert x == [ONE - IM - z3, ZETA + IM, -ONE]
+    assert x == solve_unique(scaled(square),
+                             [s * b for s, b in zip(SCALES, rhs)], 3)
+    # columns scaled by s give the left inverse with rows divided by s
+    left = left_inverse(UNIT_PIVOTS, 4)
+    assert left == [{0: ONE, 1: -ZETA, 2: z3}, {1: ONE, 2: -IM}, {2: ONE}, {}]
+    assert left_inverse(scaled(UNIT_PIVOTS), 4) == [
+        {t: v * SCALES[t].inv() for t, v in col.items()} for col in left]

@@ -5,7 +5,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.cyclotomic import (HALF, IM, INV_SQRT2, ONE, ZERO, ZETA,
+from hopfcheck.cyclotomic import (HALF, IM, INV_SQRT2, ONE, ZERO, ZETA, Cyc,
                                   mat_mul)
 from hopfcheck.multimatrix import (SCALARS, AlgElement, GroupoidAlgebra,
                                    LinearMap, MultiMatrixAlgebra, partners,
@@ -310,3 +310,30 @@ def test_tensor_of_identities():
     ta = tensor_algebra(A, B)
     assert tensor_map(LinearMap.identity(A), LinearMap.identity(B)) \
         == LinearMap.identity(ta)
+
+
+def test_maps_take_no_product_by_one_and_no_sum_with_zero(monkeypatch):
+    """apply_coords and tensor_compose scale a column only by a coefficient
+    other than one (the scalar is a product's left operand), and add only
+    to an index that is present, so no sum has a zero operand."""
+    f = LinearMap.from_matrix(B, A, [[ONE, ZETA], [0, 0], [HALF, ONE],
+                                     [ONE, -IM], [0, ONE]])
+    g = LinearMap.from_matrix(B, C, [[ONE, ONE], [ZETA, 0], [0, HALF],
+                                     [-ONE, ONE]])
+    bb = tensor_algebra(B, B)
+    h = LinearMap.from_matrix(B, bb, [[ONE, ZETA], [HALF, ONE], [ONE, 0],
+                                      [-ONE, ONE]])
+    vec = {0: ONE, 1: ZETA}
+    want_vec = f.apply_coords(vec)
+    want_map = tensor_map(f, g).compose(h)
+    calls = []
+    for name in ("__mul__", "__add__"):
+        def spy(a, b, op=getattr(Cyc, name), name=name):
+            calls.append((name, a, b))
+            return op(a, b)
+        monkeypatch.setattr(Cyc, name, spy)
+    assert f.apply_coords(vec) == want_vec
+    assert tensor_compose(f, g, h) == want_map
+    assert [a for name, a, _ in calls if name == "__mul__" and a == ONE] == []
+    sums = [(a, b) for name, a, b in calls if name == "__add__"]
+    assert sums and all(a and b for a, b in sums)
