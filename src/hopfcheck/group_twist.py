@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .cyclotomic import Cyc, HALF, IM, ONE, is_unitary, mat_mul
 from .linalg import LinAlgError, left_inverse
-from .hopf_core import (HopfAlgebra, Report, _bialgebra_map_report,
+from .hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                         verify_hopf_axioms)
 from .multimatrix import (SCALARS, AlgElement, GroupoidAlgebra, LinearMap,
                           MultiMatrixAlgebra, Scalar, _cyc, tensor_algebra,
@@ -109,7 +109,11 @@ class FiniteMatrixGroup:
 
     Built only by generate_group, the breadth-first closure of its
     generators: element 0 is the identity, the generators come next, and
-    table[a][b] is the index of the product of elements a and b.
+    table[a][b] is the index of the product of elements a and b.  The
+    closure holds 1 and is closed under right multiplication by each
+    generator, so by its inverse, a power of it: it is the group G they
+    generate.  So table, G's Cayley table, is a Latin square without a
+    check, and inverse[a] is the one b with table[a][b] = 0.
     """
 
     identity_index = 0
@@ -120,11 +124,6 @@ class FiniteMatrixGroup:
             raise ValueError(f"{len(names)} names for {len(elements)} elements")
         self.elements, self.table, self.names = elements, table, names
         self.index = {m: k for k, m in enumerate(elements)}
-        # Latin square: rows and columns are permutations
-        full = set(range(len(elements)))
-        if any(set(r) != full for r in table) or any(
-                set(c) != full for c in zip(*table)):
-            raise GroupClosureError("multiplication table is not a Latin square")
         self.inverse = [r.index(0) for r in table]
 
     @property
@@ -445,9 +444,10 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     basis_els[t], an element of the ambient algebra, plays the role of
     target basis vector t.  With B the inclusion of their span and L one
     exact left inverse of B, the coproduct is (L (x) L) Delta B, the counit
-    eps B and the antipode L S B.  The transport is accepted only when B is
-    a *-bialgebra map (multiplicative, unital, star, comultiplicative), and
-    SubalgebraError names the first failing check and its witness.
+    eps B and the antipode L S B, with Delta B composed once.  The
+    transport is accepted only when B passes check_hopf_morphism, a
+    *-bialgebra map check, and SubalgebraError names the first failing
+    check and its witness.
 
     That is the proof that the result is a Hopf *-algebra, so it is not
     verified again.  C = im B is then a sub-bialgebra of the verified
@@ -456,11 +456,11 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     has the inverse S|_C.  An inverse in a finite-dimensional algebra is a
     polynomial in the element (read it off the minimal polynomial), so S
     maps C into C, which B L fixes: B S' = B L S B = S B.  With eps' = eps B
-    by definition, a morphism's counit and antipode checks would compare
-    equal maps.  B is injective, since L B = 1, and so are B (x) B and
-    B (x) B (x) B, so each Hopf law of the result, applied through B,
-    B (x) B or B (x) B (x) B, becomes the same law of the verified ambient,
-    and injectivity carries it back.  Cancellation follows from those laws
+    by definition, B preserves the counit and the antipode too.  B is
+    injective, since L B = 1, and so are B (x) B and B (x) B (x) B, so each
+    Hopf law of the result, applied through B, B (x) B or B (x) B (x) B,
+    becomes the same law of the verified ambient, and injectivity carries
+    it back.  Cancellation follows from those laws
     (see verify_hopf_axioms).  Returns (hopf, solver): solver expresses
     ambient elements in the chosen basis.
     """
@@ -485,7 +485,7 @@ def subalgebra_hopf(ambient: HopfAlgebra, basis_els: list[AlgElement],
     hopf = HopfAlgebra(target, tensor_compose(left, left, delta_b),
                        ambient.counit.compose(incl),
                        left.compose(ambient.antipode).compose(incl))
-    report = _bialgebra_map_report(incl, hopf, ambient, delta_b)
+    report = check_hopf_morphism(incl, hopf, ambient, delta_b)
     if not report.passed:
         raise SubalgebraError(f"inclusion fails {report.first_failure()}")
     return hopf, solver

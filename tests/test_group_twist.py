@@ -11,8 +11,7 @@ import pytest
 
 from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO, ZETA
 from hopfcheck.group_twist import (ActionError, AxiomFailure, CentralGrading,
-                                   ConjugationAction,
-                                   FiniteMatrixGroup, GradedTwist,
+                                   ConjugationAction, GradedTwist,
                                    GradingError, GroupClosureError, Mat2,
                                    SmashProduct, SubalgebraError,
                                    block_basis, conjugation_action, coset_basis,
@@ -406,12 +405,21 @@ def test_repeated_generators_cost_no_products(monkeypatch):
     assert count[0] == 0
 
 
-def test_latin_square_check_rejects_a_swapped_row():
-    g = generate_group([S1, S2], cap=8)
-    table = [list(r) for r in g.table]
-    table[1][2], table[1][3] = table[1][3], table[1][2]
-    with pytest.raises(GroupClosureError, match="not a Latin square"):
-        FiniteMatrixGroup(g.elements, table, g.names)
+def test_ladder_tables_are_latin_squares_with_inverses():
+    # no check guards a table (see FiniteMatrixGroup): on each rung of the
+    # twist ladder, up to MAX_GROUP_ORDER, rows and columns are permutations
+    # and inverse[a] is the inverse of element a
+    d = Mat2([[ZETA, ZERO], [ZERO, ZETA.conj()]])
+    zi = Mat2([[ZETA, ZERO], [ZERO, ZETA]])
+    for extra, order in (([], 8), ([IIM], 16), ([zi], 32), ([d], 48),
+                         ([d, IIM], 96), ([d, zi], 192)):
+        g = generate_group([S1, S2, *extra], cap=order)
+        full = list(range(order))
+        assert g.order == order
+        assert all(sorted(row) == full for row in g.table)
+        assert all(sorted(col) == full for col in zip(*g.table))
+        assert all(g.elements[a] * g.elements[g.inverse[a]] == I2
+                   for a in full)
 
 
 @pytest.mark.parametrize("s3, error, match", [

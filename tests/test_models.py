@@ -1,5 +1,6 @@
 """The two eight-dimensional models, their isomorphism, and their fusion."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO
 from hopfcheck import models
 from hopfcheck.group_twist import generate_group
-from hopfcheck.hopf_core import HopfAlgebra, check_hopf_morphism, \
-    commutativity_flags, verify_hopf_axioms
+from hopfcheck.hopf_core import HopfAlgebra, commutativity_flags, \
+    verify_hopf_axioms
 from hopfcheck.linalg import exact_rank
 from hopfcheck.models import (build_fundamental, build_kp,
                               build_phi_and_verify, build_smash,
@@ -16,7 +17,7 @@ from hopfcheck.models import (build_fundamental, build_kp,
                               kp_fusion_graph, kp_fusion_rules,
                               kp_tensor_square, star_shape_checks)
 from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra, tensor_map
-from test_hopf_core import cancellation_ranks
+from test_hopf_core import cancellation_ranks, check_morphism
 from test_multimatrix import decompose
 
 IHALF = IM * INV_SQRT2
@@ -118,7 +119,7 @@ def test_twist_odd_coproduct_display():
 def test_phi_is_an_isomorphism():
     phi = build_phi_and_verify()
     assert phi.report.passed
-    assert phi.report.checks["injective"]
+    assert phi.report.checks["surjective"]
     assert all(phi.report.checks[f"v_aligns_{w}_conjugator"]
                for w in ("alphap", "betap", "gammap"))
     tw = build_vtilde_twist()
@@ -257,7 +258,7 @@ def test_basis_order_does_not_matter(perm):
     kp = build_kp().hopf
     moved, fwd = permuted_model(perm)
     assert verify_hopf_axioms(moved).passed
-    assert check_hopf_morphism(fwd, moved, kp).passed
+    assert check_morphism(fwd, moved, kp).passed
     assert exact_rank(fwd.cols) == kp.dim
 
 
@@ -273,3 +274,15 @@ def test_entered_table_mismatch_is_named(monkeypatch):
             r"^coproduct differs from the entered table: images of alphap "
             r"differ: coefficient 1/2 vs -1/2 at m\[0,1\]\(x\)m\[0,1\]$")):
         build_vtilde_twist.__wrapped__()
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # README's example runs as written, and each print shows the value its
+    # comment names
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Typical library use:\n\n```python\n")[1]
+    block = block.split("```")[0]
+    exec(block, {})
+    comments = [line.split("# ")[1].split(":")[0]
+                for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == comments == ["True"] * 2
