@@ -15,17 +15,26 @@ import argparse
 import json
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
 from .cyclotomic import Cyc, HALF, ONE
 
 if TYPE_CHECKING:
+    from .models import Build
     from .report import Report
 
 
-class Context(NamedTuple):
-    model: dict | None
-    tau: Cyc
+class Context:
+    """One run's model file, scale and Build record (made on first use)."""
+
+    def __init__(self, model: dict | None, tau: Cyc) -> None:
+        self.model, self.tau = model, tau
+
+    @cached_property
+    def build(self) -> Build:
+        from .models import Build
+        return Build()
 
 
 class CheckSpec:
@@ -54,46 +63,41 @@ def _verdict(report: Report, pass_text: str,
 # the structure they return passes, so those checks have no failing branch
 
 def _run_kp_axioms(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    models.build_kp()
+    ctx.build.kp
     return True, "all Hopf *-algebra axioms hold on the direct model (dim 8)"
 
 
 def _run_kp_one_dim(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    return _verdict(models.kp_tensor_square().report,
+    return _verdict(ctx.build.tensor_square.report,
                     "exactly four group-like unitaries, forming the Klein "
                     "group, matching the entered list",
                     ("unit_is_first", "klein_squares"))
 
 
 def _run_kp_tensor_square(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    return _verdict(models.kp_tensor_square().report,
+    return _verdict(ctx.build.tensor_square.report,
                     "entered projections are an orthogonal rank-one "
                     "resolution and the fundamental's square splits "
                     "through them into the four lines")
 
 
 def _run_kp_fusion_graph(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    return _verdict(models.star_shape_checks(models.kp_fusion_graph()),
+    from .models import star_shape_checks
+    return _verdict(star_shape_checks(ctx.build.fusion_graph),
                     "fusion with the fundamental is the four-leaf star, "
                     "weights 2 inward and 1/2 outward")
 
 
 def _run_vtilde_group(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    models.build_vtilde()
+    ctx.build.vtilde
     return True, ("order-8 unitary matrix group with central grading "
                   "and order-2 conjugation action verified")
 
 
 def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
-    from . import models
     from .hopf_core import Report, commutativity_flags
     # function_hopf raises unless it restricts the verified crossed product
-    comm, cocomm, wit = commutativity_flags(models.build_smash().function_hopf)
+    comm, cocomm, wit = commutativity_flags(ctx.build.smash.function_hopf)
     report = Report()
     report.record("commutative", comm, wit.get("commutative", ""))
     report.record("noncocommutative", not cocomm,
@@ -103,22 +107,19 @@ def _run_vtilde_fa(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_smash_axioms(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    blocks = models.build_smash().hopf.algebra.block_sizes
+    blocks = ctx.build.smash.hopf.algebra.block_sizes
     return True, f"crossed product verified; blocks {blocks}"
 
 
 def _run_twist_axioms(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    return _verdict(models.build_vtilde_twist().report,
+    return _verdict(ctx.build.twist.report,
                     "twist verified on the dictionary basis; transported "
                     "coproduct reproduces the entered table exactly",
                     ("matches_coset_presentation",))
 
 
 def _run_twist_noncomm(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    return _verdict(models.build_vtilde_twist().report,
+    return _verdict(ctx.build.twist.report,
                     "e11 e21 == 0 while e21 e11 == e21; the coproduct "
                     "differs from its flip and matches the corrected "
                     "odd-part expansion",
@@ -126,15 +127,13 @@ def _run_twist_noncomm(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_twist_iso(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    return _verdict(models.build_phi_and_verify().report,
+    return _verdict(ctx.build.phi.report,
                     "base change is a Hopf *-isomorphism onto the direct "
                     "model and aligns the three coproduct conjugators")
 
 
 def _run_su2m1(ctx: Context) -> tuple[bool, str]:
-    from . import models
-    f = models.build_fundamental()
+    f = ctx.build.fundamental
     return _verdict(f.report, "entries satisfy the q == -1 special unitary "
                     f"relations and generate: word ranks {f.word_ranks}")
 
@@ -176,9 +175,8 @@ def _run_ty_pentagon_negative(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_ty_fusion_match(ctx: Context) -> tuple[bool, str]:
-    from . import models
     from .category_checks import ty
-    return _verdict(ty.fusion_ring_match(models.kp_fusion_rules()),
+    return _verdict(ty.fusion_ring_match(ctx.build.fusion_rules),
                     "fusion rules match; all 6 relabelings of the "
                     "nontrivial invertibles work")
 
@@ -290,16 +288,11 @@ REGISTRY: list[CheckSpec] = [
 _BY_ID = {spec.id: spec for spec in REGISTRY}
 
 
-def _models():
-    from . import models
-    return models
-
-
-_EXPORTS: dict[str, Callable[[], object]] = {
-    "kp": lambda: _models().build_kp().hopf,
-    "vtilde": lambda: _models().build_smash().function_hopf,
-    "vtilde-twist": lambda: _models().build_vtilde_twist().hopf,
-    "smash": lambda: _models().build_smash().hopf,
+_EXPORTS: dict[str, Callable[[Build], object]] = {
+    "kp": lambda b: b.kp.hopf,
+    "vtilde": lambda b: b.smash.function_hopf,
+    "vtilde-twist": lambda b: b.twist.hopf,
+    "smash": lambda b: b.smash.hopf,
 }
 
 
@@ -384,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "export":
         from .hopf_core import hopf_to_dict
-        data = hopf_to_dict(_EXPORTS[args.model_id]())
+        from .models import Build
+        data = hopf_to_dict(_EXPORTS[args.model_id](Build()))
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
         try:
             with open(args.path, "w", encoding="utf-8") as fh:

@@ -33,9 +33,10 @@ class Corep:
 
 
 def verify_corep(u: Corep) -> Report:
-    """Check that u is a unitary corepresentation.  counit can fail first
-    only when u.hopf is not a verified Hopf algebra: by its counit law,
-    comultiplicative gives u = eps(u) u, and a unitary u is invertible."""
+    """Check that u is a unitary corepresentation.  Over a verified Hopf
+    algebra comultiplicative gives u = eps(u) u, so eps(u) = 1 for an
+    invertible u; unitary proves u invertible but is checked after counit,
+    so counit fails first on a u that is not invertible, such as [[0]]."""
     h = u.hopf
     n = u.size
     alg = h.algebra

@@ -8,17 +8,18 @@ closed-form tables and machine-verified against each other:
     unitaries, presented on the basis dictated by the explicit dictionary
     between delta-function combinations and the direct model's basis.
 
-A builder raises when a structure that others build on fails (the direct
-model, the group, the crossed product, the twist and its entered coproduct
-table, compared coefficient-exactly), so a structure that comes back is a
-checked one.  Every further claim is recorded, with a witness where it
-fails, in the one Report of its record.
+Each builder takes what it builds on as arguments; a Build record holds one
+run's structures, each built once.  A builder raises when a structure that
+others build on fails (the direct model, the group, the crossed product,
+the twist and its entered coproduct table, compared coefficient-exactly),
+so a structure that comes back is a checked one.  Every further claim is
+recorded, with a witness where it fails, in the one Report of its record.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .corep import (Corep, FusionGraph, OneDimGroup, fusion_graph, hom_dim,
@@ -131,7 +132,6 @@ class KPModel(NamedTuple):
     handles: dict[str, AlgElement]
 
 
-@lru_cache(maxsize=None)
 def build_kp() -> KPModel:
     """The direct model on C^4 + M_2(C); raises if any axiom fails."""
     alg = MultiMatrixAlgebra((1, 1, 1, 1, 2),
@@ -150,25 +150,23 @@ def build_kp() -> KPModel:
 
 class VtildeModel(NamedTuple):
     """The order-8 group with its action and grading; its function
-    algebra is build_smash().function_hopf."""
+    algebra is build_smash(vtilde).function_hopf."""
     group: FiniteMatrixGroup
     action: ConjugationAction
     grading: CentralGrading
     indices: dict[str, int]
 
 
-@lru_cache(maxsize=None)
 def build_vtilde() -> VtildeModel:
     """The order-8 group of 2x2 unitaries with its grading and action.
 
     generate_group raises unless the named list is closed, and
     conjugation_action unless conjugating by U_ACT, which is multiplicative,
     permutes it and squares to one, so the report need not record four
-    claims.  s1 s2 = s3 and s2 s1 = -s3
-    give -I = (s2 s1)(s1 s2)^-1, so s1 and s2 generate all eight.  The
-    action fixes the scalar -I, the grading; it sends -s2 -> s1 (it is
-    involutive), so s2 = (-I)(-s2) -> -s1; and s1 -> -s2 != s1, so it has
-    order two.
+    claims.  s1 s2 = s3 and s2 s1 = -s3 give -I = (s2 s1)(s1 s2)^-1, so s1
+    and s2 generate all eight.  The action fixes the scalar -I, the grading;
+    it sends -s2 -> s1 (it is involutive), so s2 = (-I)(-s2) -> -s1; and
+    s1 -> -s2 != s1, so it has order two.
     """
     named = [("I", Mat2.identity()), ("-I", -Mat2.identity()),
              ("s1", S1), ("-s1", -S1), ("s2", S2), ("-s2", -S2),
@@ -193,10 +191,9 @@ def build_vtilde() -> VtildeModel:
     return VtildeModel(group, action, grading, idx)
 
 
-@lru_cache(maxsize=None)
-def build_smash() -> SmashProduct:
+def build_smash(vtilde: VtildeModel) -> SmashProduct:
     """Crossed product of the function algebra by the order-2 action."""
-    sm = SmashProduct(build_vtilde().action)
+    sm = SmashProduct(vtilde.action)
     if sorted(sm.hopf.algebra.block_sizes) != [1, 1, 1, 1, 2, 2, 2]:
         raise ModelMismatchError(
             f"crossed product has blocks {sm.hopf.algebra.block_sizes}, "
@@ -204,10 +201,10 @@ def build_smash() -> SmashProduct:
     return sm
 
 
-@lru_cache(maxsize=None)
-def build_coset_twist() -> list[AlgElement]:
+def build_coset_twist(smash: SmashProduct,
+                      vtilde: VtildeModel) -> list[AlgElement]:
     """The twist's generic coset-block basis, as crossed-product elements."""
-    return coset_basis(build_smash(), build_vtilde().grading)[1]
+    return coset_basis(smash, vtilde.grading)[1]
 
 
 class TwistModel(NamedTuple):
@@ -221,8 +218,8 @@ class TwistModel(NamedTuple):
     to_twist: Callable[[AlgElement], AlgElement]
 
 
-@lru_cache(maxsize=None)
-def build_vtilde_twist() -> TwistModel:
+def build_vtilde_twist(vtilde: VtildeModel, smash: SmashProduct,
+                       coset: list[AlgElement]) -> TwistModel:
     """The graded twist on the dictionary basis, checked against the table.
 
     The dictionary sends each basis vector of the direct model's shape to a
@@ -237,10 +234,8 @@ def build_vtilde_twist() -> TwistModel:
     The target is fixed, blocks (1, 1, 1, 1, 2) with its matrix units as
     handles, so it is noncommutative, e11 e21 == 0 and e21 e11 == e21.
     """
-    vt = build_vtilde()
-    sm = build_smash()
-    dl = sm.delta_lambda
-    ix = vt.indices
+    dl = smash.delta_lambda
+    ix = vtilde.indices
 
     def even(nm: str) -> AlgElement:
         return dl(ix[nm], 0) + dl(ix["-" + nm], 0)
@@ -262,7 +257,7 @@ def build_vtilde_twist() -> TwistModel:
     target = MultiMatrixAlgebra((1, 1, 1, 1, 2),
                                 labels=("eps", "alphap", "betap", "gammap", "m"))
     basis = [dictionary[n] for n in order]
-    hopf, solver = subalgebra_hopf(sm.groupoid_hopf, basis, target)
+    hopf, solver = subalgebra_hopf(smash.groupoid_hopf, basis, target)
     wit = _diff_witness(target, hopf.coproduct, _table_coproduct(
         target, _TWIST_QUADS, _TWIST_CONJUGATORS))
     if wit:
@@ -282,13 +277,13 @@ def build_vtilde_twist() -> TwistModel:
 
     # same subspace as the generic coset-block presentation: adding the
     # coset basis to the (independent) dictionary basis must not raise the rank
-    rank = exact_rank([x.coords for x in basis + build_coset_twist()])
+    rank = exact_rank([x.coords for x in basis + coset])
     report.record("matches_coset_presentation", rank == target.dim,
                   f"with the coset basis the rank is {rank}, not {target.dim}")
 
     report.record("noncocommutative", not commutativity_flags(hopf)[1],
                   "every coproduct column is flip-invariant")
-    return TwistModel(hopf, handles, dictionary, vt, sm, report, solver)
+    return TwistModel(hopf, handles, dictionary, vtilde, smash, report, solver)
 
 
 class PhiResult(NamedTuple):
@@ -296,8 +291,7 @@ class PhiResult(NamedTuple):
     report: Report
 
 
-@lru_cache(maxsize=None)
-def build_phi_and_verify() -> PhiResult:
+def build_phi_and_verify(twist: TwistModel, kp: KPModel) -> PhiResult:
     """The base-change isomorphism from the twist onto the direct model.
 
     Scalars map by a cyclic permutation (counital fixed, the other three
@@ -308,21 +302,19 @@ def build_phi_and_verify() -> PhiResult:
     once it passes check_hopf_morphism (see there); both have dimension 8,
     so phi is injective when it is surjective, the one rank check.
     """
-    tw = build_vtilde_twist()
-    kp = build_kp()
     kalg = kp.hopf.algebra
     images = [kp.handles["eps"], kp.handles["gamma"],
               kp.handles["alpha"], kp.handles["beta"]]
     for k in range(2):
         for l in range(2):
             images.append(conjugated_unit(kalg, V_CONJ, k, l))
-    phi = LinearMap.from_images(tw.hopf.algebra, images)
-    report = check_hopf_morphism(phi, tw.hopf, kp.hopf,
+    phi = LinearMap.from_images(twist.hopf.algebra, images)
+    report = check_hopf_morphism(phi, twist.hopf, kp.hopf,
                                  kp.hopf.coproduct.compose(phi))
     rank = exact_rank(phi.cols)
     report.record("surjective", rank == kp.hopf.dim,
-                  f"image has rank {rank}, source dimension {tw.hopf.dim}, "
-                  f"target dimension {kp.hopf.dim}")
+                  f"image has rank {rank}, source dimension "
+                  f"{twist.hopf.dim}, target dimension {kp.hopf.dim}")
     vs = V_CONJ.star()
     aligned = (("alphap", W_ALPHAP, U_GAMMA), ("betap", W_BETAP, U_ALPHA),
                ("gammap", W_GAMMAP, U_BETA))
@@ -339,8 +331,8 @@ class FundamentalResult(NamedTuple):
     word_ranks: list[tuple[int, int]]
 
 
-@lru_cache(maxsize=None)
-def build_fundamental() -> FundamentalResult:
+def build_fundamental(twist: TwistModel, phi: PhiResult,
+                      kp: KPModel) -> FundamentalResult:
     """The 2x2 corepresentation carried by the odd part of the twist.
 
     Entry (i, j) is the sum over the group of the (i, j) matrix entry times
@@ -360,9 +352,8 @@ def build_fundamental() -> FundamentalResult:
     a^* a + c^* c = 1 = a a^* + c c^*, and (U U^*)_11 = (U^* U)_22 gives
     c c^* = c^* c.
     """
-    tw = build_vtilde_twist()
-    sm = tw.smash
-    group = tw.vtilde.group
+    sm = twist.smash
+    group = twist.vtilde.group
     zero = AlgElement(sm.groupoid_hopf.algebra, {})
     raw = [[zero, zero], [zero, zero]]
     for k, h in enumerate(group.elements):
@@ -371,12 +362,12 @@ def build_fundamental() -> FundamentalResult:
             for j in range(2):
                 if h[i, j]:
                     raw[i][j] = raw[i][j] + lam.scale(h[i, j])
-    entries = [[tw.to_twist(x) for x in row] for row in raw]
-    uprime = Corep(tw.hopf, entries)
+    entries = [[twist.to_twist(x) for x in row] for row in raw]
+    uprime = Corep(twist.hopf, entries)
     report = verify_corep(uprime)
 
     a, b, c, d = entries[0][0], entries[0][1], entries[1][0], entries[1][1]
-    unit = tw.hopf.algebra.unit()
+    unit = twist.hopf.algebra.unit()
     report.record("star_11_22", d == a.star())
     report.record("star_12_21", b == c.star())
 
@@ -393,12 +384,10 @@ def build_fundamental() -> FundamentalResult:
             break
     else:
         raise ModelMismatchError("word span did not stabilize by length 8")
-    report.record("surjective", rank == tw.hopf.dim,
+    report.record("surjective", rank == twist.hopf.dim,
                   f"the words reach rank {rank}, not the dimension "
-                  f"{tw.hopf.dim}")
+                  f"{twist.hopf.dim}")
 
-    phi = build_phi_and_verify()
-    kp = build_kp()
     ukp = Corep(kp.hopf, [[phi.map(x) for x in row] for row in entries])
     (a, b), (c, d) = ukp.entries
     report.record("image_star_11_22", d == a.star())
@@ -423,8 +412,7 @@ class TensorSquareResult(NamedTuple):
     report: Report
 
 
-@lru_cache(maxsize=None)
-def kp_tensor_square() -> TensorSquareResult:
+def kp_tensor_square(kp: KPModel, fund: Corep) -> TensorSquareResult:
     """Decomposition of the fundamental's tensor square into four lines.
 
     The four entered projections must have trace one, and U (x) U must
@@ -444,7 +432,6 @@ def kp_tensor_square() -> TensorSquareResult:
     them, so they are the certified group; and with u_0 = 1 and
     u_k u_k = 1, u_1 u_3 is a group-like other than 1, u_1 and u_3: u_2.
     """
-    kp = build_kp()
     hnd = kp.handles
     unit = kp.hopf.algebra.unit()
     diag = {(s1, s2): hnd["e11"].scale(Cyc.from_rational(s1))
@@ -463,7 +450,6 @@ def kp_tensor_square() -> TensorSquareResult:
     report.record("unit_is_first", printed[0] == unit)
     report.record("klein_squares", all(g * g == unit for g in printed))
 
-    fund = build_fundamental().ukp
     found = one_dim_group([Corep(kp.hopf, [[g]]) for g in printed] + [fund])
 
     def summed(r: int, s: int) -> AlgElement:
@@ -481,11 +467,11 @@ def kp_tensor_square() -> TensorSquareResult:
     return TensorSquareResult(projections, found, printed, report)
 
 
-@lru_cache(maxsize=None)
-def kp_fusion_graph() -> FusionGraph:
+def kp_fusion_graph(fund: Corep,
+                    tensor_square: TensorSquareResult) -> FusionGraph:
     """Multiplicity graph of tensoring with the fundamental, over the
     vertices u1, u2, u3, u4 (the entered lines) and fund."""
-    return fusion_graph(build_fundamental().ukp, kp_tensor_square().group)
+    return fusion_graph(fund, tensor_square.group)
 
 
 def star_shape_checks(graph: FusionGraph) -> Report:
@@ -507,7 +493,8 @@ def star_shape_checks(graph: FusionGraph) -> Report:
     return report
 
 
-def kp_fusion_rules() -> dict:
+def kp_fusion_rules(tensor_square: TensorSquareResult,
+                    graph: FusionGraph) -> dict:
     """Fusion data of the direct model, for comparing against a fusion ring.
 
     Returns the group table of the four lines (in the entered order), and
@@ -515,11 +502,11 @@ def kp_fusion_rules() -> dict:
     and of everything in the fundamental's square; all but line (x) fund
     are read off the fusion graph, whose row x counts fund (x) x.
     """
-    ts = kp_tensor_square()
     # the four lines and the fundamental, as one_dim_group certified them
-    *lines, fund = ts.group.irreps
-    mult = kp_fusion_graph().multiplicities
-    table = [[ts.printed.index(x * y) for y in ts.printed] for x in ts.printed]
+    *lines, fund = tensor_square.group.irreps
+    mult = graph.multiplicities
+    printed = tensor_square.printed
+    table = [[printed.index(x * y) for y in printed] for x in printed]
     return {
         "table": table,
         "fund_after_line": [hom_dim(fund, tensor_corep(x, fund))
@@ -528,3 +515,21 @@ def kp_fusion_rules() -> dict:
         "lines_in_square": [mult[4][i] for i in range(4)],
         "fund_in_square": mult[4][4],
     }
+
+
+class Build:
+    """One run's structures: each property calls its builder (looked up in
+    this module when first read) on the properties it builds on, once."""
+
+    kp = cached_property(lambda b: build_kp())
+    vtilde = cached_property(lambda b: build_vtilde())
+    smash = cached_property(lambda b: build_smash(b.vtilde))
+    coset = cached_property(lambda b: build_coset_twist(b.smash, b.vtilde))
+    twist = cached_property(lambda b: build_vtilde_twist(b.vtilde, b.smash, b.coset))
+    phi = cached_property(lambda b: build_phi_and_verify(b.twist, b.kp))
+    fundamental = cached_property(lambda b: build_fundamental(b.twist, b.phi, b.kp))
+    tensor_square = cached_property(lambda b: kp_tensor_square(b.kp, b.fundamental.ukp))
+    fusion_graph = cached_property(
+        lambda b: kp_fusion_graph(b.fundamental.ukp, b.tensor_square))
+    fusion_rules = cached_property(
+        lambda b: kp_fusion_rules(b.tensor_square, b.fusion_graph))

@@ -9,14 +9,12 @@ from hopfcheck.category_checks import modcat, ty
 from hopfcheck.cyclotomic import HALF, ONE, ZERO, mat_mul
 from hopfcheck.hopf_core import commutativity_flags, hopf_from_dict, \
     verify_hopf_axioms
-from hopfcheck.models import (build_fundamental, build_kp,
-                              build_phi_and_verify, build_vtilde_twist,
-                              kp_fusion_graph, kp_fusion_rules,
-                              kp_tensor_square, star_shape_checks)
+from hopfcheck.models import Build, star_shape_checks
 from test_hopf_core import cancellation_ranks
 from test_multimatrix import flip_map
 
 HERE = pathlib.Path(__file__).parent
+BUILT = Build()
 
 
 def report(k, text):
@@ -24,7 +22,7 @@ def report(k, text):
 
 
 def test_criterion_1_direct_model_axioms():
-    kp = build_kp()
+    kp = BUILT.kp
     rep = verify_hopf_axioms(kp.hopf)
     assert rep.passed
     assert all(rep.checks.values())
@@ -35,7 +33,7 @@ def test_criterion_1_direct_model_axioms():
 
 
 def test_criterion_2_twist_flags_and_witnesses():
-    tw = build_vtilde_twist()
+    tw = BUILT.twist
     assert tw.hopf.dim == 8
     assert verify_hopf_axioms(tw.hopf).passed
     comm, cocomm, _ = commutativity_flags(tw.hopf)
@@ -58,7 +56,7 @@ def test_criterion_2_twist_flags_and_witnesses():
 
 
 def test_criterion_3_isomorphism():
-    phi = build_phi_and_verify()
+    phi = BUILT.phi
     assert phi.report.passed
     assert all(phi.report.checks.values())
     assert len([k for k in phi.report.checks if k.startswith("v_aligns_")]) == 3
@@ -67,7 +65,7 @@ def test_criterion_3_isomorphism():
 
 
 def test_criterion_4_quotient_relations():
-    f = build_fundamental()
+    f = BUILT.fundamental
     assert f.report.checks["unitary"] and f.report.checks["comultiplicative"]
     assert f.report.checks["star_11_22"]
     assert f.report.checks["star_12_21"]
@@ -80,7 +78,7 @@ def test_criterion_4_quotient_relations():
 
 
 def test_criterion_5_one_dimensional_corepresentations():
-    ts = kp_tensor_square()
+    ts = BUILT.tensor_square
     checks = ts.report.checks
     # the certificate verified each printed line as a unitary corepresentation
     assert [u.entries[0][0] for u in ts.group.irreps if u.size == 1] \
@@ -93,7 +91,7 @@ def test_criterion_5_one_dimensional_corepresentations():
 
 
 def test_criterion_6_tensor_square_and_fusion():
-    ts = kp_tensor_square()
+    ts = BUILT.tensor_square
     for key in ("projections_rank_one", "tensor_square_decomposes"):
         assert ts.report.checks[key]
     # the laws kp_tensor_square proves from the decomposition
@@ -106,7 +104,7 @@ def test_criterion_6_tensor_square_and_fusion():
     assert [[sum((p[i][j] for p in ps), ZERO) for j in range(4)]
             for i in range(4)] == [[ONE if i == j else ZERO for j in range(4)]
                                    for i in range(4)]
-    assert star_shape_checks(kp_fusion_graph()).passed
+    assert star_shape_checks(BUILT.fusion_graph).passed
     report(6, "tensor square of the fundamental splits through the four "
               "entered rank-one projections and the fusion graph is the "
               "four-leaf star")
@@ -117,7 +115,7 @@ def test_criterion_7_pentagon_and_fusion_ring():
     assert good.holds and good.quadruples == 625
     bad = ty.pentagon_report(ONE)
     assert not bad.holds
-    assert ty.fusion_ring_match(kp_fusion_rules()).passed
+    assert ty.fusion_ring_match(BUILT.fusion_rules).passed
     report(7, "pentagon holds exhaustively at scale 1/2, fails at scale 1, "
               "and the category's fusion ring matches the direct model's")
 

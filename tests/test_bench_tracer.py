@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,14 @@ def test_a_traced_verify_all_child_passes_the_gate(tmp_path, monkeypatch,
     verdict = run.check_verify_all(run.Child(child.returncode, child.stdout,
                                              0.0, 0.0))
     assert verdict == "", verdict + child.stderr
-    assert json.loads(trace.read_text())
+    data = json.loads(trace.read_text())
+    assert data
+    if mode == "full":
+        # the run's one record builds each structure once
+        builders = load_tracer().BUILDERS
+        spans = Counter(name for name, *_ in data["spans"])
+        assert {b: spans[f"models.{b}"] for b in builders} == dict.fromkeys(
+            builders, 1)
 
 
 def test_a_traced_category_child_runs(tmp_path, monkeypatch):

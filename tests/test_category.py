@@ -8,7 +8,9 @@ import pytest
 
 from hopfcheck.category_checks import modcat, ty
 from hopfcheck.cyclotomic import Cyc, HALF, ONE, ZERO, ZETA, is_unitary
-from hopfcheck.models import kp_fusion_rules
+from hopfcheck.models import Build
+
+BUILT = Build()
 
 
 def test_bicharacter():
@@ -172,11 +174,11 @@ def test_big_f_symbol_is_a_scaled_bicharacter():
 
 
 def test_fusion_ring_match():
-    assert ty.fusion_ring_match(kp_fusion_rules()).passed
+    assert ty.fusion_ring_match(BUILT.fusion_rules).passed
 
 
 def test_fusion_ring_mismatch_is_detected():
-    rules = kp_fusion_rules()
+    rules = BUILT.fusion_rules
     cyclic = {**rules, "table": [[0, 1, 2, 3], [1, 2, 3, 0],
                                  [2, 3, 0, 1], [3, 0, 1, 2]]}
     report = ty.fusion_ring_match(cyclic)

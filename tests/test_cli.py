@@ -19,6 +19,7 @@ SAMPLE_MODEL = "tests/data/sample_model.json"
 # at tau = 1/2 and -1/2, and the sha256 of each export dump
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_verify.json")
                     .read_text(encoding="utf-8"))
+BUILT = models.Build()
 
 
 def run(capsys, *argv):
@@ -236,6 +237,11 @@ def with_failure(report, name, witness):
     return out
 
 
+# the Build property that each patched builder builds
+BUILT_BY = {"build_phi_and_verify": "phi", "build_fundamental": "fundamental",
+            "kp_tensor_square": "tensor_square"}
+
+
 @pytest.mark.parametrize("check, builder, name, witness", [
     ("twist.iso-phi", "build_phi_and_verify", "v_aligns_betap_conjugator",
      "V W_betap V* is not the direct model's conjugator"),
@@ -247,9 +253,10 @@ def with_failure(report, name, witness):
 ])
 def test_a_failing_pass_expected_check_names_it(capsys, monkeypatch, check,
                                                  builder, name, witness):
-    record = getattr(models, builder)()
+    # each run builds afresh, through the module's builders
+    record = getattr(BUILT, BUILT_BY[builder])
     broken = record._replace(report=with_failure(record.report, name, witness))
-    monkeypatch.setattr(models, builder, lambda: broken)
+    monkeypatch.setattr(models, builder, lambda *inputs: broken)
     code, out, _ = run(capsys, "verify", "--check", check, "--json")
     assert code == 1
     result = json.loads(out)
@@ -260,10 +267,10 @@ def test_a_failing_pass_expected_check_names_it(capsys, monkeypatch, check,
 
 def test_a_check_reads_only_its_named_checks(capsys, monkeypatch):
     # kp.one-dim reads two of the tensor square's checks, not the split
-    ts = models.kp_tensor_square()
+    ts = BUILT.tensor_square
     broken = ts._replace(report=with_failure(
         ts.report, "tensor_square_decomposes", "entry (0, 1)"))
-    monkeypatch.setattr(models, "kp_tensor_square", lambda: broken)
+    monkeypatch.setattr(models, "kp_tensor_square", lambda *inputs: broken)
     code, out, _ = run(capsys, "verify", "--check", "kp.one-dim", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
@@ -272,8 +279,8 @@ def test_a_check_reads_only_its_named_checks(capsys, monkeypatch):
 def test_a_failing_function_algebra_names_its_witness(capsys, monkeypatch):
     # KP is noncommutative, so it fails in place of C(G) with the product
     # that commutativity_flags names
-    fake = types.SimpleNamespace(function_hopf=models.build_kp().hopf)
-    monkeypatch.setattr(models, "build_smash", lambda: fake)
+    fake = types.SimpleNamespace(function_hopf=BUILT.kp.hopf)
+    monkeypatch.setattr(models, "build_smash", lambda vtilde: fake)
     code, out, _ = run(capsys, "verify", "--check", "vtilde.function-algebra",
                        "--json")
     assert code == 1
@@ -281,6 +288,20 @@ def test_a_failing_function_algebra_names_its_witness(capsys, monkeypatch):
     assert result["verdict"] == "fail"
     assert result["witness"] == ("failing: commutative: m[0,0] * m[0,1] = "
                                  "m[0,1] but m[0,1] * m[0,0] = 0")
+
+
+def test_each_run_builds_from_the_current_tables(capsys, monkeypatch):
+    # no structure outlives its run: with W_alphap negated, the twist's
+    # entered table is unchanged (-W conjugates as W does), but phi's
+    # alignment of the alphap conjugator fails
+    assert run(capsys, "verify", "--check", "twist.iso-phi")[0] == 0
+    monkeypatch.setattr(models, "W_ALPHAP", -models.W_ALPHAP)
+    code, out, _ = run(capsys, "verify", "--check", "twist.iso-phi",
+                       "--json")
+    assert code == 1
+    assert json.loads(out)["witness"] == (
+        "failing: v_aligns_alphap_conjugator: V W_alphap V* is not the "
+        "direct model's conjugator")
 
 
 def test_export_round_trip(capsys, tmp_path):

@@ -8,8 +8,9 @@ from hopfcheck.corep import (Corep, hom_dim, intertwiners, one_dim_group,
 from hopfcheck.cyclotomic import ONE, ZERO
 from hopfcheck.group_twist import (Mat2, SmashProduct, conjugation_action,
                                    generate_group)
-from hopfcheck.models import build_fundamental, build_kp, kp_tensor_square
+from hopfcheck.models import Build
 
+BUILT = Build()
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 
 
@@ -19,7 +20,7 @@ def cyclic_function_hopf(order_matrix, cap):
 
 
 def test_verify_corep_on_the_fundamental():
-    f = build_fundamental()
+    f = BUILT.fundamental
     assert f.report.passed
     # the model's report holds uprime's checks; ukp is verified where used
     for rep in (f.report, verify_corep(f.ukp)):
@@ -29,15 +30,15 @@ def test_verify_corep_on_the_fundamental():
 
 
 def test_broken_corep_is_caught():
-    kp = build_kp()
-    u = build_fundamental().ukp
+    kp = BUILT.kp
+    u = BUILT.fundamental.ukp
     swapped = Corep(kp.hopf, [[u.entries[0][1], u.entries[0][0]],
                               [u.entries[1][1], u.entries[1][0]]])
     assert not verify_corep(swapped).passed
 
 
 def test_trivial_corep():
-    kp = build_kp()
+    kp = BUILT.kp
     triv = Corep(kp.hopf, [[kp.hopf.algebra.unit()]])
     rep = verify_corep(triv)
     assert rep.passed
@@ -45,17 +46,18 @@ def test_trivial_corep():
 
 
 def test_tensor_with_trivial_changes_nothing():
-    kp = build_kp()
-    u = build_fundamental().ukp
+    kp = BUILT.kp
+    u = BUILT.fundamental.ukp
     triv = Corep(kp.hopf, [[kp.hopf.algebra.unit()]])
     assert tensor_corep(triv, u).entries == u.entries
     assert tensor_corep(u, triv).entries == u.entries
 
 
 def test_irreducibility_of_the_fundamental():
-    u = build_fundamental().ukp
+    u = BUILT.fundamental.ukp
     assert hom_dim(u, u) == 1
-    lines = [Corep(build_kp().hopf, [[g]]) for g in kp_tensor_square().printed]
+    lines = [Corep(BUILT.kp.hopf, [[g]])
+             for g in BUILT.tensor_square.printed]
     for line in lines:
         assert hom_dim(line, u) == 0
         assert hom_dim(u, line) == 0
@@ -75,10 +77,10 @@ def test_one_dim_group_of_two_point_algebra():
 
 def test_one_dim_group_of_kp_is_klein():
     # certified from the four printed lines and the fundamental, unit first
-    ts = kp_tensor_square()
+    ts = BUILT.tensor_square
     found = ts.group
     assert found.elements == ts.printed
-    assert found.elements[0] == build_kp().hopf.algebra.unit()
+    assert found.elements[0] == BUILT.kp.hopf.algebra.unit()
     e = 0
     for a in range(4):
         assert found.table[a][a] == e
@@ -88,8 +90,9 @@ def test_one_dim_group_of_kp_is_klein():
 def refused_lists():
     # each list fails exactly one condition; the reducible member is a
     # unitary corep, so only its hom_dim refuses it
-    lines = [Corep(build_kp().hopf, [[g]]) for g in kp_tensor_square().printed]
-    f = build_fundamental()
+    lines = [Corep(BUILT.kp.hopf, [[g]])
+             for g in BUILT.tensor_square.printed]
+    f = BUILT.fundamental
     u = f.ukp
     g1, g2 = lines[1].entries[0][0], lines[2].entries[0][0]
     zero = g1.parent.zero()
@@ -119,7 +122,7 @@ def test_one_dim_group_refuses_an_uncertified_list(case):
 def test_coreps_of_two_hopf_structures_do_not_mix():
     # the twist and the direct model share their block sizes (1,1,1,1,2)
     # but not their coproduct
-    f = build_fundamental()
+    f = BUILT.fundamental
     assert f.uprime.hopf.algebra == f.ukp.hopf.algebra
     with pytest.raises(ValueError, match="same Hopf algebra"):
         tensor_corep(f.uprime, f.ukp)
@@ -130,15 +133,14 @@ def test_coreps_of_two_hopf_structures_do_not_mix():
 
 
 def test_fusion_graph_labels_and_flags():
-    from hopfcheck.models import kp_fusion_graph
-    g = kp_fusion_graph()
+    g = BUILT.fusion_graph
     # the vertices u1 .. u4 are the entered lines, then the fundamental
-    ts = kp_tensor_square()
+    ts = BUILT.tensor_square
     assert [u.entries for u in ts.group.irreps] == [
-        [[x]] for x in ts.printed] + [build_fundamental().ukp.entries]
+        [[x]] for x in ts.printed] + [BUILT.fundamental.ukp.entries]
     # complete and irreducible: the graph's vertices are the certified list
-    irreps = kp_tensor_square().group.irreps
-    assert sum(d * d for d in g.dims) == build_kp().hopf.dim
+    irreps = BUILT.tensor_square.group.irreps
+    assert sum(d * d for d in g.dims) == BUILT.kp.hopf.dim
     assert [u.size for u in irreps] == g.dims
     assert all(hom_dim(u, u) == 1 for u in irreps)
 
@@ -152,9 +154,9 @@ _WORDS = None
 def word_corpus():
     global _WORDS
     if _WORDS is None:
-        kp = build_kp()
-        lines = [Corep(kp.hopf, [[g]]) for g in kp_tensor_square().printed]
-        fund = build_fundamental().ukp
+        kp = BUILT.kp
+        lines = [Corep(kp.hopf, [[g]]) for g in BUILT.tensor_square.printed]
+        fund = BUILT.fundamental.ukp
         gens = lines + [fund]
         words = list(gens)
         for x in gens:

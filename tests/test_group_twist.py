@@ -21,10 +21,10 @@ from hopfcheck import linalg, models, multimatrix
 from hopfcheck.hopf_core import (HopfAlgebra, solve_counit_antipode,
                                  verify_hopf_axioms)
 from hopfcheck.linalg import exact_rank
-from hopfcheck.models import (S1, S2, S3, U_ACT, build_smash, build_vtilde,
-                              build_vtilde_twist)
+from hopfcheck.models import S1, S2, S3, U_ACT, Build
 from hopfcheck.multimatrix import AlgElement, LinearMap, MultiMatrixAlgebra
 
+BUILT = Build()
 I2 = Mat2([[ONE, ZERO], [ZERO, ONE]])
 ROT = Mat2([[ZERO, -ONE], [ONE, ZERO]])
 REFL = Mat2([[ONE, ZERO], [ZERO, -ONE]])
@@ -74,7 +74,7 @@ def test_the_largest_group_reaches_the_bound():
 
 
 def test_group_table_is_a_latin_square():
-    g = build_vtilde().group
+    g = BUILT.vtilde.group
     n = g.order
     for i in range(n):
         assert sorted(g.table[i]) == list(range(n))
@@ -82,7 +82,7 @@ def test_group_table_is_a_latin_square():
 
 
 def test_conjugation_action_rejections():
-    g = build_vtilde().group
+    g = BUILT.vtilde.group
     with pytest.raises(ActionError):
         conjugation_action(g, Mat2([[ZETA, ZERO], [ZERO, ONE]]))
     # the 45-degree rotation stabilizes the group but squares to an inner
@@ -93,7 +93,7 @@ def test_conjugation_action_rejections():
 
 
 def test_hand_made_action_is_checked_when_built():
-    vt = build_vtilde()
+    vt = BUILT.vtilde
     g, ix = vt.group, vt.indices
     swap = list(range(g.order))
     swap[ix["s1"]], swap[ix["I"]] = ix["I"], ix["s1"]
@@ -113,8 +113,8 @@ def test_hand_made_action_is_checked_when_built():
 
 
 def test_function_algebra_is_pointwise():
-    alg = build_smash().function_hopf.algebra
-    n = build_vtilde().group.order
+    alg = BUILT.smash.function_hopf.algebra
+    n = BUILT.vtilde.group.order
     delta = [alg.basis_element(k, 0, 0) for k in range(n)]
     for k in range(min(n, 3)):
         for l in range(n):
@@ -126,7 +126,7 @@ def test_function_algebra_is_pointwise():
 
 
 def test_smash_product_structure():
-    vt = build_vtilde()
+    vt = BUILT.vtilde
     sm = SmashProduct(vt.action)
     assert sorted(sm.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2, 2, 2]
     assert verify_hopf_axioms(sm.groupoid_hopf).passed
@@ -159,7 +159,7 @@ def test_smash_product_structure():
 def test_tables_of_a_crossed_product_go_with_it():
     # its tensor square, reverse index and product table are cached on the
     # groupoid algebra, so a process that builds many keeps none of them
-    sm = SmashProduct(build_vtilde().action)
+    sm = SmashProduct(BUILT.vtilde.action)
     unit = sm.groupoid_hopf.algebra.unit()
     assert unit * unit == unit and sm.hopf.algebra.dim == 16
     ref = weakref.ref(sm.groupoid_hopf.algebra)
@@ -169,7 +169,7 @@ def test_tables_of_a_crossed_product_go_with_it():
 
 
 def test_central_grading():
-    vt = build_vtilde()
+    vt = BUILT.vtilde
     g = vt.group
     grading = CentralGrading(g, vt.indices["-I"])
     assert not grading.is_trivial
@@ -189,7 +189,7 @@ def test_noncentral_involution_is_rejected():
 def test_trivial_grading_gives_back_the_function_algebra():
     # the trivial grading's twist is C(G), restricted from its crossed
     # product like every other twist, and its solver refuses the lam part
-    vt = build_vtilde()
+    vt = BUILT.vtilde
     tw = GradedTwist(CentralGrading(vt.group, vt.group.identity_index),
                      vt.action)
     assert isinstance(tw.smash, SmashProduct)
@@ -201,7 +201,7 @@ def test_trivial_grading_gives_back_the_function_algebra():
             tw.hopf.algebra.basis_element(h, 0, 0)
         with pytest.raises(SubalgebraError):
             tw.to_twist(tw.smash.delta_lambda(h, 1))
-    fa = build_smash().function_hopf
+    fa = BUILT.smash.function_hopf
     assert tw.hopf.algebra == fa.algebra
     for part in ("coproduct", "counit", "antipode"):
         assert getattr(tw.hopf, part).cols == getattr(fa, part).cols
@@ -212,7 +212,7 @@ def test_coset_twist_blocks_and_axioms():
     verifies none of them itself; every twist the library transports must
     pass them all here: the dictionary-basis and coset-basis order-8 twists,
     the order-16 twist of <S1, S2, iI> and the sample model's."""
-    vt = build_vtilde()
+    vt = BUILT.vtilde
     tw = GradedTwist(vt.grading, vt.action)
     assert sorted(tw.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2]
     group = generate_group([S1, S2, Mat2([[IM, ZERO], [ZERO, IM]])], cap=32)
@@ -220,14 +220,14 @@ def test_coset_twist_blocks_and_axioms():
     order16 = GradedTwist(CentralGrading(group, group.index[-I2]),
                           conjugation_action(group, U_ACT))
     assert sorted(order16.hopf.algebra.block_sizes) == [1] * 8 + [2, 2]
-    for hopf in (build_vtilde_twist().hopf, tw.hopf, order16.hopf,
+    for hopf in (BUILT.twist.hopf, tw.hopf, order16.hopf,
                  twist_from_model_dict(sample_model()).hopf):
         rep = verify_hopf_axioms(hopf)
         assert rep.passed, rep.first_failure()
 
 
 def test_solver_rejects_elements_outside_the_twist():
-    vt = build_vtilde()
+    vt = BUILT.vtilde
     tw = GradedTwist(vt.grading, vt.action)
     stray = tw.smash.delta_lambda(0, 1)    # a lone delta lam is not graded
     with pytest.raises(SubalgebraError):
@@ -235,7 +235,7 @@ def test_solver_rejects_elements_outside_the_twist():
 
 
 def test_transport_rejects_a_non_coalgebra_and_a_dependent_basis():
-    sm = build_smash()
+    sm = BUILT.smash
     gh = sm.groupoid_hopf
     d_e = sm.delta_lambda(sm.action.group.identity_index, 0)
     target = MultiMatrixAlgebra((1, 1))
@@ -251,7 +251,7 @@ def test_transport_rejects_a_non_coalgebra_and_a_dependent_basis():
 def test_transport_rejects_elements_of_another_algebra():
     # the blocks and sixteen 1x1 blocks share dimension 16 with delta_h
     # lam^k; coordinates of one algebra read in another prove nothing
-    sm = build_smash()
+    sm = BUILT.smash
     blocks = sm.hopf.algebra
     lines = MultiMatrixAlgebra((1,) * 16)
     one = MultiMatrixAlgebra((1,))
@@ -272,11 +272,11 @@ def test_coset_basis_mutants_are_rejected():
     zero <-> z) never pass the transport, and never crash it.  A block or
     function basis element is a single delta_h lam^k, which zero <-> z can
     make zero."""
-    sm = build_smash()
+    sm = BUILT.smash
     gh = sm.groupoid_hopf
     amb = gh.algebra
     for (target, basis), rejected in (
-            (coset_basis(sm, build_vtilde().grading), "^inclusion fails "),
+            (coset_basis(sm, BUILT.vtilde.grading), "^inclusion fails "),
             (block_basis(sm), "^(inclusion fails |chosen elements are not "
                               "linearly independent$)"),
             (function_basis(sm), "^(inclusion fails |chosen elements are not "
@@ -350,7 +350,7 @@ def test_elements_are_the_identity_then_the_generators():
 
 
 def test_vtilde_names_follow_the_named_matrices():
-    g = build_vtilde().group
+    g = BUILT.vtilde.group
     named = {"I": I2, "s1": S1, "s2": S2, "s3": S3}
     named.update({"-" + nm: -m for nm, m in named.items()})
     assert g.names == ["I", "-I", "s1", "-s1", "s2", "-s2", "s3", "-s3"]
@@ -431,11 +431,11 @@ def test_vtilde_rejects_a_wrong_named_list(monkeypatch, s3, error, match):
     # +-S1 twice, so its closure is not the named list in order
     monkeypatch.setattr(models, "S3", s3)
     with pytest.raises(error, match=match):
-        build_vtilde.__wrapped__()
+        models.build_vtilde()
 
 
 @pytest.mark.parametrize("build", [
-    build_smash, lambda: twist_from_model_dict(sample_model()).smash,
+    lambda: BUILT.smash, lambda: twist_from_model_dict(sample_model()).smash,
 ], ids=["order-8", "sample-model"])
 def test_closed_forms_are_the_solved_maps(build):
     sm = build()
@@ -446,7 +446,7 @@ def test_closed_forms_are_the_solved_maps(build):
 
 
 def test_wrong_closed_form_antipode_is_caught(monkeypatch):
-    h = build_smash().hopf
+    h = BUILT.smash.hopf
     alg = h.algebra
     n = alg.dim
     cols = list(h.antipode.cols)

@@ -14,10 +14,12 @@ from hopfcheck.hopf_core import (HopfAlgebra, Report, check_hopf_morphism,
                                  hopf_to_dict, solve_counit_antipode,
                                  verify_hopf_axioms)
 from hopfcheck.linalg import LinAlgError, exact_rank
-from hopfcheck.models import build_kp, build_smash
+from hopfcheck.models import Build
 from hopfcheck.multimatrix import (AlgElement, LinearMap, MultiMatrixAlgebra,
                                    tensor_algebra, tensor_map)
 from test_multimatrix import decompose
+
+BUILT = Build()
 
 
 def two_point_hopf():
@@ -44,7 +46,7 @@ def test_two_point_hopf_passes():
 
 
 def test_solved_maps_match_stored_ones():
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     counit, antipode = solve_counit_antipode(kp.algebra, kp.coproduct)
     assert counit == kp.counit
     assert antipode == kp.antipode
@@ -75,9 +77,9 @@ def test_perturbed_coproduct_fails_with_witness():
 
 
 def test_perturbed_kp_coproduct_fails():
-    kp = build_kp().hopf
-    alpha = build_kp().handles["alpha"]
-    eps = build_kp().handles["eps"]
+    kp = BUILT.kp.hopf
+    alpha = BUILT.kp.handles["alpha"]
+    eps = BUILT.kp.handles["eps"]
     cols = [dict(c) for c in kp.coproduct.cols]
     extra = eps.tensor(alpha)
     for t, v in extra.coords.items():
@@ -99,7 +101,7 @@ def check_morphism(f, h1, h2):
 
 
 def test_identity_is_an_isomorphism():
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     ident = LinearMap.identity(kp.algebra)
     rep = check_morphism(ident, kp, kp)
     assert rep.passed
@@ -109,7 +111,7 @@ def test_identity_is_an_isomorphism():
 def test_identity_is_a_morphism_of_the_groupoid_structure():
     # (f (x) f) Delta lands in the tensor square of a groupoid algebra,
     # which must be the same algebra as the target of Delta f
-    gh = build_smash().groupoid_hopf
+    gh = BUILT.smash.groupoid_hopf
     dlam = gh.algebra
     assert tensor_algebra(dlam, dlam) is gh.coproduct.target
     rep = check_morphism(LinearMap.identity(dlam), gh, gh)
@@ -119,7 +121,7 @@ def test_identity_is_a_morphism_of_the_groupoid_structure():
 def test_counit_section_is_a_hom_but_not_surjective():
     # x -> eps(x) 1 preserves every piece of structure yet collapses the
     # algebra onto scalars, so only a rank can reject it
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     unit = kp.algebra.unit()
     images = [unit.scale(kp.counit_value(b)) for b in kp.algebra.basis()]
     f = LinearMap.from_images(kp.algebra, images)
@@ -128,7 +130,7 @@ def test_counit_section_is_a_hom_but_not_surjective():
 
 
 def test_transpose_is_not_multiplicative():
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     alg = kp.algebra
     images = []
     for p in range(alg.dim):
@@ -142,7 +144,7 @@ def test_transpose_is_not_multiplicative():
 def test_non_unitary_conjugation_is_not_a_star_map():
     # conjugating the matrix block by diag(2, 1) is a unital algebra map
     # that sends e12 -> 2 e12 and e21 -> e21 / 2
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     alg = kp.algebra
     images = []
     for p in range(alg.dim):
@@ -157,7 +159,7 @@ def test_non_unitary_conjugation_is_not_a_star_map():
 
 
 def test_morphism_endpoint_mismatch():
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     other = MultiMatrixAlgebra((1, 1))
     with pytest.raises(ValueError, match="^map endpoints do not match"):
         check_hopf_morphism(LinearMap.identity(other), kp, kp, kp.coproduct)
@@ -167,7 +169,7 @@ def test_morphism_endpoint_mismatch():
 def test_serialization_round_trip(model_id):
     # a dump lists the tensor square's rows in the Kronecker block order;
     # smash's three 2x2 blocks would show a wrong row map
-    h = cli._EXPORTS[model_id]()
+    h = cli._EXPORTS[model_id](BUILT)
     back = hopf_from_dict(hopf_to_dict(h))
     assert back.algebra == h.algebra
     assert back.algebra.labels == h.algebra.labels
@@ -179,7 +181,7 @@ def test_serialization_round_trip(model_id):
 
 @pytest.mark.parametrize("name, row", [("counit", 0), ("antipode", 4)])
 def test_tampered_load_is_rejected(name, row):
-    data = hopf_to_dict(build_kp().hopf)
+    data = hopf_to_dict(BUILT.kp.hopf)
     data[f"{name}_matrix"][row][4] = ["7", "0", "0", "0"]
     with pytest.raises(ValueError, match=f"stored structure fails {name}_left"):
         hopf_from_dict(data)
@@ -233,7 +235,7 @@ def test_load_checks_shapes_before_building(monkeypatch):
 def test_dump_of_a_groupoid_structure_is_a_type_error():
     # a dump lists block sizes, which a groupoid algebra does not have
     with pytest.raises(TypeError, match="^a dump needs a multimatrix algebra"):
-        hopf_to_dict(build_smash().groupoid_hopf)
+        hopf_to_dict(BUILT.smash.groupoid_hopf)
 
 
 @pytest.mark.parametrize("model_id", sorted(cli._EXPORTS))
@@ -241,7 +243,7 @@ def test_coproduct_mutants_of_the_exports_are_rejected(model_id):
     # seeded single-coefficient edits of the stored coproduct: coefficient
     # + 1, or zero <-> z; several of them still admit a unique counit and
     # antipode equal to the stored ones, so only the axioms reject them
-    data = hopf_to_dict(cli._EXPORTS[model_id]())
+    data = hopf_to_dict(cli._EXPORTS[model_id](BUILT))
     rng = random.Random(model_id)
     mat = data["coproduct_matrix"]
     for _ in range(4):
@@ -259,7 +261,7 @@ def test_coproduct_mutants_of_the_exports_are_rejected(model_id):
 
 
 def test_commutativity_flags_on_kp():
-    comm, cocomm, wit = commutativity_flags(build_kp().hopf)
+    comm, cocomm, wit = commutativity_flags(BUILT.kp.hopf)
     assert not comm and not cocomm
     assert wit
 
@@ -267,7 +269,7 @@ def test_commutativity_flags_on_kp():
 def test_commutativity_flags_on_the_groupoid_structure():
     # read from the basis table alone, so a groupoid algebra has them too:
     # delta_s1 lam delta_s1 = 0, since the action moves s1
-    assert commutativity_flags(build_smash().groupoid_hopf) == (False, False, {
+    assert commutativity_flags(BUILT.smash.groupoid_hopf) == (False, False, {
         "commutative": "ds1 * ds1*lam = ds1*lam but ds1*lam * ds1 = 0",
         "cocommutative": "coproduct of ds1 is not flip-invariant"})
 
@@ -381,8 +383,8 @@ def assert_matches_reference(h):
     return rep
 
 
-@pytest.mark.parametrize("build", [lambda: build_kp().hopf,
-                                   lambda: build_smash().hopf])
+@pytest.mark.parametrize("build", [lambda: BUILT.kp.hopf,
+                                   lambda: BUILT.smash.hopf])
 def test_axioms_match_the_matrix_level_form(build):
     assert assert_matches_reference(build()).passed
 
@@ -409,7 +411,7 @@ def mutant(h, which, j, k, mode):
 def test_function_algebra_mutants_match_the_matrix_level_form(which, j, k,
                                                               mode):
     # + 1 keeps C(G) integral, so its laws run on ints; z makes them Q(z)
-    fa = build_smash().function_hopf
+    fa = BUILT.smash.function_hopf
     rep = assert_matches_reference(mutant(fa, which, j, k, mode))
     assert not rep.passed
     assert set(rep.witnesses) == {k for k, ok in rep.checks.items() if not ok}
@@ -418,7 +420,7 @@ def test_function_algebra_mutants_match_the_matrix_level_form(which, j, k,
 def test_integral_structures_do_no_q_z_arithmetic(monkeypatch):
     # every coefficient of C(G) and of the crossed product on its groupoid
     # basis is 0 or 1, so their laws run on ints
-    structures = [build_smash().function_hopf, build_smash().groupoid_hopf]
+    structures = [BUILT.smash.function_hopf, BUILT.smash.groupoid_hopf]
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         def counting(*args, op=getattr(Cyc, name)):
@@ -436,7 +438,7 @@ def test_integral_structures_do_no_q_z_arithmetic(monkeypatch):
 @st.composite
 def kp_mutants(draw):
     which = draw(st.sampled_from(["coproduct", "counit", "antipode"]))
-    f = getattr(build_kp().hopf, which)
+    f = getattr(BUILT.kp.hopf, which)
     return (which, draw(st.integers(0, f.source.dim - 1)),
             draw(st.integers(0, f.target.dim - 1)),
             draw(st.sampled_from(["plus", "swap"])))
@@ -451,6 +453,6 @@ def kp_mutants(draw):
 # the right reference rank alone falls, to 63
 @example(("coproduct", 4, 44, "swap"))
 def test_kp_mutants_match_the_matrix_level_form(m):
-    rep = assert_matches_reference(mutant(build_kp().hopf, *m))
+    rep = assert_matches_reference(mutant(BUILT.kp.hopf, *m))
     assert not rep.passed
     assert set(rep.witnesses) == {k for k, ok in rep.checks.items() if not ok}

@@ -11,20 +11,17 @@ from hopfcheck.group_twist import generate_group
 from hopfcheck.hopf_core import HopfAlgebra, commutativity_flags, \
     verify_hopf_axioms
 from hopfcheck.linalg import exact_rank
-from hopfcheck.models import (build_fundamental, build_kp,
-                              build_phi_and_verify, build_smash,
-                              build_vtilde, build_vtilde_twist,
-                              kp_fusion_graph, kp_fusion_rules,
-                              kp_tensor_square, star_shape_checks)
+from hopfcheck.models import Build, star_shape_checks
 from hopfcheck.multimatrix import LinearMap, MultiMatrixAlgebra, tensor_map
 from test_hopf_core import cancellation_ranks, check_morphism
 from test_multimatrix import decompose
 
+BUILT = Build()
 IHALF = IM * INV_SQRT2
 
 
 def test_kp_shape_and_axioms():
-    kp = build_kp()
+    kp = BUILT.kp
     assert kp.hopf.algebra.block_sizes == (1, 1, 1, 1, 2)
     assert verify_hopf_axioms(kp.hopf).passed
     assert cancellation_ranks(kp.hopf) == (64, 64)
@@ -35,27 +32,27 @@ def test_kp_shape_and_axioms():
 
 
 def test_kp_handle_arithmetic():
-    h = build_kp().handles
-    unit = build_kp().hopf.algebra.unit()
+    h = BUILT.kp.handles
+    unit = BUILT.kp.hopf.algebra.unit()
     assert h["eps"] + h["alpha"] + h["beta"] + h["gamma"] \
         + h["e11"] + h["e22"] == unit
-    assert h["alpha"] * h["beta"] == build_kp().hopf.algebra.zero()
+    assert h["alpha"] * h["beta"] == BUILT.kp.hopf.algebra.zero()
     assert h["e12"] * h["e21"] == h["e11"]
     assert h["e12"].star() == h["e21"]
 
 
 def test_kp_counit_and_antipode_on_lines():
-    kp = build_kp()
+    kp = BUILT.kp
     assert kp.hopf.counit_value(kp.handles["eps"]) == ONE
     for name in ("alpha", "beta", "gamma", "e11", "e12"):
         assert kp.hopf.counit_value(kp.handles[name]) == ZERO
-    for g in kp_tensor_square().printed:
+    for g in BUILT.tensor_square.printed:
         # each line squares to the unit, so it is its own antipode image
         assert kp.hopf.antipode(g) == g
 
 
 def test_vtilde_model_checks():
-    vt = build_vtilde()
+    vt = BUILT.vtilde
     assert vt.group.order == 8
     ix, perm = vt.indices, vt.action.perm
     # the action facts build_vtilde proves in its docstring
@@ -69,40 +66,39 @@ def test_vtilde_model_checks():
 
 
 def test_vtilde_function_algebra_flags():
-    comm, cocomm, _ = commutativity_flags(build_smash().function_hopf)
+    comm, cocomm, _ = commutativity_flags(BUILT.smash.function_hopf)
     assert comm and not cocomm
 
 
 def test_smash_blocks():
-    sm = build_smash()
+    sm = BUILT.smash
     assert sorted(sm.hopf.algebra.block_sizes) == [1, 1, 1, 1, 2, 2, 2]
     assert verify_hopf_axioms(sm.groupoid_hopf).passed
 
 
 def test_twist_model_checks():
-    tw = build_vtilde_twist()
+    tw = BUILT.twist
     assert tw.report.passed
     assert verify_hopf_axioms(tw.hopf).passed
     assert tw.hopf.algebra.block_sizes == (1, 1, 1, 1, 2)
 
 
-def test_coset_presentation_mismatch_is_detected(monkeypatch):
-    coset = list(models.build_coset_twist())
-    coset[0] = build_smash().delta_lambda(0, 1)    # not in the twist
-    monkeypatch.setattr(models, "build_coset_twist", lambda: coset)
-    tw = models.build_vtilde_twist.__wrapped__()
+def test_coset_presentation_mismatch_is_detected():
+    coset = list(BUILT.coset)
+    coset[0] = BUILT.smash.delta_lambda(0, 1)    # not in the twist
+    tw = models.build_vtilde_twist(BUILT.vtilde, BUILT.smash, coset)
     assert not tw.report.checks["matches_coset_presentation"]
-    assert build_vtilde_twist().report.checks["matches_coset_presentation"]
+    assert BUILT.twist.report.checks["matches_coset_presentation"]
 
 
 def test_twist_dictionary_aligns_with_handles():
-    tw = build_vtilde_twist()
+    tw = BUILT.twist
     for name, elt in tw.dictionary.items():
         assert tw.to_twist(elt) == tw.handles[name]
 
 
 def test_twist_noncommutativity_witnesses():
-    tw = build_vtilde_twist()
+    tw = BUILT.twist
     h = tw.handles
     zero = tw.hopf.algebra.zero()
     # even(s1) kills odd(s2) from the left but not from the right
@@ -113,17 +109,17 @@ def test_twist_noncommutativity_witnesses():
 
 
 def test_twist_odd_coproduct_display():
-    assert build_vtilde_twist().report.checks["odd_coproduct_display"]
+    assert BUILT.twist.report.checks["odd_coproduct_display"]
 
 
 def test_phi_is_an_isomorphism():
-    phi = build_phi_and_verify()
+    phi = BUILT.phi
     assert phi.report.passed
     assert phi.report.checks["surjective"]
     assert all(phi.report.checks[f"v_aligns_{w}_conjugator"]
                for w in ("alphap", "betap", "gammap"))
-    tw = build_vtilde_twist()
-    kp = build_kp()
+    tw = BUILT.twist
+    kp = BUILT.kp
     assert phi.map(tw.hopf.algebra.unit()) == kp.hopf.algebra.unit()
 
 
@@ -158,15 +154,15 @@ def expected_ukp(kp):
 
 
 def test_fundamental_matches_frozen_entries():
-    f = build_fundamental()
-    tw = build_vtilde_twist()
-    kp = build_kp()
+    f = BUILT.fundamental
+    tw = BUILT.twist
+    kp = BUILT.kp
     assert f.uprime.entries == expected_uprime(tw)
     assert f.ukp.entries == expected_ukp(kp)
 
 
 def test_fundamental_relations_and_span():
-    f = build_fundamental()
+    f = BUILT.fundamental
     assert f.report.passed
     assert f.word_ranks == [(0, 1), (1, 5), (2, 8), (3, 8)]
     assert f.report.checks["surjective"]
@@ -179,12 +175,12 @@ def test_fundamental_relations_and_span():
 
 
 def test_tensor_square_checks():
-    ts = kp_tensor_square()
+    ts = BUILT.tensor_square
     assert ts.report.passed
     assert list(ts.report.checks) == ["projections_rank_one", "unit_is_first",
                                       "klein_squares",
                                       "tensor_square_decomposes"]
-    unit = build_kp().hopf.algebra.unit()
+    unit = BUILT.kp.hopf.algebra.unit()
     assert ts.printed[0] == unit
     # trace of each projection is exactly one
     for p in ts.projections:
@@ -195,7 +191,7 @@ def test_tensor_square_checks():
 
 
 def test_one_dim_group_multiplication():
-    ts = kp_tensor_square()
+    ts = BUILT.tensor_square
     found = ts.group
     idx = [found.elements.index(g) for g in ts.printed]
     # the printed order is unit, then the three involutions; their products
@@ -206,7 +202,7 @@ def test_one_dim_group_multiplication():
 
 
 def test_fusion_graph_is_the_star():
-    g = kp_fusion_graph()
+    g = BUILT.fusion_graph
     assert star_shape_checks(g).passed
     assert g.multiplicities == [[0, 0, 0, 0, 1],
                                 [0, 0, 0, 0, 1],
@@ -222,7 +218,7 @@ def test_fusion_graph_is_the_star():
 
 
 def test_fusion_rules_export():
-    rules = kp_fusion_rules()
+    rules = BUILT.fusion_rules
     assert rules["table"] == [[0, 1, 2, 3], [1, 0, 3, 2],
                               [2, 3, 0, 1], [3, 2, 1, 0]]
     assert rules["fund_after_line"] == [1, 1, 1, 1]
@@ -233,7 +229,7 @@ def test_fusion_rules_export():
 
 def permuted_model(perm):
     """The direct model with its blocks listed in a different order."""
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     alg = kp.algebra
     inv = [0] * len(perm)
     for new, old in enumerate(perm):
@@ -255,7 +251,7 @@ def permuted_model(perm):
 @pytest.mark.parametrize("perm", [(3, 1, 2, 0, 4), (1, 2, 3, 0, 4),
                                   (4, 0, 1, 2, 3)])
 def test_basis_order_does_not_matter(perm):
-    kp = build_kp().hopf
+    kp = BUILT.kp.hopf
     moved, fwd = permuted_model(perm)
     assert verify_hopf_axioms(moved).passed
     assert check_morphism(fwd, moved, kp).passed
@@ -273,7 +269,7 @@ def test_entered_table_mismatch_is_named(monkeypatch):
     with pytest.raises(models.ModelMismatchError, match=(
             r"^coproduct differs from the entered table: images of alphap "
             r"differ: coefficient 1/2 vs -1/2 at m\[0,1\]\(x\)m\[0,1\]$")):
-        build_vtilde_twist.__wrapped__()
+        models.build_vtilde_twist(BUILT.vtilde, BUILT.smash, BUILT.coset)
 
 
 def test_readme_library_example_prints_its_comments(capsys):
