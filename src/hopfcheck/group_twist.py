@@ -12,7 +12,9 @@ delta_h lam^k it passes every axiom of verify_hopf_axioms, once, in integer
 arithmetic.  C(G) (its lam^0 part), its blocks and every twist are
 restrictions of that one structure, each accepted when its inclusion is a
 *-bialgebra map, which proves its axioms from the crossed product's (see
-SmashProduct and subalgebra_hopf).
+SmashProduct and subalgebra_hopf).  Both the crossed product and a twist
+split into matrix blocks by one rule, _orbit_blocks: the orbits of the
+Z/2 action, on G (block_basis) or on the cosets of <z> (coset_basis).
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ class SmashProduct:
     delta_x (x) delta_y with theta(x) theta(y) = theta(a), so for any other
     involution coproduct_multiplicative fails, and the laws before it hold.
 
-    hopf is the same structure on the blocks of block_basis, and
+    hopf is the same structure on its orbit blocks (block_basis), and
     function_hopf is C(G) on function_basis, each restricted from
     groupoid_hopf by subalgebra_hopf when it is first read; a twist
     restricts groupoid_hopf itself and builds neither.
@@ -295,32 +297,49 @@ class SmashProduct:
                           {2 * element_index + lam_power % 2: ONE})
 
 
+def _orbit_blocks(points: Sequence[int], image: Callable[[int], int],
+                  even: Callable[[int], AlgElement],
+                  odd: Callable[[int], AlgElement], names: Sequence[str],
+                  ) -> tuple[MultiMatrixAlgebra, list[AlgElement]]:
+    """The matrix blocks of the orbits of a Z/2 action on points, in order.
+
+    Each point p has an even part e = even(p), a projection, and an odd
+    part o = odd(p), with o o* = e and o* o = even(image(p)).  A fixed point
+    gives two 1x1 blocks p+- = (e +- c o)/2, where c = 1 when o* = o and
+    c = -i when o* = -o.  A 2-orbit {p, q}, p < q, gives at p one 2x2 block
+    with matrix units e(p), o(p), o(p)* and e(q), labelled m(p,q).
+    """
+    sizes: list[int] = []
+    labels: list[str] = []
+    basis_els: list[AlgElement] = []
+    for p in points:
+        q = image(p)
+        if q == p:
+            e, o = even(p), odd(p)
+            co = o if o.star() == o else o.scale(-IM)
+            sizes += [1, 1]
+            labels += [f"p+({names[p]})", f"p-({names[p]})"]
+            basis_els += [(e + co).scale(HALF), (e - co).scale(HALF)]
+        elif p < q:
+            o = odd(p)
+            sizes.append(2)
+            labels.append(f"m({names[p]},{names[q]})")
+            basis_els += [even(p), o, o.star(), even(q)]
+    return MultiMatrixAlgebra(sizes, labels), basis_els
+
+
 def block_basis(smash: SmashProduct,
                 ) -> tuple[MultiMatrixAlgebra, list[AlgElement]]:
     """The crossed product's block basis on delta_h lam^k, and its algebra.
 
-    A fixed point h gives two 1x1 blocks p+- = (delta_h +- delta_h lam)/2,
-    and these come first; a 2-orbit {a, b} with a < b gives one 2x2 block
-    with matrix units delta_a, delta_a lam, delta_b lam and delta_b.
+    The orbit blocks of the action on G, fixed points first, with e(h) =
+    delta_h and o(h) = delta_h lam: p+- = (delta_h +- delta_h lam)/2 for a
+    fixed h, and delta_a, delta_a lam, delta_b lam, delta_b for {a, b}.
     """
-    perm = smash.action.perm
-    names = smash.action.group.names
-    dl = smash.delta_lambda
-    sizes: list[int] = []
-    labels: list[str] = []
-    basis_els: list[AlgElement] = []
-    for h, image in enumerate(perm):
-        if image == h:
-            sizes += [1, 1]
-            labels += [f"p+({names[h]})", f"p-({names[h]})"]
-            basis_els += [(dl(h, 0) + dl(h, 1)).scale(HALF),
-                          (dl(h, 0) - dl(h, 1)).scale(HALF)]
-    for a, b in enumerate(perm):
-        if a < b:
-            sizes.append(2)
-            labels.append(f"m({names[a]},{names[b]})")
-            basis_els += [dl(a, 0), dl(a, 1), dl(b, 1), dl(b, 0)]
-    return MultiMatrixAlgebra(sizes, labels), basis_els
+    perm, dl = smash.action.perm, smash.delta_lambda
+    return _orbit_blocks(sorted(range(len(perm)), key=lambda h: perm[h] != h),
+                         perm.__getitem__, lambda h: dl(h, 0),
+                         lambda h: dl(h, 1), smash.action.group.names)
 
 
 def function_basis(smash: SmashProduct,
@@ -358,57 +377,18 @@ def coset_basis(smash: SmashProduct, grading: CentralGrading,
                 ) -> tuple[MultiMatrixAlgebra, list[AlgElement]]:
     """The twist's coset-block basis on delta_h lam^k, and its algebra.
 
-    The twist is spanned by even functions e_C = delta_h + delta_zh and odd
-    multiples o_C lam = (delta_h - delta_zh) lam.  Coset fixed pointwise by
-    the action: two 1x1 blocks (e_C +- o_C lam)/2.  Coset fixed with swapped
-    members: two 1x1 blocks (e_C -+ i o_C lam)/2.  A 2-orbit of cosets: one
-    2x2 block with e-parts on the diagonal and o_C lam off it.
+    The orbit blocks of the action on the cosets C = {a, za}, a < za, of
+    <z>, each point named by its a, in order: e_C = delta_a + delta_za and
+    o_C lam = (delta_a - delta_za) lam span the twist.  A coset fixed
+    pointwise has o_C lam self-adjoint, blocks (e_C +- o_C lam)/2; one with
+    swapped members has (o_C lam)* = -o_C lam, blocks (e_C -+ i o_C lam)/2.
     """
-    perm = smash.action.perm
-    names = smash.action.group.names
-    cosets = grading.cosets()
-    rep_of = {}
-    for idx, (a, b) in enumerate(cosets):
-        rep_of[a] = idx
-        rep_of[b] = idx
-
-    dl = smash.delta_lambda
-    def e_part(ci: int) -> AlgElement:
-        a, b = cosets[ci]
-        return dl(a, 0) + dl(b, 0)
-
-    def o_lam(ci: int) -> AlgElement:
-        a, b = cosets[ci]
-        return dl(a, 1) - dl(b, 1)
-
-    sizes: list[int] = []
-    labels: list[str] = []
-    basis_els: list[AlgElement] = []
-    seen: set[int] = set()
-    for ci, (a, b) in enumerate(cosets):
-        if ci in seen:
-            continue
-        seen.add(ci)
-        image = rep_of[perm[a]]
-        if image == ci:
-            if perm[a] == a:
-                kind = "fixed"
-                plus = (e_part(ci) + o_lam(ci)).scale(HALF)
-                minus = (e_part(ci) - o_lam(ci)).scale(HALF)
-            else:
-                kind = "swapped"
-                plus = (e_part(ci) - o_lam(ci).scale(IM)).scale(HALF)
-                minus = (e_part(ci) + o_lam(ci).scale(IM)).scale(HALF)
-            sizes += [1, 1]
-            labels += [f"{kind}+({names[a]})", f"{kind}-({names[a]})"]
-            basis_els += [plus, minus]
-        else:
-            seen.add(image)
-            sizes.append(2)
-            labels.append(f"m({names[a]},{names[cosets[image][0]]})")
-            x = o_lam(ci)
-            basis_els += [e_part(ci), x, x.star(), e_part(image)]
-    return MultiMatrixAlgebra(tuple(sizes), labels=tuple(labels)), basis_els
+    perm, zp, dl = smash.action.perm, grading.partner, smash.delta_lambda
+    return _orbit_blocks([a for a, _ in grading.cosets()],
+                         lambda a: min(perm[a], zp(perm[a])),
+                         lambda a: dl(a, 0) + dl(zp(a), 0),
+                         lambda a: dl(a, 1) - dl(zp(a), 1),
+                         smash.action.group.names)
 
 
 class GradedTwist:

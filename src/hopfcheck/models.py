@@ -497,18 +497,17 @@ def kp_fusion_rules(tensor_square: TensorSquareResult,
                     graph: FusionGraph) -> dict:
     """Fusion data of the direct model, for comparing against a fusion ring.
 
-    Returns the group table of the four lines (in the entered order), and
-    the multiplicities of the fundamental in its products with the lines
-    and of everything in the fundamental's square; all but line (x) fund
-    are read off the fusion graph, whose row x counts fund (x) x.
+    Returns the table of the group one_dim_group certified (the unit, then
+    the other entered lines in their order), and the multiplicities of the
+    fundamental in its products with the lines and of everything in the
+    fundamental's square; all but line (x) fund are read off the fusion
+    graph, whose row x counts fund (x) x.
     """
     # the four lines and the fundamental, as one_dim_group certified them
     *lines, fund = tensor_square.group.irreps
     mult = graph.multiplicities
-    printed = tensor_square.printed
-    table = [[printed.index(x * y) for y in printed] for x in printed]
     return {
-        "table": table,
+        "table": tensor_square.group.table,
         "fund_after_line": [hom_dim(fund, tensor_corep(x, fund))
                             for x in lines],
         "fund_before_line": [mult[i][4] for i in range(4)],

@@ -129,9 +129,10 @@ class GroupoidAlgebra(_BasisAlgebra):
     q do not compose; star_index(p) is the inverse arrow and units lists the
     identity arrows, whose sum is the unit.  The table is these functions,
     so a tensor product (the product groupoid's algebra, see tensor_algebra)
-    stores none; partners reads its product table off its factors'.  A multimatrix algebra is the algebra of a union of pair
-    groupoids, but a GroupoidAlgebra equals only itself, and the tables
-    derived from it are cached on it, so they live as long as it does.
+    stores none; partners reads its product table off its factors'.  A
+    multimatrix algebra is the algebra of a union of pair groupoids, but a
+    GroupoidAlgebra equals only itself, and the tables derived from it are
+    cached on it, so they live as long as it does.
     """
 
     __slots__ = ("dim", "mul_basis", "star_index", "basis_name", "units",

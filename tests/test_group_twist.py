@@ -219,11 +219,19 @@ def test_coset_twist_blocks_and_axioms():
     assert group.order == 16
     order16 = GradedTwist(CentralGrading(group, group.index[-I2]),
                           conjugation_action(group, U_ACT))
-    assert sorted(order16.hopf.algebra.block_sizes) == [1] * 8 + [2, 2]
+    # the cosets in index order: the tuple the benchmark's models are gated on
+    assert order16.hopf.algebra.block_sizes == (1, 1, 2, 1, 1, 1, 1, 2, 1, 1)
     for hopf in (BUILT.twist.hopf, tw.hopf, order16.hopf,
                  twist_from_model_dict(sample_model()).hopf):
         rep = verify_hopf_axioms(hopf)
         assert rep.passed, rep.first_failure()
+
+
+def test_crossed_product_blocks_put_fixed_points_first():
+    group = generate_group([S1, S2])
+    alg, _ = block_basis(SmashProduct(conjugation_action(group, U_ACT)))
+    assert alg.block_sizes == (1, 1, 1, 1, 2, 2, 2)
+    assert [lab[:3] for lab in alg.labels[:4]] == ["p+(", "p-("] * 2
 
 
 def test_solver_rejects_elements_outside_the_twist():

@@ -7,7 +7,7 @@ import pytest
 
 from hopfcheck.cyclotomic import IM, INV_SQRT2, ONE, ZERO
 from hopfcheck import models
-from hopfcheck.group_twist import generate_group
+from hopfcheck.group_twist import coset_basis, generate_group
 from hopfcheck.hopf_core import HopfAlgebra, commutativity_flags, \
     verify_hopf_axioms
 from hopfcheck.linalg import exact_rank
@@ -89,6 +89,15 @@ def test_coset_presentation_mismatch_is_detected():
     tw = models.build_vtilde_twist(BUILT.vtilde, BUILT.smash, coset)
     assert not tw.report.checks["matches_coset_presentation"]
     assert BUILT.twist.report.checks["matches_coset_presentation"]
+
+
+def test_coset_basis_is_the_dictionary():
+    """The orbit-block rule gives the paper's dictionary elements themselves,
+    in block order, not only their span."""
+    d = BUILT.twist.dictionary
+    assert coset_basis(BUILT.smash, BUILT.vtilde.grading)[1] == [
+        d["eps"], d["alphap"], d["e11"], -d["e12"], -d["e21"], d["e22"],
+        d["betap"], d["gammap"]]
 
 
 def test_twist_dictionary_aligns_with_handles():
@@ -225,6 +234,10 @@ def test_fusion_rules_export():
     assert rules["fund_before_line"] == [1, 1, 1, 1]
     assert rules["lines_in_square"] == [1, 1, 1, 1]
     assert rules["fund_in_square"] == 0
+
+
+def test_fusion_table_is_the_certified_group_table():
+    assert BUILT.fusion_rules["table"] is BUILT.tensor_square.group.table
 
 
 def permuted_model(perm):
