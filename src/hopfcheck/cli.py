@@ -21,14 +21,17 @@ from typing import TYPE_CHECKING, Callable
 from .cyclotomic import Cyc, HALF, ONE
 
 if TYPE_CHECKING:
+    from .group_twist import Mat2
     from .models import Build
     from .report import Report
 
 
 class Context:
-    """One run's model file, scale and Build record (made on first use)."""
+    """One run's parsed model file (read_model's tuple), scale and Build
+    record (made on first use)."""
 
-    def __init__(self, model: dict | None, tau: Cyc) -> None:
+    def __init__(self, model: tuple[list[Mat2], Mat2, Mat2, int] | None,
+                 tau: Cyc) -> None:
         self.model, self.tau = model, tau
 
     @cached_property
@@ -59,7 +62,7 @@ def _verdict(report: Report, pass_text: str,
     return (False, f"failing: {failure}") if failure else (True, pass_text)
 
 
-# build_kp, build_vtilde, build_smash and twist_from_model_dict raise unless
+# build_kp, build_vtilde, build_smash and twist_from_model raise unless
 # the structure they return passes, so those checks have no failing branch
 
 def _run_kp_axioms(ctx: Context) -> tuple[bool, str]:
@@ -219,8 +222,8 @@ def _run_modcat_repair(ctx: Context) -> tuple[bool, str]:
 
 
 def _run_model_twist(ctx: Context) -> tuple[bool, str]:
-    from .group_twist import twist_from_model_dict
-    tw = twist_from_model_dict(ctx.model)
+    from .group_twist import twist_from_model
+    tw = twist_from_model(*ctx.model)
     return True, (f"user model verified; twist blocks "
                   f"{tw.hopf.algebra.block_sizes}")
 
@@ -403,8 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         from .group_twist import read_model
         try:
             with open(args.model, encoding="utf-8") as fh:
-                model = json.load(fh)
-            read_model(model)
+                model = read_model(json.load(fh))
         except (OSError, ValueError, RecursionError) as exc:
             print(f"cannot read model {args.model!r}: {exc}", file=sys.stderr)
             return 2

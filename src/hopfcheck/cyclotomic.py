@@ -4,7 +4,12 @@ An element is a0 + a1*z + a2*z**2 + a3*z**3 with integer numerators over a
 shared positive denominator, kept reduced so gcd(a0, a1, a2, a3, den) == 1.
 Equality and hashing compare that canonical form, so every operation returns
 it.  The public constructor validates its input; the operators build their
-results from ints alone through _make, with no Fraction on the way.
+results from ints alone through _make, with no Fraction on the way.  They
+take short paths on trivial operands: a sum or difference with zero returns
+the other operand (negated for 0 - x), a product with a factor one returns
+the other factor, and a product with any rational factor takes 4 integer
+products instead of 16.  A rational hashes by Python's numeric-hash rule, as
+the equal int or Fraction does, without building a Fraction.
 The defining relation is z**4 == -1, so z**2 is the imaginary unit and
 z - z**3 is sqrt(2).  All arithmetic is exact.
 """
@@ -14,11 +19,13 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 
 _ZEROS = (0, 0, 0, 0)
+_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 # the form to_strings writes: str() of a Fraction, whose denominator is
 # never zero
 _CANONICAL = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -138,10 +145,19 @@ class Cyc:
 
     def __hash__(self) -> int:
         # equal to the hash of an equal int or Fraction, as __eq__ requires
-        if self.is_rational():
-            n0 = self._n[0]
-            return hash(n0 if self._d == 1 else Fraction(n0, self._d))
-        return hash((self._n, self._d))
+        n0, n1, n2, n3 = self._n
+        if n1 or n2 or n3:
+            return hash((self._n, self._d))
+        d = self._d
+        if d == 1:
+            return hash(n0)
+        # Python's numeric hash of n0/d, as Fraction.__hash__ computes it
+        try:
+            h = hash(hash(abs(n0)) * pow(d, -1, _MODULUS))
+        except ValueError:      # d is a multiple of the modulus
+            h = _HASH_INF
+        h = h if n0 >= 0 else -h
+        return -2 if h == -1 else h
 
     def __neg__(self) -> Cyc:
         a0, a1, a2, a3 = self._n
@@ -152,8 +168,12 @@ class Cyc:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Cyc.from_rational(other)
-        a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = other._n
+        if not (b0 or b1 or b2 or b3):
+            return self
+        a0, a1, a2, a3 = self._n
+        if not (a0 or a1 or a2 or a3):
+            return other
         da, db = self._d, other._d
         if da == db:
             return _make(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
@@ -167,8 +187,12 @@ class Cyc:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Cyc.from_rational(other)
-        a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = other._n
+        if not (b0 or b1 or b2 or b3):
+            return self
+        a0, a1, a2, a3 = self._n
+        if not (a0 or a1 or a2 or a3):
+            return _raw((-b0, -b1, -b2, -b3), other._d)
         da, db = self._d, other._d
         if da == db:
             return _make(a0 - b0, a1 - b1, a2 - b2, a3 - b3, da)
@@ -185,6 +209,17 @@ class Cyc:
             other = Cyc.from_rational(other)
         a0, a1, a2, a3 = self._n
         b0, b1, b2, b3 = other._n
+        # a rational factor scales the other's coordinates; one is neutral
+        if not (b1 or b2 or b3):
+            if b0 == 1 and other._d == 1:
+                return self
+            return _make(a0 * b0, a1 * b0, a2 * b0, a3 * b0,
+                         self._d * other._d)
+        if not (a1 or a2 or a3):
+            if a0 == 1 and self._d == 1:
+                return other
+            return _make(a0 * b0, a0 * b1, a0 * b2, a0 * b3,
+                         self._d * other._d)
         # z**4 == -1 folds the degree 4..6 terms back with a sign
         return _make(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
                      a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,

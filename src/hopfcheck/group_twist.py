@@ -494,11 +494,17 @@ def read_model(data: dict) -> tuple[list[Mat2], Mat2, Mat2, int]:
         raise ValueError(f"malformed model description: {exc}") from exc
 
 
-def twist_from_model_dict(data: dict) -> GradedTwist:
-    """Build a graded twist from a model description (see read_model)."""
-    gens, u, z, cap = read_model(data)
+def twist_from_model(gens: list[Mat2], u: Mat2, z: Mat2,
+                     cap: int) -> GradedTwist:
+    """Build a graded twist from a parsed model description (read_model's
+    generators, action unitary, central element and cap)."""
     group = generate_group(gens, cap=cap)
     zi = group.index.get(z)
     if zi is None:
         raise GradingError("central element is not in the generated group")
     return GradedTwist(CentralGrading(group, zi), conjugation_action(group, u))
+
+
+def twist_from_model_dict(data: dict) -> GradedTwist:
+    """Build a graded twist from a model description (see read_model)."""
+    return twist_from_model(*read_model(data))

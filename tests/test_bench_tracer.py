@@ -52,6 +52,11 @@ def test_traced_names_are_bound():
         for part in path.split("."):
             assert part in vars(owner), f"{module}.{path}"
             owner = vars(owner)[part]
+    # the Q(z) operators are wrapped in place on Cyc, reflected ones included
+    cyc = importlib.import_module("hopfcheck.cyclotomic").Cyc
+    for name, attrs in tracer.SCALAR_OPS.items():
+        for attr in attrs:
+            assert attr in vars(cyc), f"{name}: Cyc.{attr}"
     models = importlib.import_module("hopfcheck.models")
     for name in tracer.BUILDERS:
         assert name in vars(models), f"hopfcheck.models.{name}"

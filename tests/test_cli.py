@@ -12,6 +12,7 @@ import pytest
 
 from hopfcheck import cli, models
 from hopfcheck.category_checks import modcat, ty
+from hopfcheck.cyclotomic import Cyc
 from hopfcheck.hopf_core import Report, hopf_from_dict, verify_hopf_axioms
 
 SAMPLE_MODEL = "tests/data/sample_model.json"
@@ -105,6 +106,25 @@ def test_model_check_with_sample(capsys):
                        "--model", SAMPLE_MODEL)
     assert code == 0
     assert "PASS" in out
+
+
+def test_the_model_file_is_parsed_once(capsys, monkeypatch):
+    # the check builds from the parse made when the file is read
+    with open(SAMPLE_MODEL, encoding="utf-8") as fh:
+        data = json.load(fh)
+    coordinate_lists = 4 * (len(data["generators"]) + 2)
+    parsed = []
+    original = Cyc.from_strings.__func__
+
+    def counting(cls, parts):
+        parsed.append(parts)
+        return original(cls, parts)
+
+    monkeypatch.setattr(Cyc, "from_strings", classmethod(counting))
+    code, _, _ = run(capsys, "verify", "--check", "model.twist-axioms",
+                     "--model", SAMPLE_MODEL)
+    assert code == 0
+    assert len(parsed) == coordinate_lists
 
 
 @pytest.mark.parametrize("field", ["action_unitary", "central_element"])

@@ -1,6 +1,7 @@
 """Exact arithmetic in the degree-8 cyclotomic field."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,12 @@ def test_hash_agrees_with_equality():
     assert hash(HALF) == hash(Fraction(1, 2))
     assert hash(-ONE) == hash(-1)
     assert len({ZERO, Fraction(0), 0}) == 1
+    assert hash(Cyc((-3, 0, 0, 0), 7)) == hash(Fraction(-3, 7))
+    # a denominator that is a multiple of the hash modulus has no inverse
+    # modulo it: Python's numeric hash rule gives such a rational hash inf
+    tiny = Fraction(1, sys.hash_info.modulus)
+    assert hash(Cyc.from_rational(tiny)) == hash(tiny) == sys.hash_info.inf
+    assert hash(Cyc.from_rational(-tiny)) == hash(-tiny)
 
 
 def test_rational_views():
@@ -176,26 +183,38 @@ def assert_canonical(c):
             assert c == nums[0] and hash(c) == hash(nums[0])
 
 
+# the trivial operands the operators take short paths on, and any other
+operands = st.one_of(wide_cycs, st.sampled_from([ZERO, ONE, -ONE]),
+                     rationals.map(Cyc.from_rational))
+
+
 @settings(max_examples=300)
-@given(wide_cycs, wide_cycs, rationals, st.sampled_from([1, 3, 5, 7]))
+@given(operands, operands, rationals, st.sampled_from([1, 3, 5, 7]))
 def test_fast_ops_match_fraction_reference(x, y, q, t):
-    a, b = x.coords, y.coords
+    a = x.coords
     qc = (Fraction(q), Fraction(0), Fraction(0), Fraction(0))
-    cases = [
-        (x + y, tuple(u + v for u, v in zip(a, b))),
-        (x - y, tuple(u - v for u, v in zip(a, b))),
-        (x * y, ref_mul(a, b)),
+    # every operand pair, both ways round: x with y and with each trivial one
+    pairs = [(x, y)] + [(u, v) for s in (ZERO, ONE, -ONE, Cyc.from_rational(q))
+                        for u, v in ((s, x), (x, s))]
+    cases = []
+    for u, v in pairs:
+        c, d = u.coords, v.coords
+        cases += [(u + v, tuple(i + j for i, j in zip(c, d))),
+                  (u - v, tuple(i - j for i, j in zip(c, d))),
+                  (u * v, ref_mul(c, d))]
+    cases += [
         (-x, tuple(-u for u in a)),
         (x.galois(t), ref_galois(a, t)),
         (x.conj(), ref_galois(a, 7)),
         (x + q, tuple(u + v for u, v in zip(a, qc))),
         (q - x, tuple(v - u for u, v in zip(a, qc))),
         (q * x, ref_mul(qc, a)),
+        (x * q, ref_mul(a, qc)),
     ]
     for got, want in cases:
         assert got.coords == want
         assert_canonical(got)
-    assert (x == y) == (a == b)
+    assert (x == y) == (a == y.coords)
     if x:
         inv = x.inv()
         assert_canonical(inv)
@@ -204,6 +223,7 @@ def test_fast_ops_match_fraction_reference(x, y, q, t):
 
 def test_no_fraction_on_the_hot_path(monkeypatch):
     xs = [Cyc((k, -2 * k, 3, k * k), 1 + k % 6) for k in range(-12, 12)]
+    qs = [Cyc((k, 0, 0, 0), d) for d in range(2, 13) for k in (-7, 1, 5)]
     made = []
     original = Fraction.__new__
 
@@ -221,4 +241,10 @@ def test_no_fraction_on_the_hot_path(monkeypatch):
         assert -x == ZERO - x
         assert x.galois(3).conj() == x.galois(5)
         assert x * x.inv() == ONE
+        assert x + ZERO == x == ONE * x and ZERO - x == -x
+        hash(x)
+        for r in qs:
+            assert r * x == x * r and (r * x - x * r) + r == r
+    for r in qs:
+        hash(r)
     assert not made
